@@ -29,7 +29,6 @@ from .datasets import (
     Dataset,
     DatasetManifest,
     NefariousOffsets,
-    Sample,
     build_accidental,
     build_master,
     build_nefarious,
@@ -39,7 +38,7 @@ from .datasets import (
     write_dataset,
 )
 from .neuralnet import AdamState, DenseLayer, Mlp, adam_step, backward, bce_loss, forward
-from .gan import TrainConfig, TrainReport, authenticate, build_discriminator, build_generator, train_gan
+from .gan import TrainConfig, TrainReport, build_discriminator, build_generator, train_gan
 from .detectors import (
     ConvergenceError,
     IForestModel,

@@ -81,14 +81,13 @@ def flatten_csi(h: np.ndarray) -> np.ndarray:
     """Flatten to reals: row-major elements, (re, im) interleaved per element.
 
     The canonical feature layout shared by datasets, the discriminator
-    input, and the one-class detectors.
+    input, and the one-class detectors. A (..., n_rx, m_tx) stack of
+    matrices flattens to (..., 2 * n_rx * m_tx) rows.
     """
-    h = _as_csi(h)
-    out = np.empty(2 * h.size)
-    flat = h.reshape(-1)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
+    h = np.array(h, dtype=np.complex128, order="C")  # a copy: the result views it
+    if h.ndim < 2 or h.size == 0:
+        raise ValueError(f"CSI must be (..., n_rx, m_tx) and non-empty, got shape {h.shape}")
+    return h.view(np.float64).reshape(h.shape[:-2] + (-1,))
 
 
 def unflatten_csi(x: np.ndarray, n_rx: int, m_tx: int) -> np.ndarray:

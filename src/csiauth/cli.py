@@ -196,8 +196,8 @@ def cmd_gen(cfg: RunConfig) -> int:
     for name, ds in built.items():
         path = cfg.data_dir / f"{name}.csv"
         datasets.write_dataset(path, ds)
-        datasets.verify_counts(datasets.read_dataset(path))
-        print(f"wrote {path} ({len(ds.samples)} samples)")
+        datasets.read_dataset(path)  # read-back check: raises on a schema or count mismatch
+        print(f"wrote {path} ({len(ds)} samples)")
     return 0
 
 
@@ -205,7 +205,10 @@ def _load_train(cfg: RunConfig) -> datasets.Dataset:
     path = cfg.data_dir / "train.csv"
     if not path.exists():
         raise FileNotFoundError(f"missing {path}; run `csiauth gen` first")
-    return datasets.read_dataset(path)
+    train = datasets.read_dataset(path)
+    if not train.legit.all():
+        raise ValueError(f"{path}: training data must contain only legitimate samples")
+    return train
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -216,14 +219,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
     def job(snr: float | None):
         if snr is None:
-            samples = train_ds.samples
+            rows = train_ds.x
             stream = rng.substream("gan-train", "pooled")
             name = "gan_pooled"
         else:
-            samples = datasets.slice_snr(train_ds.samples, snr)
+            rows = train_ds.x[train_ds.snr == snr]
             stream = rng.substream("gan-train", snr)
             name = f"gan_snr{_snr_tag(snr)}"
-        disc, report = gan.train_gan(samples, tc, stream)
+        disc, report = gan.train_gan(rows, tc, stream)
         return name, disc, report
 
     keys = [None] if cfg.pooled else list(train_ds.manifest.snr_grid)
@@ -243,7 +246,7 @@ def cmd_fit_detector(cfg: RunConfig, algo: str) -> int:
     rng = RngStream(cfg.seed)
 
     def job(snr: float):
-        x = datasets.features(datasets.slice_snr(train_ds.samples, snr))
+        x = train_ds.x[train_ds.snr == snr]
         if algo == "lof":
             model = detectors.lof_fit(
                 x, k=int(ov.get("lof_k", detectors.LOF_K)),

@@ -4,13 +4,17 @@ The master dataset adds measurement noise to a single enrolled CSI matrix
 across an SNR grid. The accidental-authentication test set mixes in five
 unrelated transmitters; the nefarious-users test set mixes in five spoofed
 transmitters whose reference is the enrolled matrix shifted by a complex
-offset. Files are CSV with a JSON manifest sidecar.
+offset. A Dataset stores its samples as row-aligned columns (flattened
+CSI features, SNR, ground truth, transmitter id), so selecting an SNR is a
+boolean mask over `snr`. Files are CSV with a JSON manifest sidecar; input
+is validated once, when a file is read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +44,6 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file or manifest does not match the schema."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    csi: np.ndarray
-    snr_db: float
-    label: str
-    source_id: str
-
-
 @dataclass
 class DatasetManifest:
     seed: int
@@ -60,8 +56,21 @@ class DatasetManifest:
 
 @dataclass
 class Dataset:
+    """Columnar samples; row i of every column describes one measurement.
+
+    `x` (n, 2 * n_rx * m_tx) holds the flattened CSI in flatten_csi's layout;
+    `snr` (n,) the SNR in dB, `legit` (n,) the ground truth and `source` (n,)
+    the transmitter id of each row.
+    """
+
     manifest: DatasetManifest
-    samples: list[Sample] = field(default_factory=list)
+    x: np.ndarray
+    snr: np.ndarray
+    legit: np.ndarray
+    source: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.snr)
 
 
 @dataclass(frozen=True)
@@ -97,21 +106,18 @@ def build_master(
 ) -> Dataset:
     """One enrolled CSI matrix; `samples_per_snr` noisy measurements per SNR."""
     h_true = sample_csi(n_rx, m_tx, rng.substream("master-h"))
-    samples = []
+    parts = []
     counts = {}
     for snr in snr_grid:
         batch = measurement_batch(
             h_true, NoiseModel(snr), samples_per_snr, rng.substream("master", snr)
         )
-        samples.extend(
-            Sample(csi=batch[i], snr_db=snr, label=LEGITIMATE, source_id=ENROLLED_ID)
-            for i in range(samples_per_snr)
-        )
+        parts.append(_measured(batch, snr, True, ENROLLED_ID))
         counts[(snr, LEGITIMATE)] = samples_per_snr
     manifest = DatasetManifest(
         seed=rng.seed, kind=KIND_MASTER, snr_grid=list(snr_grid), counts=counts, h_true=h_true
     )
-    return Dataset(manifest, samples)
+    return _stack(manifest, parts)
 
 
 def split_train_test(
@@ -131,28 +137,28 @@ def split_train_test(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if shuffle and rng is None:
         raise ValueError("shuffle requires an RngStream")
-    train_samples, test_samples = [], []
+    train_parts, test_parts = [], []
     train_counts, test_counts = {}, {}
     for snr in master.manifest.snr_grid:
-        chunk = [s for s in master.samples if s.snr_db == snr]
-        if not chunk:
+        rows = np.flatnonzero(master.snr == snr)
+        if rows.size == 0:
             raise ValueError(f"master dataset has no samples at SNR {snr}")
         if shuffle:
             g = rng.substream("split", snr).generator()
-            chunk = [chunk[i] for i in g.permutation(len(chunk))]
-        n_train = round(train_fraction * len(chunk))
-        train_samples.extend(chunk[:n_train])
-        test_samples.extend(chunk[n_train:])
+            rows = rows[g.permutation(rows.size)]
+        n_train = round(train_fraction * rows.size)
+        train_parts.append(_rows(master, rows[:n_train]))
+        test_parts.append(_rows(master, rows[n_train:]))
         train_counts[(snr, LEGITIMATE)] = n_train
-        test_counts[(snr, LEGITIMATE)] = len(chunk) - n_train
+        test_counts[(snr, LEGITIMATE)] = rows.size - n_train
     mf = master.manifest
-    train = Dataset(
+    train = _stack(
         DatasetManifest(mf.seed, KIND_TRAIN, list(mf.snr_grid), train_counts, mf.h_true),
-        train_samples,
+        train_parts,
     )
-    test = Dataset(
+    test = _stack(
         DatasetManifest(mf.seed, KIND_TEST, list(mf.snr_grid), test_counts, mf.h_true),
-        test_samples,
+        test_parts,
     )
     return train, test
 
@@ -181,30 +187,24 @@ def build_nefarious(
 
 def _mix_attackers(test_legit, refs, id_prefix, purpose, rng, kind) -> Dataset:
     mf = test_legit.manifest
-    samples = []
+    parts = []
     counts = {}
     for snr in mf.snr_grid:
-        legit = [s for s in test_legit.samples if s.snr_db == snr]
-        samples.extend(legit)
-        counts[(snr, LEGITIMATE)] = len(legit)
-        n_illegit = 0
+        legit = np.flatnonzero(test_legit.snr == snr)
+        parts.append(_rows(test_legit, legit))
+        counts[(snr, LEGITIMATE)] = legit.size
         for i, ref in enumerate(refs):
             batch = measurement_batch(
                 ref, NoiseModel(snr), SAMPLES_PER_ATTACKER, rng.substream(purpose, snr, i)
             )
-            sid = f"{id_prefix}{i + 1}"
-            samples.extend(
-                Sample(csi=batch[k], snr_db=snr, label=ILLEGITIMATE, source_id=sid)
-                for k in range(SAMPLES_PER_ATTACKER)
-            )
-            n_illegit += SAMPLES_PER_ATTACKER
-        counts[(snr, ILLEGITIMATE)] = n_illegit
+            parts.append(_measured(batch, snr, False, f"{id_prefix}{i + 1}"))
+        counts[(snr, ILLEGITIMATE)] = len(refs) * SAMPLES_PER_ATTACKER
     manifest = DatasetManifest(mf.seed, kind, list(mf.snr_grid), counts, mf.h_true)
-    return Dataset(manifest, samples)
+    return _stack(manifest, parts)
 
 
 def _check_legit_test(ds: Dataset) -> None:
-    if any(s.label != LEGITIMATE for s in ds.samples):
+    if not ds.legit.all():
         raise ValueError("test split must contain only legitimate samples")
     per_snr = {snr: ds.manifest.counts.get((snr, LEGITIMATE), 0) for snr in ds.manifest.snr_grid}
     if len(set(per_snr.values())) != 1 or 0 in per_snr.values():
@@ -212,19 +212,23 @@ def _check_legit_test(ds: Dataset) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Feature access
+# Column assembly
+#
+# A part is an (x, snr, legit, source) tuple of row-aligned columns.
 
-def slice_snr(samples: list[Sample], snr_db: float) -> list[Sample]:
-    return [s for s in samples if s.snr_db == snr_db]
+def _measured(batch: np.ndarray, snr: float, legit: bool, source: str) -> tuple:
+    """Columns for a (count, n_rx, m_tx) batch of measurements of one transmitter."""
+    n = batch.shape[0]
+    return flatten_csi(batch), np.full(n, snr), np.full(n, legit), np.full(n, source)
 
 
-def features(samples: list[Sample]) -> np.ndarray:
-    """Stack flattened CSI features, shape (n_samples, 2 * n_rx * m_tx)."""
-    return np.array([flatten_csi(s.csi) for s in samples])
+def _rows(ds: Dataset, idx: np.ndarray) -> tuple:
+    return ds.x[idx], ds.snr[idx], ds.legit[idx], ds.source[idx]
 
 
-def is_legit(samples: list[Sample]) -> np.ndarray:
-    return np.array([s.label == LEGITIMATE for s in samples], dtype=bool)
+def _stack(manifest: DatasetManifest, parts: list[tuple]) -> Dataset:
+    x, snr, legit, source = (np.concatenate(column) for column in zip(*parts))
+    return Dataset(manifest, x, snr, legit, source)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +238,21 @@ def write_dataset(path, dataset: Dataset) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip."""
     path = Path(path)
     mf = dataset.manifest
-    n_rx, m_tx = mf.h_true.shape
-    header = ["snr_db", "label", "source_id"]
-    for n in range(n_rx):
-        for m in range(m_tx):
-            header += [f"re_{n}_{m}", f"im_{n}_{m}"]
+    header = _csv_header(*mf.h_true.shape)
+    # "%.17g" renders a double exactly as format(v, ".17g") does.
+    features = ",".join(["%.17g"] * (len(header) - 3))
     lines = [",".join(header)]
-    for s in dataset.samples:
-        row = [format(s.snr_db, ".17g"), s.label, s.source_id]
-        row += [format(v, ".17g") for v in flatten_csi(s.csi)]
-        lines.append(",".join(row))
+    for snr, legit, source, row in zip(
+        dataset.snr.tolist(), dataset.legit.tolist(), dataset.source.tolist(), dataset.x.tolist()
+    ):
+        label = LEGITIMATE if legit else ILLEGITIMATE
+        lines.append(f"{format(snr, '.17g')},{label},{source}," + features % tuple(row))
     path.write_text("\n".join(lines) + "\n")
     _manifest_path(path).write_text(_manifest_to_json(mf))
 
 
 def read_dataset(path) -> Dataset:
+    """Parse and validate a dataset file; every feature must be finite."""
     path = Path(path)
     mpath = _manifest_path(path)
     if not mpath.exists():
@@ -258,48 +262,57 @@ def read_dataset(path) -> Dataset:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
     n_rx, m_tx = manifest.h_true.shape
-    expected_header = ["snr_db", "label", "source_id"]
-    for n in range(n_rx):
-        for m in range(m_tx):
-            expected_header += [f"re_{n}_{m}", f"im_{n}_{m}"]
+    expected_header = _csv_header(n_rx, m_tx)
     text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0].split(",") != expected_header:
         raise DatasetFormatError(
             f"{path}: header does not match the {n_rx}x{m_tx} dataset schema"
         )
-    samples = []
+    snr, legit, source, rows = [], [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(expected_header):
             raise DatasetFormatError(f"{path}:{ln}: expected {len(expected_header)} cells")
         try:
-            snr = float(cells[0])
-            vals = np.array([float(c) for c in cells[3:]])
+            snr.append(float(cells[0]))
+            rows.append([float(c) for c in cells[3:]])
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{ln}: {exc}") from exc
         label = cells[1]
         if label not in (LEGITIMATE, ILLEGITIMATE):
             raise DatasetFormatError(f"{path}:{ln}: unknown label {label!r}")
-        samples.append(
-            Sample(csi=unflatten_csi(vals, n_rx, m_tx), snr_db=snr, label=label, source_id=cells[2])
-        )
-    ds = Dataset(manifest, samples)
+        legit.append(label == LEGITIMATE)
+        source.append(cells[2])
+    x = np.array(rows, dtype=float).reshape(len(rows), len(expected_header) - 3)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}:{bad[0] + 2}: non-finite feature value")
+    ds = Dataset(
+        manifest, x, np.array(snr, dtype=float), np.array(legit, dtype=bool),
+        np.array(source, dtype=str),
+    )
     verify_counts(ds)
     return ds
 
 
 def verify_counts(dataset: Dataset) -> None:
     """Raise DatasetFormatError unless sample tallies match the manifest exactly."""
-    actual: dict[tuple[float, str], int] = {}
-    for s in dataset.samples:
-        key = (s.snr_db, s.label)
-        actual[key] = actual.get(key, 0) + 1
+    labels = np.where(dataset.legit, LEGITIMATE, ILLEGITIMATE).tolist()
+    actual = dict(Counter(zip(dataset.snr.tolist(), labels)))
     if actual != dataset.manifest.counts:
         missing = set(dataset.manifest.counts) ^ set(actual)
         raise DatasetFormatError(
             f"sample counts disagree with manifest (differing keys: {sorted(missing) or 'values'})"
         )
+
+
+def _csv_header(n_rx: int, m_tx: int) -> list[str]:
+    header = ["snr_db", "label", "source_id"]
+    for n in range(n_rx):
+        for m in range(m_tx):
+            header += [f"re_{n}_{m}", f"im_{n}_{m}"]
+    return header
 
 
 def _manifest_path(path: Path) -> Path:

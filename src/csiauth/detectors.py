@@ -85,15 +85,6 @@ def lof_train_scores(model: LofModel) -> np.ndarray:
     return mean_neighbor_lrd / model.lrd
 
 
-def lof_score(model: LofModel, x) -> float:
-    return float(lof_scores(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def lof_decide(model: LofModel, x) -> bool:
-    """True iff inlier: score within the threshold."""
-    return lof_score(model, x) <= model.threshold
-
-
 # ---------------------------------------------------------------------------
 # Isolation forest
 
@@ -200,15 +191,6 @@ def iforest_scores(model: IForestModel, points) -> np.ndarray:
         paths += _tree_paths(tree, x)
     mean_path = paths / len(model.trees)
     return np.exp2(-mean_path / _avg_path(model.subsample))
-
-
-def iforest_score(model: IForestModel, x) -> float:
-    return float(iforest_scores(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def iforest_decide(model: IForestModel, x) -> bool:
-    """True iff inlier: anomaly score within the threshold."""
-    return iforest_score(model, x) <= model.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +303,6 @@ def ocsvm_decision_values(model: OcsvmModel, points) -> np.ndarray:
     return k @ model.alphas - model.rho
 
 
-def ocsvm_decide(model: OcsvmModel, x) -> int:
-    """+1 inside the learned region, -1 outside."""
-    val = ocsvm_decision_values(model, np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    return 1 if val >= 0 else -1
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -422,11 +398,15 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (len(a), len(b)), clipped at 0 against rounding."""
     d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.maximum(d2, 0.0)
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq_dists(a, b))
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    return np.exp(-gamma * _sq_dists(a, b))

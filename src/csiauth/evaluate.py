@@ -1,8 +1,9 @@
 """Confusion matrices and accuracy-vs-SNR curves over the test datasets.
 
-Every authenticator is adapted to one boundary contract: a callable taking
-a CSI matrix and returning the accept boolean. Rows of the confusion
-matrix are ground truth (Real = legitimate), columns are the prediction.
+Every authenticator is adapted to one contract: a callable taking feature
+rows (n, 2 * n_rx * m_tx), as stored in `Dataset.x`, and returning the
+(n,) boolean accept mask. Rows of the confusion matrix are ground truth
+(Real = legitimate), columns are the prediction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import flatten_csi
-from .datasets import Dataset, slice_snr
+from .datasets import Dataset
 from .detectors import (
     IForestModel,
     LofModel,
@@ -25,12 +26,11 @@ from .detectors import (
     lof_scores,
     ocsvm_decision_values,
 )
-from .gan import authenticate
+from .gan import scores_batch
 from .neuralnet import Mlp
-from .neuralnet import forward as nn_forward
-from .threshold import Threshold, decide
+from .threshold import Threshold
 
-DecisionFn = Callable[[np.ndarray], bool]
+DecisionFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,72 +55,48 @@ class AccuracyCurve:
 
 
 # ---------------------------------------------------------------------------
-# Decision adapters
-#
-# Each adapter is a plain csi -> accept callable. A `batch` attribute taking
-# a (n, features) matrix is attached where the model supports it, and
-# evaluate() uses it to avoid per-sample dispatch overhead.
-
-def _with_batch(fn: DecisionFn, batch) -> DecisionFn:
-    fn.batch = batch
-    return fn
-
+# Decision adapters: each maps feature rows (n, d) to the (n,) accept mask.
 
 def threshold_decider(h_ref: np.ndarray, thr: Threshold) -> DecisionFn:
+    """Row form of threshold.decide: accept iff every element is within z."""
     ref = flatten_csi(h_ref)
     z2 = thr.z**2
 
-    def batch(rows: np.ndarray) -> np.ndarray:
+    def accept(rows: np.ndarray) -> np.ndarray:
         delta = rows - ref[np.newaxis, :]
         d2 = delta[:, 0::2] ** 2 + delta[:, 1::2] ** 2
         return np.all(d2 <= z2, axis=1)
 
-    return _with_batch(lambda csi: decide(csi, h_ref, thr).accept, batch)
+    return accept
 
 
 def gan_decider(d: Mlp, tau: float = 0.5) -> DecisionFn:
-    def batch(rows: np.ndarray) -> np.ndarray:
-        out, _ = nn_forward(d, rows, "infer")
-        return out[:, 0] >= tau
-
-    return _with_batch(lambda csi: authenticate(d, csi, tau)[0], batch)
+    return lambda rows: scores_batch(d, rows) >= tau
 
 
 def lof_decider(model: LofModel) -> DecisionFn:
-    return _with_batch(
-        lambda csi: float(lof_scores(model, flatten_csi(csi)[np.newaxis, :])[0]) <= model.threshold,
-        lambda rows: lof_scores(model, rows) <= model.threshold,
-    )
+    return lambda rows: lof_scores(model, rows) <= model.threshold
 
 
 def iforest_decider(model: IForestModel) -> DecisionFn:
-    return _with_batch(
-        lambda csi: float(iforest_scores(model, flatten_csi(csi)[np.newaxis, :])[0]) <= model.threshold,
-        lambda rows: iforest_scores(model, rows) <= model.threshold,
-    )
+    return lambda rows: iforest_scores(model, rows) <= model.threshold
 
 
 def ocsvm_decider(model: OcsvmModel) -> DecisionFn:
-    return _with_batch(
-        lambda csi: float(ocsvm_decision_values(model, flatten_csi(csi)[np.newaxis, :])[0]) >= 0.0,
-        lambda rows: ocsvm_decision_values(model, rows) >= 0.0,
-    )
+    return lambda rows: ocsvm_decision_values(model, rows) >= 0.0
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 def evaluate(decider: DecisionFn, dataset: Dataset, snr_db: float, method: str = "") -> ConfusionMatrix:
-    chunk = slice_snr(dataset.samples, snr_db)
-    if not chunk:
+    at_snr = dataset.snr == snr_db
+    if not at_snr.any():
         raise ValueError(f"dataset has no samples at SNR {snr_db} dB")
-    batch = getattr(decider, "batch", None)
-    if batch is not None:
-        rows = np.array([flatten_csi(s.csi) for s in chunk])
-        accepts = np.asarray(batch(rows), dtype=bool)
-    else:
-        accepts = np.array([bool(decider(s.csi)) for s in chunk])
-    legit = np.array([s.label == "legitimate" for s in chunk])
+    legit = dataset.legit[at_snr]
+    accepts = np.asarray(decider(dataset.x[at_snr]), dtype=bool)
+    if accepts.shape != legit.shape:
+        raise ValueError(f"decider returned shape {accepts.shape}, expected {legit.shape}")
     return ConfusionMatrix(
         method=method, snr_db=snr_db,
         real_real=int(np.sum(accepts & legit)),

@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import flatten_csi
-from .datasets import LEGITIMATE, Sample, features
 from .neuralnet import (
     AdamState,
     Mlp,
@@ -85,25 +83,25 @@ def build_generator(rng: RngStream, latent_dim: int = LATENT_DIM) -> Mlp:
 
 
 def train_gan(
-    train_data: list[Sample], cfg: TrainConfig, rng: RngStream, on_epoch_end=None
+    train_rows: np.ndarray, cfg: TrainConfig, rng: RngStream, on_epoch_end=None
 ) -> tuple[Mlp, TrainReport]:
     """Alternating D/G mini-batch training; returns the kept discriminator.
 
-    Per batch: the discriminator takes one step on real samples labeled 1.0
-    stacked with generated samples labeled 0.0; then the generator takes one
-    step toward fooling the frozen discriminator (non-saturating objective,
-    generated samples labeled 1.0). Latent inputs are standard normal. The
-    generator is discarded; only the discriminator of the final epoch and
-    the report are returned. `on_epoch_end(epoch_index, discriminator,
-    report)` runs after each epoch, e.g. to save per-epoch checkpoints.
+    `train_rows` (n, 32) are flattened legitimate CSI samples; the caller
+    checks their labels. Per batch: the discriminator takes one step on real
+    samples labeled 1.0 stacked with generated samples labeled 0.0; then the
+    generator takes one step toward fooling the frozen discriminator
+    (non-saturating objective, generated samples labeled 1.0). Latent inputs
+    are standard normal. The generator is discarded; only the discriminator
+    of the final epoch and the report are returned. `on_epoch_end(epoch_index,
+    discriminator, report)` runs after each epoch, e.g. to save per-epoch
+    checkpoints.
     """
-    if not train_data:
+    x_real = np.asarray(train_rows, dtype=float)
+    if len(x_real) == 0:
         raise ValueError("training data is empty")
-    if any(s.label != LEGITIMATE for s in train_data):
-        raise ValueError("GAN training data must contain only legitimate samples")
-    x_real = features(train_data)
-    if x_real.shape[1] != CSI_FEATURES:
-        raise ValueError(f"expected {CSI_FEATURES}-feature samples, got {x_real.shape[1]}")
+    if x_real.ndim != 2 or x_real.shape[1] != CSI_FEATURES:
+        raise ValueError(f"expected (n, {CSI_FEATURES}) feature rows, got shape {x_real.shape}")
 
     disc = build_discriminator(rng.substream("init-d"))
     gen = build_generator(rng.substream("init-g"), cfg.latent_dim)
@@ -166,19 +164,6 @@ def _generator_step(disc, gen, state_g, b, cfg, latent_gen, dropout_gen):
     grads_g, _ = backward(gen, tape_g, dfake)
     apply_gradients(gen, state_g, grads_g)
     return loss
-
-
-def authenticate(d: Mlp, csi: np.ndarray, tau: float = 0.5) -> tuple[bool, float]:
-    """Score one CSI matrix with the discriminator; accept iff score >= tau."""
-    x = flatten_csi(csi)
-    if x.shape[0] != d.layers[0].in_dim:
-        raise ValueError(
-            f"CSI flattens to {x.shape[0]} features, discriminator expects "
-            f"{d.layers[0].in_dim}"
-        )
-    out, _ = forward(d, x, "infer")
-    score = float(out[0])
-    return score >= tau, score
 
 
 def scores_batch(d: Mlp, feature_rows: np.ndarray) -> np.ndarray:

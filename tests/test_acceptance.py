@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_lof, mc_disk_probability
 
-from csiauth import datasets, detectors
+from csiauth import detectors
 from csiauth.analytic import (
     DiskRegion,
     GaussianSpec,
@@ -61,12 +61,8 @@ def pipeline():
     slices = {}
     for name, ds in (("train", train), ("acc", acc), ("nef", nef)):
         for snr in grid:
-            chunk = datasets.slice_snr(ds.samples, snr)
-            slices[(name, snr)] = (
-                chunk,
-                datasets.features(chunk),
-                datasets.is_legit(chunk),
-            )
+            at_snr = ds.snr == snr
+            slices[(name, snr)] = (at_snr, ds.x[at_snr], ds.legit[at_snr])
     return SimpleNamespace(
         master=master, train=train, test=test, acc=acc, nef=nef, grid=grid, slices=slices
     )
@@ -87,8 +83,8 @@ def gan_sweep(pipeline):
     models = {}
     for seed in GAN_SEEDS:
         for snr in pipeline.grid:
-            chunk, _, _ = pipeline.slices[("train", snr)]
-            disc, _ = train_gan(chunk, TrainConfig(), RngStream(seed).substream("gan-train", snr))
+            _, feats, _ = pipeline.slices[("train", snr)]
+            disc, _ = train_gan(feats, TrainConfig(), RngStream(seed).substream("gan-train", snr))
             models[(seed, snr)] = disc
     return models, time.perf_counter() - t0
 
@@ -97,9 +93,9 @@ def gan_sweep(pipeline):
 def gan_default(pipeline):
     models = {}
     for snr in pipeline.grid:
-        chunk, _, _ = pipeline.slices[("train", snr)]
+        _, feats, _ = pipeline.slices[("train", snr)]
         disc, _ = train_gan(
-            chunk, TrainConfig(), RngStream(PIPELINE_SEED).substream("gan-train", snr)
+            feats, TrainConfig(), RngStream(PIPELINE_SEED).substream("gan-train", snr)
         )
         models[snr] = disc
     return models
@@ -317,7 +313,7 @@ def test_criterion_05_dataset_fidelity():
     acc = build_accidental(test, rng)
     nef = build_nefarious(test, default_nefarious_offsets(), rng)
     grid = master.manifest.snr_grid
-    ok = len(grid) == 16 and len(master.samples) == 16_000
+    ok = len(grid) == 16 and len(master) == 16_000
     for snr in grid:
         ok = ok and master.manifest.counts[(snr, "legitimate")] == 1000
         ok = ok and train.manifest.counts[(snr, "legitimate")] == 700
@@ -325,8 +321,8 @@ def test_criterion_05_dataset_fidelity():
         for ds in (acc, nef):
             ok = ok and ds.manifest.counts[(snr, "legitimate")] == 300
             ok = ok and ds.manifest.counts[(snr, "illegitimate")] == 400
-    imp = {s.source_id for s in acc.samples if s.label == "illegitimate"}
-    nefids = {s.source_id for s in nef.samples if s.label == "illegitimate"}
+    imp = set(acc.source[~acc.legit])
+    nefids = set(nef.source[~nef.legit])
     ok = ok and len(imp) == 5 and len(nefids) == 5
     elapsed = time.perf_counter() - t0
     report(5, "dataset fidelity", ok and elapsed < 10.0,

@@ -121,6 +121,10 @@ def test_flatten_round_trip(seed):
 def test_flatten_ordering_row_major_re_im():
     h = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
     np.testing.assert_array_equal(flatten_csi(h), [1, 2, 3, 4, 5, 6, 7, 8])
+    # a leading batch axis flattens each matrix into its own row
+    stack = np.stack([h, -h, 2 * h])
+    np.testing.assert_array_equal(flatten_csi(stack), [flatten_csi(m) for m in stack])
+    assert flatten_csi(stack[np.newaxis]).shape == (1, 3, 8)
 
 
 def test_same_stream_reproduces():

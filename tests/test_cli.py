@@ -4,6 +4,7 @@ import pytest
 
 from csiauth import cli
 from csiauth.cli import build_parser, main, parse_snr_grid, resolve_config
+from csiauth.datasets import read_dataset, write_dataset
 
 
 def run_cli(*args):
@@ -140,6 +141,17 @@ def test_train_pooled_single_checkpoint(tmp_path, fast_config):
     assert run_cli("train", "--pooled", "--config", fast_config, "--out", out) == 0
     assert (out / "models" / "gan_pooled.json").exists()
     assert len(list((out / "models").glob("gan_pooled*.json"))) == 1
+
+
+@pytest.mark.parametrize("algo", ["lof", "iforest", "ocsvm"])
+def test_train_file_with_illegitimate_rows_rejected(tmp_path, fast_config, capsys, algo):
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    data = out / "datasets"
+    write_dataset(data / "train.csv", read_dataset(data / "test_accidental.csv"))
+    assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 1
+    assert "only legitimate samples" in capsys.readouterr().err
+    assert not list((out / "models").glob(f"{algo}_snr*.json"))
 
 
 def test_train_missing_dataset_errors(tmp_path, capsys):

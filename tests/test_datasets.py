@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from csiauth import datasets
-from csiauth.channel import NoiseModel
+from csiauth.channel import NoiseModel, flatten_csi
 from csiauth.datasets import (
     DatasetFormatError,
     NefariousOffsets,
@@ -34,16 +33,18 @@ def test_master_counts(master):
     assert len(grid) == 16
     for snr in grid:
         assert master.manifest.counts[(snr, "legitimate")] == 1000
-        assert len(datasets.slice_snr(master.samples, snr)) == 1000
-    assert len(master.samples) == 16_000
+        assert np.sum(master.snr == snr) == 1000
+    assert len(master) == 16_000
+    assert master.x.shape == (16_000, 32) and master.x.dtype == np.float64
+    assert master.legit.all() and set(master.source) == {"legit"}
 
 
 def test_master_determinism():
     a = build_master(RngStream(42), snr_grid=(0.0, 2.0))
     b = build_master(RngStream(42), snr_grid=(0.0, 2.0))
     np.testing.assert_array_equal(a.manifest.h_true, b.manifest.h_true)
-    for sa, sb in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(sa.csi, sb.csi)
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.snr, b.snr)
 
 
 def test_split_700_300_per_snr(master, splits):
@@ -51,17 +52,17 @@ def test_split_700_300_per_snr(master, splits):
     for snr in master.manifest.snr_grid:
         assert train.manifest.counts[(snr, "legitimate")] == 700
         assert test.manifest.counts[(snr, "legitimate")] == 300
-    assert len(train.samples) + len(test.samples) == len(master.samples)
+    assert len(train) + len(test) == len(master)
 
 
 def test_split_is_partition(master, splits):
     train, test = splits
-    def key(s):
-        return (s.snr_db, s.csi.tobytes())
-    train_keys = {key(s) for s in train.samples}
-    test_keys = {key(s) for s in test.samples}
+    def keys(ds):
+        return {(snr, row.tobytes()) for snr, row in zip(ds.snr, ds.x)}
+    train_keys = keys(train)
+    test_keys = keys(test)
     assert not train_keys & test_keys
-    assert train_keys | test_keys == {key(s) for s in master.samples}
+    assert train_keys | test_keys == keys(master)
 
 
 def test_split_rejects_non_master(splits):
@@ -74,8 +75,8 @@ def test_split_shuffle_mode(master):
     t1, _ = split_train_test(master, shuffle=True, rng=RngStream(1))
     t2, _ = split_train_test(master, shuffle=True, rng=RngStream(1))
     t3, _ = split_train_test(master)
-    assert all((a.csi == b.csi).all() for a, b in zip(t1.samples, t2.samples))
-    assert any((a.csi != b.csi).any() for a, b in zip(t1.samples, t3.samples))
+    np.testing.assert_array_equal(t1.x, t2.x)
+    assert not np.array_equal(t1.x, t3.x)
     with pytest.raises(ValueError):
         split_train_test(master, shuffle=True)
 
@@ -94,10 +95,10 @@ def test_accidental_counts_and_sources(accidental):
     for snr in accidental.manifest.snr_grid:
         assert accidental.manifest.counts[(snr, "legitimate")] == 300
         assert accidental.manifest.counts[(snr, "illegitimate")] == 400
-    ids = {s.source_id for s in accidental.samples if s.label == "illegitimate"}
+    ids = set(accidental.source[~accidental.legit])
     assert ids == {"imp1", "imp2", "imp3", "imp4", "imp5"}
     per_source = [
-        sum(1 for s in accidental.samples if s.source_id == f"imp{i}" and s.snr_db == 0.0)
+        int(np.sum((accidental.source == f"imp{i}") & (accidental.snr == 0.0)))
         for i in range(1, 6)
     ]
     assert per_source == [80] * 5
@@ -109,15 +110,12 @@ def test_accidental_impostors_independent_of_h_true():
     m = build_master(RngStream(1), snr_grid=(30.0,))
     _, t = split_train_test(m)
     acc = build_accidental(t, RngStream(1))
-    h = acc.manifest.h_true
-    refs = {}
-    for s in acc.samples:
-        if s.label == "illegitimate":
-            refs.setdefault(s.source_id, []).append(s.csi)
+    h = flatten_csi(acc.manifest.h_true)
     d2 = []
-    for csis in refs.values():
-        ref = np.mean(csis, axis=0)  # near-noiseless at 30 dB
-        d2.extend(np.abs(ref - h).reshape(-1) ** 2)
+    for source in set(acc.source[~acc.legit]):
+        ref = acc.x[acc.source == source].mean(axis=0)  # near-noiseless at 30 dB
+        delta = ref - h
+        d2.extend(delta[0::2] ** 2 + delta[1::2] ** 2)
     assert np.mean(d2) == pytest.approx(2.0, rel=0.15)
 
 
@@ -125,7 +123,7 @@ def test_nefarious_counts_and_offsets(nefarious):
     for snr in nefarious.manifest.snr_grid:
         assert nefarious.manifest.counts[(snr, "legitimate")] == 300
         assert nefarious.manifest.counts[(snr, "illegitimate")] == 400
-    ids = {s.source_id for s in nefarious.samples if s.label == "illegitimate"}
+    ids = set(nefarious.source[~nefarious.legit])
     assert ids == {"nef1", "nef2", "nef3", "nef4", "nef5"}
     offs = nefarious.manifest.offsets
     assert len(offs) == 5 and len(set(offs)) == 5
@@ -155,9 +153,9 @@ def test_legit_noise_distribution_ks(master):
     # per-element squared error is exponential with mean sigma2
     snr = 10.0
     sigma2 = NoiseModel(snr).sigma2
-    chunk = datasets.slice_snr(master.samples, snr)[:1000]
+    rows = master.x[master.snr == snr][:1000]
     h = master.manifest.h_true
-    d2 = np.array([np.abs(s.csi[0, 0] - h[0, 0]) ** 2 for s in chunk])
+    d2 = (rows[:, 0] - h[0, 0].real) ** 2 + (rows[:, 1] - h[0, 0].imag) ** 2
     res = stats.kstest(d2 / sigma2, "expon")
     assert res.pvalue >= 0.01
 
@@ -171,10 +169,16 @@ def test_round_trip(tmp_path, accidental):
     assert back.manifest.counts == accidental.manifest.counts
     np.testing.assert_array_equal(back.manifest.h_true, accidental.manifest.h_true)
     assert back.manifest.offsets is None
-    assert len(back.samples) == len(accidental.samples)
-    for a, b in zip(accidental.samples, back.samples):
-        assert (a.snr_db, a.label, a.source_id) == (b.snr_db, b.label, b.source_id)
-        np.testing.assert_array_equal(a.csi, b.csi)
+    assert len(back) == len(accidental)
+    for column in ("x", "snr", "legit", "source"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(accidental, column))
+    # write -> read -> write reproduces both files byte for byte
+    again = tmp_path / "again.csv"
+    write_dataset(again, back)
+    assert again.read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.manifest.json").read_bytes() == (
+        tmp_path / "acc.manifest.json"
+    ).read_bytes()
 
 
 def test_csv_header_matches_flatten_order(tmp_path, master):
@@ -215,4 +219,18 @@ def test_count_mismatch_detected(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one sample row
     with pytest.raises(DatasetFormatError):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_feature_names_line(tmp_path, bad):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[7] = bad
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.csv:3:"):
         read_dataset(path)

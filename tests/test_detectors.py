@@ -4,17 +4,12 @@ from oracles import brute_force_lof
 
 from csiauth.detectors import (
     ConvergenceError,
-    iforest_decide,
     iforest_fit,
-    iforest_score,
     iforest_scores,
-    lof_decide,
     lof_fit,
-    lof_score,
     lof_scores,
     lof_train_scores,
     load_model,
-    ocsvm_decide,
     ocsvm_decision_values,
     ocsvm_fit,
     save_model,
@@ -42,9 +37,10 @@ def test_lof_far_point_is_outlier():
     x = gaussian_points(300, 4, seed=3)
     model = lof_fit(x, k=20)
     diameter = np.max(x) - np.min(x)
-    far = np.full(4, 100 * diameter)
-    assert lof_score(model, far) > 10
-    assert not lof_decide(model, far)
+    far = np.full((1, 4), 100 * diameter)
+    score = lof_scores(model, far)[0]
+    assert score > 10
+    assert score > model.threshold
 
 
 def test_lof_matches_brute_force_on_train_points():
@@ -102,8 +98,8 @@ def test_iforest_far_outlier_scores_above_cluster_point():
     center = np.zeros((1, 4))
     for t in range(10):
         model = iforest_fit(x, n_trees=50, subsample=128, rng=RngStream(17, t))
-        center_scores.append(iforest_score(model, center[0]))
-        outlier_scores.append(iforest_score(model, far[0]))
+        center_scores.append(iforest_scores(model, center)[0])
+        outlier_scores.append(iforest_scores(model, far)[0])
     assert np.mean(outlier_scores) > np.mean(center_scores)
     assert np.mean(outlier_scores) > 0.5
 
@@ -137,8 +133,9 @@ def test_iforest_medoid_scores_below_extreme_point():
     medoid = x[np.argmin(np.sum(np.linalg.norm(x[:, None] - x[None], axis=-1), axis=1))]
     farthest = x[np.argmax(np.linalg.norm(x - medoid, axis=1))]
     model = iforest_fit(x, rng=RngStream(24), subsample=128)
-    assert iforest_score(model, medoid) <= iforest_score(model, farthest)
-    assert iforest_decide(model, medoid)
+    s_medoid, s_farthest = iforest_scores(model, np.vstack([medoid, farthest]))
+    assert s_medoid <= s_farthest
+    assert s_medoid <= model.threshold
 
 
 def test_iforest_validation():
@@ -157,14 +154,14 @@ def test_iforest_validation():
 def test_ocsvm_identical_training_points():
     x = np.ones((20, 3))
     model = ocsvm_fit(x, nu=0.5, gamma=1.0)
-    assert ocsvm_decide(model, np.ones(3)) == 1
+    assert ocsvm_decision_values(model, np.ones((1, 3)))[0] >= 0
 
 
 def test_ocsvm_far_point_rejected():
     x = gaussian_points(300, 4, seed=26)
     model = ocsvm_fit(x, nu=0.05)
     radius = np.max(np.linalg.norm(x, axis=1))
-    assert ocsvm_decide(model, np.full(4, 10 * radius)) == -1
+    assert ocsvm_decision_values(model, np.full((1, 4), 10 * radius))[0] < 0
 
 
 def test_ocsvm_nu_property():

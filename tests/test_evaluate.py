@@ -1,23 +1,45 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from csiauth import datasets
-from csiauth.channel import NoiseModel
+from csiauth.channel import NoiseModel, unflatten_csi
 from csiauth.datasets import build_accidental, build_master, split_train_test
+from csiauth.detectors import (
+    iforest_fit,
+    iforest_scores,
+    lof_fit,
+    lof_scores,
+    ocsvm_decision_values,
+    ocsvm_fit,
+)
 from csiauth.evaluate import (
     AccuracyCurve,
     accuracy_curve,
     curves_from_confusions,
     emit_report,
     evaluate,
+    gan_decider,
+    iforest_decider,
     load_confusions,
+    lof_decider,
+    ocsvm_decider,
     render_accuracy_svg,
     threshold_decider,
 )
+from csiauth.gan import build_discriminator, scores_batch
 from csiauth.rng import RngStream
-from csiauth.threshold import Threshold
+from csiauth.threshold import Threshold, decide
+
+
+def always(rows):
+    return np.ones(len(rows), dtype=bool)
+
+
+def never(rows):
+    return np.zeros(len(rows), dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +50,13 @@ def acc_dataset():
 
 
 def test_perfect_and_trivial_deciders(acc_dataset):
-    perfect_ids = {s.source_id for s in acc_dataset.samples if s.label == "legitimate"}
-    lookup = {s.csi.tobytes(): s.label for s in acc_dataset.samples}
-    perfect = lambda csi: lookup[csi.tobytes()] == "legitimate"
+    lookup = {row.tobytes(): legit for row, legit in zip(acc_dataset.x, acc_dataset.legit)}
+    perfect = lambda rows: np.array([lookup[row.tobytes()] for row in rows])
     cm = evaluate(perfect, acc_dataset, 10.0, "perfect")
     assert (cm.real_real, cm.real_fake, cm.fake_real, cm.fake_fake) == (300, 0, 0, 400)
     assert cm.accuracy == 1.0
 
-    cm = evaluate(lambda csi: True, acc_dataset, 10.0, "always")
+    cm = evaluate(always, acc_dataset, 10.0, "always")
     assert (cm.real_real, cm.real_fake, cm.fake_real, cm.fake_fake) == (300, 0, 400, 0)
     assert cm.accuracy == pytest.approx(300 / 700)
 
@@ -49,32 +70,79 @@ def test_row_sums_match_class_counts(acc_dataset):
 
 
 def test_batch_path_matches_scalar_path(acc_dataset):
-    thr = Threshold.from_sigma2(3.0, NoiseModel(10.0).sigma2)
-    decider = threshold_decider(acc_dataset.manifest.h_true, thr)
-    with_batch = evaluate(decider, acc_dataset, 10.0, "m")
-    plain = lambda csi: decider(csi)  # strips the batch attribute
-    without = evaluate(plain, acc_dataset, 10.0, "m")
-    assert with_batch == without
+    # threshold.decide, one CSI matrix at a time, is the reference for the row form
+    h_ref = acc_dataset.manifest.h_true
+    for snr in acc_dataset.manifest.snr_grid:
+        thr = Threshold.from_sigma2(3.0, NoiseModel(snr).sigma2)
+        rows = acc_dataset.x[acc_dataset.snr == snr]
+        scalar = [decide(unflatten_csi(row, *h_ref.shape), h_ref, thr).accept for row in rows]
+        batch = threshold_decider(h_ref, thr)(rows)
+        assert batch.dtype == bool
+        np.testing.assert_array_equal(batch, scalar)
+        assert 0 < batch.sum() < len(rows)
+
+
+def _gaussian(n, seed, scale=1.0):
+    return RngStream(seed).generator().standard_normal((n, 32)) * scale
+
+
+@pytest.fixture(scope="module")
+def adapters():
+    train = _gaussian(120, 40, scale=0.3)
+    h_ref = unflatten_csi(train[0], 4, 4)
+    thr = Threshold.from_sigma2(3.0, 0.2)
+    lof = lof_fit(train, k=10)
+    ifo = iforest_fit(train, n_trees=20, subsample=64, rng=RngStream(41))
+    svm = ocsvm_fit(train, nu=0.1)
+    disc = build_discriminator(RngStream(42))
+    return {
+        "threshold": (
+            threshold_decider(h_ref, thr),
+            lambda rows: np.array(
+                [np.abs(unflatten_csi(r, 4, 4) - h_ref).max() <= thr.z for r in rows]
+            ),
+        ),
+        "gan": (gan_decider(disc, 0.5), lambda rows: scores_batch(disc, rows) >= 0.5),
+        "lof": (lof_decider(lof), lambda rows: lof_scores(lof, rows) <= lof.threshold),
+        "iforest": (iforest_decider(ifo), lambda rows: iforest_scores(ifo, rows) <= ifo.threshold),
+        "ocsvm": (ocsvm_decider(svm), lambda rows: ocsvm_decision_values(svm, rows) >= 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["threshold", "gan", "lof", "iforest", "ocsvm"])
+def test_adapter_returns_score_vs_threshold_mask(adapters, name):
+    accept, rule = adapters[name]
+    rows = np.vstack([_gaussian(40, 43, scale=0.3), _gaussian(40, 44, scale=3.0)])
+    mask = accept(rows)
+    assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (80,)
+    np.testing.assert_array_equal(mask, rule(rows))
+
+
+def test_decider_must_return_one_decision_per_row(acc_dataset):
+    with pytest.raises(ValueError):
+        evaluate(lambda rows: True, acc_dataset, 10.0)
 
 
 def test_accuracy_invariant_to_sample_order(acc_dataset):
     thr = Threshold.from_sigma2(3.0, NoiseModel(0.0).sigma2)
     decider = threshold_decider(acc_dataset.manifest.h_true, thr)
-    shuffled = datasets.Dataset(acc_dataset.manifest, list(acc_dataset.samples))
-    g = RngStream(5).generator()
-    shuffled.samples = [shuffled.samples[i] for i in g.permutation(len(shuffled.samples))]
+    perm = RngStream(5).generator().permutation(len(acc_dataset))
+    shuffled = datasets.Dataset(
+        acc_dataset.manifest, acc_dataset.x[perm], acc_dataset.snr[perm],
+        acc_dataset.legit[perm], acc_dataset.source[perm],
+    )
     assert evaluate(decider, acc_dataset, 0.0).accuracy == evaluate(decider, shuffled, 0.0).accuracy
 
 
 def test_missing_slice_raises(acc_dataset):
     with pytest.raises(ValueError):
-        evaluate(lambda csi: True, acc_dataset, 99.0)
+        evaluate(always, acc_dataset, 99.0)
 
 
 def test_accuracy_curve_requires_all_snrs(acc_dataset):
     with pytest.raises(ValueError):
-        accuracy_curve({0.0: lambda c: True}, acc_dataset, "m")
-    deciders = {snr: (lambda c: True) for snr in acc_dataset.manifest.snr_grid}
+        accuracy_curve({0.0: always}, acc_dataset, "m")
+    deciders = {snr: always for snr in acc_dataset.manifest.snr_grid}
     curve, cms = accuracy_curve(deciders, acc_dataset, "always")
     assert len(curve.points) == len(acc_dataset.manifest.snr_grid)
     assert all(acc == pytest.approx(3 / 7) for _, acc in curve.points)
@@ -85,7 +153,7 @@ def test_emit_report_files(tmp_path, acc_dataset):
     grid = acc_dataset.manifest.snr_grid
     curves, matrices = [], []
     for method in ("always", "never"):
-        fn = (lambda c: True) if method == "always" else (lambda c: False)
+        fn = always if method == "always" else never
         curve, cms = accuracy_curve({s: fn for s in grid}, acc_dataset, method)
         curves.append(curve)
         matrices.extend(cms)
@@ -118,7 +186,7 @@ def test_svg_is_well_formed_xml():
 
 def test_load_confusions_round_trip(tmp_path, acc_dataset):
     grid = acc_dataset.manifest.snr_grid
-    curve, cms = accuracy_curve({s: (lambda c: True) for s in grid}, acc_dataset, "always")
+    curve, cms = accuracy_curve({s: always for s in grid}, acc_dataset, "always")
     emit_report([curve], cms, tmp_path / "rep")
     back = load_confusions(tmp_path / "rep")
     assert sorted((m.method, m.snr_db) for m in back) == sorted(

@@ -3,14 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from csiauth import datasets
 from csiauth.channel import flatten_csi, sample_csi
-from csiauth.datasets import Sample
+from csiauth.evaluate import gan_decider
 from csiauth.gan import (
     TrainConfig,
     _discriminator_step,
     _generator_step,
-    authenticate,
     build_discriminator,
     build_generator,
     scores_batch,
@@ -29,14 +27,14 @@ def params_digest(net):
 
 
 def legit_samples(n, snr_db=20.0, seed=0):
+    """Feature rows (n, 32) of noisy measurements of one enrolled matrix."""
     h = sample_csi(4, 4, RngStream(seed, 1))
     gen = RngStream(seed, 2).generator()
     s = np.sqrt(10 ** (-snr_db / 10) / 2)
     out = []
     for i in range(n):
-        noisy = h + s * (gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
-        out.append(Sample(csi=noisy, snr_db=snr_db, label="legitimate", source_id="legit"))
-    return out
+        out.append(h + s * (gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))))
+    return flatten_csi(np.stack(out))
 
 
 def test_discriminator_architecture():
@@ -67,7 +65,7 @@ def test_generator_architecture():
 def test_untrained_discriminator_near_chance():
     # an untrained D carries no information: scores hug 0.5 and balanced
     # accuracy averaged over initializations is chance level
-    real = datasets.features(legit_samples(300, seed=7))
+    real = legit_samples(300, seed=7)
     accs = []
     for seed in range(20):
         d = build_discriminator(RngStream(5, seed))
@@ -84,10 +82,10 @@ def test_untrained_discriminator_near_chance():
 def test_train_rejects_bad_data():
     with pytest.raises(ValueError):
         train_gan([], TrainConfig(), RngStream(0))
-    bad = legit_samples(4)
-    bad.append(Sample(csi=bad[0].csi, snr_db=20.0, label="illegitimate", source_id="imp1"))
     with pytest.raises(ValueError):
-        train_gan(bad, TrainConfig(), RngStream(0))
+        train_gan(legit_samples(4)[:, :8], TrainConfig(), RngStream(0))  # 2x2 CSI rows
+    with pytest.raises(ValueError):
+        train_gan(legit_samples(4)[0], TrainConfig(), RngStream(0))  # one unbatched row
 
 
 def test_train_config_validation():
@@ -121,8 +119,7 @@ def test_epoch_hook_runs_each_epoch():
 
 
 def test_steps_freeze_the_other_network():
-    data = legit_samples(64, seed=13)
-    x = datasets.features(data)
+    x = legit_samples(64, seed=13)
     d = build_discriminator(RngStream(14))
     g = build_generator(RngStream(15))
     sd, sg = AdamState(lr=3e-4), AdamState(lr=9e-4)
@@ -140,25 +137,30 @@ def test_steps_freeze_the_other_network():
 
 def test_authenticate_tau_extremes():
     d = build_discriminator(RngStream(18))
-    csi = sample_csi(4, 4, RngStream(19))
-    accept0, score = authenticate(d, csi, tau=0.0)
-    accept1, _ = authenticate(d, csi, tau=1.0)
-    assert accept0 and not accept1
-    assert 0.0 < score < 1.0
+    rows = flatten_csi(sample_csi(4, 4, RngStream(19)))[np.newaxis, :]
+    assert gan_decider(d, tau=0.0)(rows).tolist() == [True]
+    assert gan_decider(d, tau=1.0)(rows).tolist() == [False]
+    assert 0.0 < scores_batch(d, rows)[0] < 1.0
 
 
 def test_authenticate_matches_batch_scores_and_flatten_order():
+    # a stack of matrices flattens row by row in the single-matrix layout, and
+    # each row's score does not depend on the rest of the batch
     d = build_discriminator(RngStream(20))
-    csi = sample_csi(4, 4, RngStream(21))
-    _, score = authenticate(d, csi)
-    batch_score = scores_batch(d, flatten_csi(csi)[np.newaxis, :])[0]
-    assert score == pytest.approx(batch_score, abs=1e-15)
+    csis = np.stack([sample_csi(4, 4, RngStream(21, i)) for i in range(5)])
+    rows = flatten_csi(csis)
+    for i, csi in enumerate(csis):
+        np.testing.assert_array_equal(rows[i], flatten_csi(csi))
+    batch = scores_batch(d, rows)
+    singles = [scores_batch(d, flatten_csi(csi)[np.newaxis, :])[0] for csi in csis]
+    np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gan_decider(d)(rows), batch >= 0.5)
 
 
 def test_authenticate_shape_mismatch():
     d = build_discriminator(RngStream(22))
     with pytest.raises(ValueError):
-        authenticate(d, sample_csi(2, 2, RngStream(23)))
+        gan_decider(d)(flatten_csi(sample_csi(2, 2, RngStream(23)))[np.newaxis, :])
 
 
 def test_drift_toward_chance_soft_check(capsys):
