@@ -21,8 +21,6 @@ from .analytic import (
     GaussianSpec,
     auth_probability,
     disk_probability_exact,
-    disk_probability_paper,
-    q_function,
     sweep_auth_probability,
 )
 from .datasets import (

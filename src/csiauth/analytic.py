@@ -1,16 +1,16 @@
 """Accidental-authentication probability: Gaussian mass of per-element disks.
 
 An unrelated transmitter authenticates only if its CSI lands inside every
-per-element acceptance disk. For one disk centered at (a, b) with radius z,
-and the impostor coordinates (u, v) independent zero-mean Gaussians, the
-disk mass is the iterated integral over u of the inner Gaussian-interval
-probability in v. The MIMO probability is the product over all elements.
+per-element acceptance disk. For one disk centered at c with radius z, and
+the impostor element X ~ CN(0, sigma2), each real component has variance
+s^2 = sigma2/2, so |X - c|^2 / s^2 is non-central chi-squared with 2 degrees
+of freedom and non-centrality |c|^2 / s^2. The disk mass is that CDF at
+z^2 / s^2, i.e. 1 - Marcum Q_1(|c|/s, z/s), computed in closed form with
+numpy alone. The MIMO probability is the product over all elements.
 
-sigma2 always denotes the TOTAL complex variance; each real component has
-variance sigma2/2. The Q-decomposition published for this integral divides
-its limits by a bare sigma, which is ambiguous between the total and the
-per-component convention, so both readings are available behind a flag;
-Monte Carlo agrees with the per-component reading.
+sigma2 always denotes the TOTAL complex variance; the bare sigma in the
+paper's Q-function limits is the per-component standard deviation s, which
+Monte Carlo confirms.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 from .channel import sample_csi
 from .rng import RngStream
 
-SIMPSON_TOL = 1e-8
-# Integrand support is clipped where the Gaussian density is < ~1e-24.
-_TAIL_SIGMAS = 10.0
+# log(0) stand-in for a zero Poisson mean; its effect is below double precision.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -58,130 +57,62 @@ class GaussianSpec:
         return math.sqrt(self.sigma2 / 2.0)
 
 
-def q_function(x: float) -> float:
-    """Standard normal upper-tail probability Q(x) = P(N(0,1) > x)."""
-    if math.isnan(x):
-        raise ValueError("q_function: input is NaN")
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+def _disk_mass(nc, x) -> np.ndarray:
+    """Disk masses ncx2.cdf(x, 2, nc), elementwise over broadcast arrays.
 
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Recursive adaptive Simpson quadrature with Richardson acceptance test."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fb, fm, whole, tol, 50)
-
-
-def _simpson_rec(f, a, b, fa, fb, fm, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = tol / 2.0
-    return _simpson_rec(f, a, m, fa, fm, flm, left, half, depth - 1) + _simpson_rec(
-        f, m, b, fm, fb, frm, right, half, depth - 1
-    )
+    nc = |c|^2 / s^2 and x = z^2 / s^2. With mu = nc/2 and y = x/2 the mass
+    is P(N_y > N_mu) for independent Poisson counts: the Poisson(mu) mixture
+    of the central chi-squared CDFs P(N_y > j). It is summed as
+    sum_n P(N_y = n) P(N_mu < n), all terms non-negative, so the lower tail
+    is taken directly and tiny masses keep their relative accuracy. Each
+    Poisson's window, mean +- (10 sqrt(mean) + 40), leaves out less than
+    e^-50 of its mass, and the Chernoff bounds exp(-(sqrt(y) - sqrt(mu))^2)
+    on 1 - mass and exp(-(sqrt(mu) - sqrt(y))^2) on the mass settle the
+    rest: a gap sqrt(y) - sqrt(mu) above 7 rounds to 1.0 and one below -28
+    underflows to 0.0. So a disk sums O(sqrt(mu) + sqrt(y)) terms, and the
+    loop runs over terms, never over disks. A disk's value does not depend
+    on the other disks in the call.
+    """
+    nc, x = np.broadcast_arrays(np.asarray(nc, dtype=float), np.asarray(x, dtype=float))
+    mu, y = 0.5 * nc, 0.5 * x
+    gap = np.sqrt(y) - np.sqrt(mu)
+    out = np.where(gap > 7.0, 1.0, 0.0)
+    live = (y > 0.0) & (gap >= -28.0) & (gap <= 7.0)
+    if not live.any():
+        return out
+    mu, y = mu[live], y[live]
+    w_mu, w_y = 10.0 * np.sqrt(mu) + 40.0, 10.0 * np.sqrt(y) + 40.0
+    lo = np.floor(np.maximum(np.minimum(mu - w_mu, y - w_y), 0.0)).astype(np.int64)
+    hi = np.ceil(np.maximum(mu + w_mu, y + w_y)).astype(np.int64)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(hi.max()) + 1)])
+    log_mu, log_y = np.log(np.maximum(mu, _TINY)), np.log(y)
+    below = np.zeros_like(mu)  # P(N_mu < n) over the window
+    mass = np.zeros_like(mu)
+    for i in range(int((hi - lo).max()) + 1):
+        n = np.minimum(lo + i, hi)
+        log_n_fact = log_fact[n]
+        term = np.exp(n * log_y - y - log_n_fact) * below
+        mass += np.where(lo + i <= hi, term, 0.0)
+        below += np.exp(n * log_mu - mu - log_n_fact)
+    out[live] = np.minimum(mass, 1.0)
+    return out
 
 
 def disk_probability_exact(region: DiskRegion, g: GaussianSpec) -> float:
-    """P((u, v) in disk) for u, v ~ N(0, sigma2/2), by 1-D adaptive quadrature."""
-    z = region.radius
-    if z == 0.0:
-        return 0.0
-    a, b = region.center_re, region.center_im
-    s = g.component_std
-    lo = max(a - z, -_TAIL_SIGMAS * s)
-    hi = min(a + z, _TAIL_SIGMAS * s)
-    if lo >= hi:
-        return 0.0
-    norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
-
-    def integrand(u: float) -> float:
-        w2 = z * z - (u - a) * (u - a)
-        if w2 <= 0.0:
-            return 0.0
-        w = math.sqrt(w2)
-        inner = _normal_cdf((b + w) / s) - _normal_cdf((b - w) / s)
-        return norm * math.exp(-0.5 * (u / s) ** 2) * inner
-
-    p = _adaptive_simpson(integrand, lo, hi, SIMPSON_TOL)
-    return min(max(p, 0.0), 1.0)
-
-
-def disk_probability_paper(
-    region: DiskRegion, g: GaussianSpec, sigma_reading: str = "per_component"
-) -> float:
-    """The published Q-function decomposition, integrated over u.
-
-    The inner factor Q(C) - Q(D) depends on u, so the printed fixed-u product
-    is shorthand for P(X) * P(Y|X); here the inner factor is integrated
-    against the Gaussian density of u. `sigma_reading` selects what the bare
-    sigma in the printed limits denotes: the per-component standard deviation
-    (which reproduces disk_probability_exact) or the total sqrt(sigma2).
-    """
-    sig = _reading_std(g, sigma_reading)
-    z = region.radius
-    if z == 0.0:
-        return 0.0
-    a, b = region.center_re, region.center_im
-    lo = max(a - z, -_TAIL_SIGMAS * sig)
-    hi = min(a + z, _TAIL_SIGMAS * sig)
-    if lo >= hi:
-        return 0.0
-    norm = 1.0 / (sig * math.sqrt(2.0 * math.pi))
-
-    def integrand(u: float) -> float:
-        w2 = z * z - (u - a) * (u - a)
-        if w2 <= 0.0:
-            return 0.0
-        w = math.sqrt(w2)
-        c = (b - w) / sig
-        d = (b + w) / sig
-        return norm * math.exp(-0.5 * (u / sig) ** 2) * (q_function(c) - q_function(d))
-
-    p = _adaptive_simpson(integrand, lo, hi, SIMPSON_TOL)
-    return min(max(p, 0.0), 1.0)
-
-
-def disk_probability_paper_fixed_u(
-    region: DiskRegion, g: GaussianSpec, u: float, sigma_reading: str = "per_component"
-) -> float:
-    """Literal fixed-u product (Q(A)-Q(B)) * (Q(C)-Q(D)); documentation only."""
-    sig = _reading_std(g, sigma_reading)
-    z = region.radius
-    a, b = region.center_re, region.center_im
-    qa = q_function((a - z) / sig)
-    qb = q_function((a + z) / sig)
-    w2 = z * z - (u - a) * (u - a)
-    if w2 < 0.0:
-        return 0.0
-    w = math.sqrt(w2)
-    qc = q_function((b - w) / sig)
-    qd = q_function((b + w) / sig)
-    return (qa - qb) * (qc - qd)
+    """P((u, v) in disk) for u, v ~ N(0, sigma2/2), in closed form."""
+    return auth_probability(complex(region.center_re, region.center_im), region.radius, g)
 
 
 def auth_probability(centers: np.ndarray, radius: float, g: GaussianSpec) -> float:
     """Probability that an unrelated transmitter satisfies every element's disk."""
     centers = np.asarray(centers, dtype=np.complex128)
-    if radius < 0:
+    if not np.isfinite(centers).all():
+        raise ValueError("disk centers must be finite")
+    if not (radius >= 0.0):
         raise ValueError(f"radius must be >= 0, got {radius}")
-    p = 1.0
-    for h in centers.reshape(-1):
-        p *= disk_probability_exact(DiskRegion(h.real, h.imag, radius), g)
-        if p == 0.0:
-            break
-    return p
+    s2 = g.sigma2 / 2.0
+    nc = (centers.real**2 + centers.imag**2) / s2
+    return float(np.prod(_disk_mass(nc, radius**2 / s2)))
 
 
 @dataclass(frozen=True)
@@ -204,28 +135,29 @@ def sweep_auth_probability(
     distribution (each real component N(0, 0.5)), so lambda_ave = 0.5 and
     the threshold is z = multiplier * sqrt(0.5). One maximum-shape reference
     is drawn per trial and sliced per config (elements are i.i.d., so the
-    marginals are unchanged); with the multipliers sharing draws as well,
-    the mean is exactly non-increasing as antennas are added (sub-products
-    of factors <= 1) and non-decreasing in the multiplier (nested disks).
+    marginals are unchanged); every (trial, multiplier, element) disk is
+    evaluated once. With the multipliers sharing draws as well, the mean is
+    exactly non-increasing as antennas are added (sub-products of factors
+    <= 1) and non-decreasing in the multiplier (nested disks).
     """
     if not antenna_configs or not multipliers or trials < 1:
         raise ValueError("need non-empty configs/multipliers and trials >= 1")
-    g = GaussianSpec(sigma2=1.0)
+    s2 = 0.5  # per-component variance of CN(0, 1)
     lam_ave = 0.5
     max_n = max(n for n, _ in antenna_configs)
     max_m = max(m for _, m in antenna_configs)
-    refs = [
-        sample_csi(max_n, max_m, rng.substream("sweep-ref", max_n, max_m, t))
-        for t in range(trials)
-    ]
+    refs = np.stack(
+        [sample_csi(max_n, max_m, rng.substream("sweep-ref", max_n, max_m, t)) for t in range(trials)]
+    )
+    z = np.asarray(multipliers, dtype=float) * math.sqrt(lam_ave)
+    nc = (refs.real**2 + refs.imag**2) / s2
+    # factors[t, k, i, j]: the disk of element (i, j) of reference t at multiplier k
+    factors = _disk_mass(nc[:, None], (z**2 / s2)[None, :, None, None])
     rows = []
     for n_rx, m_tx in antenna_configs:
-        for mult in multipliers:
-            z = mult * math.sqrt(lam_ave)
-            mean_p = float(
-                np.mean([auth_probability(h[:n_rx, :m_tx], z, g) for h in refs])
-            )
-            rows.append(SweepRow(n_rx, m_tx, float(mult), mean_p))
+        probs = np.prod(factors[:, :, :n_rx, :m_tx].reshape(trials, len(z), -1), axis=-1)
+        for k, mult in enumerate(multipliers):
+            rows.append(SweepRow(n_rx, m_tx, float(mult), float(np.mean(probs[:, k]))))
     return rows
 
 
@@ -236,11 +168,3 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
         writer.writerow(["n_rx", "m_tx", "multiplier", "probability"])
         for r in rows:
             writer.writerow([r.n_rx, r.m_tx, format(r.multiplier, "g"), format(r.probability, ".17g")])
-
-
-def _reading_std(g: GaussianSpec, sigma_reading: str) -> float:
-    if sigma_reading == "per_component":
-        return g.component_std
-    if sigma_reading == "total":
-        return math.sqrt(g.sigma2)
-    raise ValueError(f"unknown sigma_reading: {sigma_reading!r}")

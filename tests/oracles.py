@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy import integrate
 
 
 def brute_force_lof(train, k, queries=None):
@@ -53,3 +54,25 @@ def mc_disk_probability(region, component_std, n, generator):
     v = generator.normal(0.0, component_std, n)
     inside = (u - region.center_re) ** 2 + (v - region.center_im) ** 2 <= region.radius**2
     return float(inside.mean())
+
+
+def paper_disk_probability(region, std):
+    """The paper's Q-function form of a disk mass, integrated over u by quad.
+
+    For fixed u the printed factor is Q(C) - Q(D) with C, D = (b -+ w) / std
+    and w = sqrt(z^2 - (u - a)^2); it is integrated against the N(0, std^2)
+    density of u over [a - z, a + z]. `std` is the bare sigma of the printed
+    limits, taken explicitly.
+    """
+    a, b, z = region.center_re, region.center_im, region.radius
+
+    def q(t):
+        return 0.5 * math.erfc(t / math.sqrt(2.0))
+
+    def inner(u):
+        w = math.sqrt(max(z * z - (u - a) ** 2, 0.0))
+        density = math.exp(-0.5 * (u / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+        return density * (q((b - w) / std) - q((b + w) / std))
+
+    p, _ = integrate.quad(inner, a - z, a + z, epsabs=1e-13, epsrel=1e-12)
+    return p

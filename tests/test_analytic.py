@@ -2,20 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from oracles import paper_disk_probability
+from scipy.stats import ncx2
 
 from csiauth.analytic import (
     DiskRegion,
     GaussianSpec,
+    _disk_mass,
     auth_probability,
     disk_probability_exact,
-    disk_probability_paper,
-    disk_probability_paper_fixed_u,
-    q_function,
     sweep_auth_probability,
 )
 from csiauth.channel import sample_csi
+from csiauth.cli import ANALYTIC_CONFIGS, ANALYTIC_MULTIPLIERS
 from csiauth.rng import RngStream
 from csiauth.threshold import Threshold, false_accept_rate_sim
 
@@ -35,43 +34,12 @@ def mc_disk(region, g, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Q function
-
-def test_q_at_zero():
-    assert q_function(0.0) == pytest.approx(0.5)
-
-
-def test_q_one_against_quadrature_oracle():
-    oracle, err = integrate.quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi), 1.0, 20.0)
-    assert err < 1e-10
-    assert q_function(1.0) == pytest.approx(oracle, abs=1e-6)
-    assert q_function(1.0) == pytest.approx(0.158655, abs=1e-6)
-
-
-@given(x=st.floats(-30, 30))
-@settings(max_examples=100, deadline=None)
-def test_q_complement_identity(x):
-    assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_q_strictly_decreasing():
-    xs = np.linspace(-8, 8, 200)
-    qs = [q_function(x) for x in xs]
-    assert all(a > b for a, b in zip(qs, qs[1:]))
-
-
-def test_q_rejects_nan():
-    with pytest.raises(ValueError):
-        q_function(float("nan"))
-
-
-# ---------------------------------------------------------------------------
 # Disk probability
 
 def test_disk_zero_radius_and_whole_plane():
     g = GaussianSpec(1.0)
     assert disk_probability_exact(DiskRegion(0.3, -0.2, 0.0), g) == 0.0
-    assert disk_probability_exact(DiskRegion(0.0, 0.0, 1e6), g) == pytest.approx(1.0, abs=1e-9)
+    assert disk_probability_exact(DiskRegion(0.0, 0.0, 1e6), g) == 1.0
 
 
 @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
@@ -91,19 +59,8 @@ def test_disk_at_sigma_value():
 
 def test_disk_against_scipy_iterated_integral():
     region, g = DiskRegion(0.4, -0.7, 1.3), GaussianSpec(0.8)
-    s = g.component_std
-
-    def inner(u):
-        w = math.sqrt(max(region.radius**2 - (u - region.center_re) ** 2, 0.0))
-        lo = (region.center_im - w) / s
-        hi = (region.center_im + w) / s
-        phi = math.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        return phi * (q_function(lo) - q_function(hi))
-
-    oracle, err = integrate.quad(
-        inner, region.center_re - region.radius, region.center_re + region.radius, epsabs=1e-10
-    )
-    assert disk_probability_exact(region, g) == pytest.approx(oracle, abs=1e-6)
+    oracle = paper_disk_probability(region, g.component_std)
+    assert disk_probability_exact(region, g) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_disk_against_monte_carlo_grid():
@@ -124,38 +81,61 @@ def test_disk_against_monte_carlo_grid():
 
 
 def test_paper_form_matches_exact_with_per_component_reading():
-    region, g = DiskRegion(0.0, 0.0, 1.0), GaussianSpec(1.0)
-    assert disk_probability_paper(region, g) == pytest.approx(
-        disk_probability_exact(region, g), abs=1e-4
-    )
-    region2 = DiskRegion(0.5, 0.3, 0.9)
-    assert disk_probability_paper(region2, g) == pytest.approx(
-        disk_probability_exact(region2, g), abs=1e-4
-    )
-    assert disk_probability_paper(DiskRegion(0.1, 0.1, 0.0), g) == 0.0
+    g = GaussianSpec(1.0)
+    for region in (DiskRegion(0.0, 0.0, 1.0), DiskRegion(0.5, 0.3, 0.9)):
+        assert paper_disk_probability(region, g.component_std) == pytest.approx(
+            disk_probability_exact(region, g), abs=1e-10
+        )
+    assert paper_disk_probability(DiskRegion(0.1, 0.1, 0.0), g.component_std) == 0.0
 
 
 def test_sigma_reading_arbitrated_by_monte_carlo():
     # the total-variance reading of the printed limits overestimates spread
     region, g = DiskRegion(0.3, -0.4, 1.1), GaussianSpec(1.0)
     p_mc = mc_disk(region, g, 10**6, 13)
-    p_per_comp = disk_probability_paper(region, g, "per_component")
-    p_total = disk_probability_paper(region, g, "total")
+    p_per_comp = paper_disk_probability(region, g.component_std)
+    p_total = paper_disk_probability(region, math.sqrt(g.sigma2))
     assert abs(p_per_comp - p_mc) < 0.005
     assert abs(p_total - p_mc) > 0.02
 
 
-def test_fixed_u_product_reproduces_printed_limits():
-    region, g = DiskRegion(0.5, -0.2, 0.8), GaussianSpec(1.0)
-    sig = g.component_std
-    u = 0.6
-    a, b, z = region.center_re, region.center_im, region.radius
-    w = math.sqrt(z**2 - (u - a) ** 2)
-    expected = (q_function((a - z) / sig) - q_function((a + z) / sig)) * (
-        q_function((b - w) / sig) - q_function((b + w) / sig)
-    )
-    assert disk_probability_paper_fixed_u(region, g, u) == pytest.approx(expected, abs=1e-15)
-    assert disk_probability_paper_fixed_u(region, g, a + 2 * z) == 0.0
+def test_disk_matches_ncx2_on_reference_disk():
+    # element of the seed-600 sweep reference: mass 1 - 8.6e-8 at multiplier 6
+    c = complex(-0.1033710128680276, -0.3709416221767233)
+    p = disk_probability_exact(DiskRegion(c.real, c.imag, 6.0 * math.sqrt(0.5)), GaussianSpec(1.0))
+    assert p == pytest.approx(ncx2.cdf(36.0, 2, 2.0 * abs(c) ** 2), rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
+def test_disk_mass_matches_ncx2_grid(sigma2):
+    # |X - c|^2 / s^2 is ncx2(2 dof, |c|^2 / s^2) with s^2 = sigma2/2
+    s2 = sigma2 / 2.0
+    s = math.sqrt(s2)
+    mag, z = np.meshgrid(np.linspace(0.0, 10.0 * s, 41), np.geomspace(1e-4 * s, 12.0 * s, 40))
+    phase = RngStream(22).generator().uniform(0.0, 2.0 * math.pi, mag.shape)
+    centers = mag * np.exp(1j * phase)
+    nc = (centers.real**2 + centers.imag**2) / s2
+    p = _disk_mass(nc, z**2 / s2)
+    ref = ncx2.cdf(z**2 / s2, 2, nc)
+    assert ref.min() < 1e-25  # the grid reaches deep into the lower tail
+    np.testing.assert_allclose(p, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0)
+    g = GaussianSpec(sigma2)
+    for i, j in ((0, 0), (5, 40), (20, 13), (39, 7)):
+        c = complex(centers[i, j])
+        assert disk_probability_exact(DiskRegion(c.real, c.imag, z[i, j]), g) == p[i, j]
+        assert disk_probability_exact(DiskRegion(c.real, c.imag, 0.0), g) == 0.0
+
+
+def test_tiny_disk_mass_keeps_relative_accuracy():
+    # |c|^2 = 16 at multiplier 0.05: one factor of about 1.42e-10
+    g = GaussianSpec(1.0)
+    z = 0.05 * math.sqrt(0.5)
+    p = disk_probability_exact(DiskRegion(4.0, 0.0, z), g)
+    assert p == pytest.approx(ncx2.cdf(z**2 / 0.5, 2, 32.0), rel=1e-12)
+    assert 1.41e-10 < p < 1.43e-10
+    h = np.full((8, 8), 4.0 + 0j)
+    assert auth_probability(h, z, g) == pytest.approx(p**64, rel=1e-12)
 
 
 def test_bad_inputs():
@@ -163,8 +143,17 @@ def test_bad_inputs():
         DiskRegion(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
         GaussianSpec(0.0)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0), (0.5j, -1.0), (0.5j, math.nan)],
+    ids=["nan-center", "inf-center", "negative-radius", "nan-radius"],
+)
+def test_auth_probability_rejects_bad_inputs(center, radius):
+    centers = np.array([[0.1 + 0.2j, center]])
     with pytest.raises(ValueError):
-        disk_probability_paper(DiskRegion(0, 0, 1.0), GaussianSpec(1.0), "typo")
+        auth_probability(centers, radius, GaussianSpec(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +220,21 @@ def test_sweep_1x1_equals_direct_disk():
         ]
     )
     assert rows[0].probability == pytest.approx(float(direct), abs=1e-12)
+
+
+def test_sweep_equals_scalar_products_and_ncx2():
+    # seed 600 includes the disk of test_disk_matches_ncx2_on_reference_disk
+    rng = RngStream(600).substream("analytic")
+    rows = sweep_auth_probability(list(ANALYTIC_CONFIGS), list(ANALYTIC_MULTIPLIERS), 2, rng)
+    assert len(rows) == len(ANALYTIC_CONFIGS) * len(ANALYTIC_MULTIPLIERS)
+    refs = [sample_csi(8, 8, rng.substream("sweep-ref", 8, 8, t)) for t in range(2)]
+    g = GaussianSpec(1.0)
+    for r in rows:
+        subs = [h[: r.n_rx, : r.m_tx] for h in refs]
+        z = r.multiplier * math.sqrt(0.5)
+        assert r.probability == float(np.mean([auth_probability(h, z, g) for h in subs]))
+        exact = np.mean([np.prod(ncx2.cdf(r.multiplier**2, 2, 2.0 * np.abs(h) ** 2)) for h in subs])
+        assert r.probability == pytest.approx(exact, rel=1e-12, abs=0), r
 
 
 def test_sweep_rejects_empty():

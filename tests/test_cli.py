@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,24 @@ def test_analytic_sweep_csv(tmp_path, fast_config):
         values[(int(n), float(mult))] = float(p)
     for mult in (1.0, 2.0, 3.0):
         assert values[(1, mult)] > values[(2, mult)] > values[(4, mult)] > values[(8, mult)]
+
+
+def test_analytic_runs_without_scipy(tmp_path, fast_config):
+    # numpy is the only runtime dependency (pyproject.toml); scipy is test-only
+    code = (
+        "import sys, csiauth\n"
+        "from csiauth.cli import main\n"
+        "assert main(['analytic', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(fast_config), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_jobs_flag_gives_same_results(tmp_path, fast_config):
