@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,22 +89,103 @@ def lof_train_scores(model: LofModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Isolation forest
 
-@dataclass
-class IsoTree:
-    feature: list[int]  # -1 marks a leaf
-    split: list[float]
-    left: list[int]
-    right: list[int]
-    size: list[int]
+_TREE_FIELDS = ("feature", "split", "left", "right", "size")
+_ROW_BLOCK = 1024  # rows descended together; bounds the (n_trees, rows) working arrays
 
 
 @dataclass
 class IForestModel:
+    """Trees as padded (n_trees, max_nodes) arrays; row t holds tree t in
+    preorder and is valid up to n_nodes[t]. feature -1 marks a leaf, whose
+    left and right are -1. Construction rejects a malformed forest and
+    precomputes the tables the level-wise descent reads."""
+
     n_trees: int
     subsample: int
     threshold: float
     height_limit: int
-    trees: list[IsoTree] = field(default_factory=list)
+    n_nodes: np.ndarray
+    feature: np.ndarray
+    split: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    size: np.ndarray
+
+    def __post_init__(self):
+        n_trees, width = self.feature.shape
+        node = np.arange(width)
+        valid = node < self.n_nodes[:, None]
+        inner = valid & (self.feature >= 0)
+        has_children = (self.left != -1) | (self.right != -1)
+        _reject_trees(valid & ~inner & has_children, "a leaf has children")
+        for child in (self.left, self.right):
+            _reject_trees(
+                inner & ~((node < child) & (child < self.n_nodes[:, None])),
+                "a child index is outside the tree or not after its parent",
+            )
+        # Depth of every reachable node, one level at a time from the roots.
+        depth = np.zeros(self.feature.shape, dtype=np.int64)
+        t, j = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
+        level = 0
+        while True:
+            keep = inner[t, j]
+            t, j = t[keep], j[keep]
+            if t.size == 0:
+                break
+            level += 1
+            if level > self.height_limit:
+                raise ValueError(
+                    f"iforest tree {int(t.min())}: a leaf is deeper than "
+                    f"height_limit {self.height_limit}"
+                )
+            t, j = np.concatenate([t, t]), np.concatenate([self.left[t, j], self.right[t, j]])
+            depth[t, j] = level
+        # Global node index g = t * width + node. Leaves (and padding) point to
+        # themselves, so extra levels leave a row where it is; _child[2g] is the
+        # right child and _child[2g + 1] the left, indexed by x[f] < split.
+        own = np.arange(n_trees * width).reshape(n_trees, width)
+        base = own[:, :1]
+        child = np.empty((n_trees, width, 2), dtype=np.int64)
+        child[..., 0] = np.where(inner, self.right + base, own)
+        child[..., 1] = np.where(inner, self.left + base, own)
+        sizes, which = np.unique(self.size, return_inverse=True)
+        avg = np.array([_avg_path(int(n)) for n in sizes])[which.reshape(self.size.shape)]
+        self._child = child.ravel()
+        self._feature = np.where(inner, self.feature, 0).ravel()
+        self._split = self.split.ravel()
+        self._leaf_path = (depth + avg).ravel()
+        self._roots = base[:, 0]
+        self._levels = level
+        self._min_columns = int(self.feature[inner].max(initial=-1)) + 1
+
+
+def _reject_trees(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ValueError(f"iforest tree {int(np.nonzero(bad.any(axis=1))[0][0])}: {what}")
+
+
+def _forest(trees, n_trees, subsample, threshold, height_limit) -> IForestModel:
+    """Stack per-tree node lists (the saved payload layout) into an IForestModel."""
+    if len(trees) != n_trees or n_trees < 1:
+        raise ValueError(f"iforest payload has {len(trees)} trees, n_trees says {n_trees}")
+    for t, tree in enumerate(trees):
+        lengths = {len(tree[key]) for key in _TREE_FIELDS}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError(
+                f"iforest tree {t}: node lists must be non-empty and of one length, got "
+                + ", ".join(f"{key} {len(tree[key])}" for key in _TREE_FIELDS)
+            )
+    n_nodes = np.array([len(tree["feature"]) for tree in trees])
+    valid = np.arange(n_nodes.max()) < n_nodes[:, None]
+    arrays = {}
+    for key, fill in zip(_TREE_FIELDS, (-1, 0.0, -1, -1, 0)):
+        a = np.full(valid.shape, fill, dtype=type(fill))
+        a[valid] = np.fromiter(chain.from_iterable(tree[key] for tree in trees), dtype=a.dtype)
+        arrays[key] = a
+    return IForestModel(
+        n_trees=n_trees, subsample=subsample, threshold=threshold,
+        height_limit=height_limit, n_nodes=n_nodes, **arrays,
+    )
 
 
 def iforest_fit(
@@ -122,25 +204,23 @@ def iforest_fit(
     if rng is None:
         raise ValueError("iforest_fit requires an RngStream")
     height_limit = math.ceil(math.log2(subsample))
-    model = IForestModel(
-        n_trees=n_trees, subsample=subsample, threshold=threshold, height_limit=height_limit
-    )
+    trees = []
     for t in range(n_trees):
         g = rng.substream("iforest-tree", t).generator()
         idx = g.choice(n, size=subsample, replace=False)
-        tree = IsoTree([], [], [], [], [])
+        tree = {key: [] for key in _TREE_FIELDS}
         _grow(tree, x, idx, 0, height_limit, g)
-        model.trees.append(tree)
-    return model
+        trees.append(tree)
+    return _forest(trees, n_trees, subsample, threshold, height_limit)
 
 
-def _grow(tree: IsoTree, x, idx, depth, limit, g) -> int:
-    node = len(tree.feature)
-    tree.feature.append(-1)
-    tree.split.append(0.0)
-    tree.left.append(-1)
-    tree.right.append(-1)
-    tree.size.append(len(idx))
+def _grow(tree: dict[str, list], x, idx, depth, limit, g) -> int:
+    node = len(tree["feature"])
+    tree["feature"].append(-1)
+    tree["split"].append(0.0)
+    tree["left"].append(-1)
+    tree["right"].append(-1)
+    tree["size"].append(len(idx))
     if depth >= limit or len(idx) <= 1:
         return node
     lo = x[idx].min(axis=0)
@@ -151,10 +231,10 @@ def _grow(tree: IsoTree, x, idx, depth, limit, g) -> int:
     f = int(usable[g.integers(usable.size)])
     s = float(g.uniform(lo[f], hi[f]))
     mask = x[idx, f] < s
-    tree.feature[node] = f
-    tree.split[node] = s
-    tree.left[node] = _grow(tree, x, idx[mask], depth + 1, limit, g)
-    tree.right[node] = _grow(tree, x, idx[~mask], depth + 1, limit, g)
+    tree["feature"][node] = f
+    tree["split"][node] = s
+    tree["left"][node] = _grow(tree, x, idx[mask], depth + 1, limit, g)
+    tree["right"][node] = _grow(tree, x, idx[~mask], depth + 1, limit, g)
     return node
 
 
@@ -166,30 +246,33 @@ def _avg_path(n: int) -> float:
     return 2.0 * (math.log(n - 1) + _EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-def _tree_paths(tree: IsoTree, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape[0])
-    stack = [(0, np.arange(x.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        if rows.size == 0:
-            continue
-        f = tree.feature[node]
-        if f < 0:
-            out[rows] = depth + _avg_path(tree.size[node])
-            continue
-        goes_left = x[rows, f] < tree.split[node]
-        stack.append((tree.left[node], rows[goes_left], depth + 1))
-        stack.append((tree.right[node], rows[~goes_left], depth + 1))
-    return out
+def _block_paths(model: IForestModel, x: np.ndarray) -> np.ndarray:
+    """Sum over trees, in tree order, of each row's path length."""
+    rows, d = x.shape
+    flat = x.ravel()
+    offset = np.arange(rows) * d
+    node = np.repeat(model._roots[:, None], rows, axis=1)
+    for _ in range(model._levels):
+        goes_left = flat[model._feature[node] + offset] < model._split[node]
+        node = model._child[2 * node + goes_left]
+    paths = np.zeros(rows)
+    for tree_paths in model._leaf_path[node]:
+        paths += tree_paths
+    return paths
 
 
 def iforest_scores(model: IForestModel, points) -> np.ndarray:
     """Anomaly score 2^(-E[path]/c(subsample)), in (0, 1)."""
-    x = _as_points(points)
-    paths = np.zeros(x.shape[0])
-    for tree in model.trees:
-        paths += _tree_paths(tree, x)
-    mean_path = paths / len(model.trees)
+    x = np.ascontiguousarray(_as_points(points))
+    if x.shape[1] < model._min_columns:
+        raise ValueError(
+            f"points have {x.shape[1]} features; the forest splits on feature "
+            f"{model._min_columns - 1}"
+        )
+    paths = np.concatenate(
+        [_block_paths(model, x[i:i + _ROW_BLOCK]) for i in range(0, x.shape[0], _ROW_BLOCK)]
+    )
+    mean_path = paths / model.n_trees
     return np.exp2(-mean_path / _avg_path(model.subsample))
 
 
@@ -328,9 +411,8 @@ def save_model(model, path) -> None:
             "payload": {
                 "height_limit": model.height_limit,
                 "trees": [
-                    {"feature": t.feature, "split": t.split, "left": t.left,
-                     "right": t.right, "size": t.size}
-                    for t in model.trees
+                    {key: getattr(model, key)[t, :n].tolist() for key in _TREE_FIELDS}
+                    for t, n in enumerate(model.n_nodes)
                 ],
             },
         }
@@ -363,20 +445,9 @@ def load_model(path):
             lrd=np.array(payload["lrd"], dtype=float),
         )
     if algo == "iforest":
-        trees = [
-            IsoTree(
-                feature=[int(v) for v in t["feature"]],
-                split=[float(v) for v in t["split"]],
-                left=[int(v) for v in t["left"]],
-                right=[int(v) for v in t["right"]],
-                size=[int(v) for v in t["size"]],
-            )
-            for t in payload["trees"]
-        ]
-        return IForestModel(
-            n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
+        return _forest(
+            payload["trees"], n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
             threshold=float(hp["threshold"]), height_limit=int(payload["height_limit"]),
-            trees=trees,
         )
     if algo == "ocsvm":
         return OcsvmModel(

@@ -76,3 +76,41 @@ def paper_disk_probability(region, std):
 
     p, _ = integrate.quad(inner, a - z, a + z, epsabs=1e-13, epsrel=1e-12)
     return p
+
+
+def iforest_scores_by_walk(model_json_doc, x):
+    """Isolation-forest scores from a saved model document, one tree at a time.
+
+    Each tree is walked with a stack of (node, rows, depth); a leaf adds
+    depth + c(size) to its rows, and the per-tree paths are summed in tree
+    order, so the result is bit-for-bit what the flat-array descent must give.
+    """
+    euler_gamma = 0.5772156649015329
+
+    def c(n):
+        if n <= 1:
+            return 0.0
+        if n == 2:
+            return 1.0
+        return 2.0 * (math.log(n - 1) + euler_gamma) - 2.0 * (n - 1) / n
+
+    x = np.asarray(x, dtype=float)
+    trees = model_json_doc["payload"]["trees"]
+    paths = np.zeros(x.shape[0])
+    for tree in trees:
+        out = np.zeros(x.shape[0])
+        stack = [(0, np.arange(x.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            if rows.size == 0:
+                continue
+            f = tree["feature"][node]
+            if f < 0:
+                out[rows] = depth + c(tree["size"][node])
+                continue
+            goes_left = x[rows, f] < tree["split"][node]
+            stack.append((tree["left"][node], rows[goes_left], depth + 1))
+            stack.append((tree["right"][node], rows[~goes_left], depth + 1))
+        paths += out
+    mean_path = paths / len(trees)
+    return np.exp2(-mean_path / c(model_json_doc["hyperparameters"]["subsample"]))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
-from oracles import brute_force_lof
+from oracles import brute_force_lof, iforest_scores_by_walk
 
 from csiauth.detectors import (
+    _ROW_BLOCK,
     ConvergenceError,
     iforest_fit,
     iforest_scores,
@@ -116,12 +119,12 @@ def test_iforest_height_limit():
     x = gaussian_points(300, 4, seed=21)
     model = iforest_fit(x, n_trees=20, subsample=64, rng=RngStream(22))
     assert model.height_limit == 6
-    for tree in model.trees:
+    for t in range(model.n_trees):
         depth = {0: 0}
         stack = [0]
         while stack:
             node = stack.pop()
-            for child in (tree.left[node], tree.right[node]):
+            for child in (model.left[t][node], model.right[t][node]):
                 if child >= 0:
                     depth[child] = depth[node] + 1
                     stack.append(child)
@@ -146,6 +149,104 @@ def test_iforest_validation():
         iforest_fit(x, n_trees=0, rng=RngStream(0))
     with pytest.raises(ValueError):
         iforest_fit(x, rng=None)
+
+
+def _saved_doc(model, tmp_path):
+    path = tmp_path / "iforest.json"
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _split_queries(doc):
+    """Rows that each hit one stored split value exactly on its feature."""
+    rows = []
+    for tree in doc["payload"]["trees"][:5]:
+        for f, s in zip(tree["feature"], tree["split"]):
+            if f >= 0:
+                row = np.zeros(4)
+                row[f] = s
+                rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["default", "subsample-2", "identical-train", "duplicated-train", "query-on-split",
+     "far-queries", "beyond-row-block"],
+)
+def test_iforest_scores_match_tree_walk(tmp_path, case):
+    x = gaussian_points(400, 4, seed=38)
+    q = gaussian_points(300, 4, seed=39, scale=2.0)
+    kwargs = {}
+    if case == "subsample-2":
+        kwargs = {"subsample": 2}
+    elif case == "identical-train":
+        x = np.ones((300, 4))
+    elif case == "duplicated-train":
+        x = np.repeat(x[:60], 5, axis=0)
+    elif case == "far-queries":
+        q = np.vstack([q * 1e12, -q * 1e12])
+    elif case == "beyond-row-block":
+        q = gaussian_points(2 * _ROW_BLOCK + 17, 4, seed=40, scale=2.0)
+    model = iforest_fit(x, rng=RngStream(41), **kwargs)
+    doc = _saved_doc(model, tmp_path)
+    if case == "identical-train":
+        assert all(len(tree["feature"]) == 1 for tree in doc["payload"]["trees"])
+    elif case == "query-on-split":
+        q = _split_queries(doc)
+    np.testing.assert_array_equal(iforest_scores(model, q), iforest_scores_by_walk(doc, q))
+
+
+def _max_depth(tree):
+    depth, stack = {0: 0}, [0]
+    while stack:
+        node = stack.pop()
+        if tree["feature"][node] >= 0:
+            for child in (tree["left"][node], tree["right"][node]):
+                depth[child] = depth[node] + 1
+                stack.append(child)
+    return max(depth.values())
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["list-lengths", "tree-count", "child-outside-tree", "child-before-parent",
+     "leaf-with-children", "deeper-than-height-limit"],
+)
+def test_load_model_rejects_malformed_iforest(tmp_path, rule):
+    model = iforest_fit(gaussian_points(200, 4, seed=42), n_trees=5, subsample=32, rng=RngStream(43))
+    doc = _saved_doc(model, tmp_path)
+    trees = doc["payload"]["trees"]
+    tree = trees[2]
+    expected = "tree 2"
+    if rule == "list-lengths":
+        tree["split"].pop()
+    elif rule == "tree-count":
+        doc["hyperparameters"]["n_trees"] = 6
+        expected = "6"
+    elif rule == "child-outside-tree":
+        tree["left"][0] = len(tree["feature"])
+    elif rule == "child-before-parent":
+        tree["right"][0] = 0
+    elif rule == "leaf-with-children":
+        tree["left"][tree["feature"].index(-1)] = 1
+    else:
+        depths = [_max_depth(t) for t in trees]
+        doc["payload"]["height_limit"] = max(depths) - 1
+        expected = f"tree {depths.index(max(depths))}"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=expected):
+        load_model(path)
+
+
+def test_iforest_rejects_points_too_narrow_for_model():
+    x = gaussian_points(200, 4, seed=44)
+    model = iforest_fit(x, n_trees=10, subsample=64, rng=RngStream(45))
+    used = int(model.feature.max()) + 1
+    assert iforest_scores(model, x[:, :used]).shape == (200,)
+    with pytest.raises(ValueError, match="features"):
+        iforest_scores(model, x[:, : used - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +328,10 @@ def test_model_json_round_trip(tmp_path, algo):
     path = tmp_path / f"{algo}.json"
     save_model(model, path)
     back = load_model(path)
-    np.testing.assert_allclose(score(model, q), score(back, q), atol=1e-12)
+    np.testing.assert_array_equal(score(model, q), score(back, q))
+    again = tmp_path / f"{algo}-again.json"
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_model_rejects_unknown(tmp_path):
