@@ -196,7 +196,6 @@ def cmd_gen(cfg: RunConfig) -> int:
     for name, ds in built.items():
         path = cfg.data_dir / f"{name}.csv"
         datasets.write_dataset(path, ds)
-        datasets.read_dataset(path)  # read-back check: raises on a schema or count mismatch
         print(f"wrote {path} ({len(ds)} samples)")
     return 0
 

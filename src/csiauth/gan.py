@@ -113,26 +113,24 @@ def train_gan(
 
     report = TrainReport()
     n = x_real.shape[0]
+    # per batch of an epoch: d_loss, g_loss, acc_real, acc_fake
+    stats = np.empty((4, -(-n // cfg.batch)))
     for _epoch in range(cfg.max_epochs):
         perm = order_gen.permutation(n)
-        d_losses, g_losses, real_accs, fake_accs = [], [], [], []
-        for start in range(0, n, cfg.batch):
+        for k, start in enumerate(range(0, n, cfg.batch)):
             idx = perm[start : start + cfg.batch]
             real = x_real[idx]
-            d_loss, acc_r, acc_f = _discriminator_step(
+            stats[0, k], stats[2, k], stats[3, k] = _discriminator_step(
                 disc, gen, state_d, real, cfg, latent_gen, dropout_gen
             )
-            g_loss = _generator_step(
+            stats[1, k] = _generator_step(
                 disc, gen, state_g, len(idx), cfg, latent_gen, dropout_gen
             )
-            d_losses.append(d_loss)
-            g_losses.append(g_loss)
-            real_accs.append(acc_r)
-            fake_accs.append(acc_f)
-        report.d_loss.append(float(np.mean(d_losses)))
-        report.g_loss.append(float(np.mean(g_losses)))
-        report.d_accuracy_on_real.append(float(np.mean(real_accs)))
-        report.d_accuracy_on_fake.append(float(np.mean(fake_accs)))
+        d_loss, g_loss, acc_real, acc_fake = (float(row.mean()) for row in stats)
+        report.d_loss.append(d_loss)
+        report.g_loss.append(g_loss)
+        report.d_accuracy_on_real.append(acc_real)
+        report.d_accuracy_on_fake.append(acc_fake)
         report.epochs_run += 1
         if on_epoch_end is not None:
             on_epoch_end(_epoch, disc, report)
@@ -150,8 +148,8 @@ def _discriminator_step(disc, gen, state_d, real, cfg, latent_gen, dropout_gen):
     loss, dscores = bce_loss(scores, targets)
     grads, _ = backward(disc, tape, dscores.reshape(-1, 1))
     apply_gradients(disc, state_d, grads)
-    acc_real = float(np.mean(scores[:b] >= 0.5))
-    acc_fake = float(np.mean(scores[b:] < 0.5))
+    acc_real = np.count_nonzero(scores[:b] >= 0.5) / b
+    acc_fake = np.count_nonzero(scores[b:] < 0.5) / b
     return loss, acc_real, acc_fake
 
 

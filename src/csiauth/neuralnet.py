@@ -2,8 +2,9 @@
 
 Supports exactly what the authenticator networks need: fully connected
 layers with leaky-ReLU / tanh / sigmoid / linear activations, inverted
-dropout, binary cross-entropy, and Adam with bias correction. Inputs may
-be single vectors or (batch, dim) arrays.
+dropout, binary cross-entropy, and Adam with bias correction, applied in one
+update over each network's flat parameter buffer. Inputs may be single
+vectors or (batch, dim) arrays.
 """
 
 from __future__ import annotations
@@ -39,14 +40,24 @@ class DenseLayer:
 
 @dataclass
 class Mlp:
+    """Dense layers whose weights and biases are views into one buffer, `params`.
+
+    Construction copies them in, in `parameters()` order. Rebinding one later
+    detaches it from the buffer, and `apply_gradients` refuses the network.
+    """
+
     layers: list[DenseLayer]
     dropout: dict[int, float] = field(default_factory=dict)
     version: int = 0
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for i, layer in enumerate(self.layers):
             if layer.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {layer.activation!r}")
+            # np.maximum(pre, alpha * pre) is leaky ReLU only for 0 <= alpha <= 1
+            if layer.activation == "leaky_relu" and not 0.0 <= layer.alpha <= 1.0:
+                raise ValueError(f"leaky_relu alpha must be in [0, 1], got {layer.alpha}")
             if i and layer.in_dim != self.layers[i - 1].out_dim:
                 raise ValueError(
                     f"layer {i} expects {layer.in_dim} inputs, previous emits "
@@ -57,6 +68,14 @@ class Mlp:
                 raise ValueError(f"dropout index {idx} out of range")
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        self.params = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=float)
+        offset = 0
+        for layer in self.layers:
+            for name in ("weights", "biases"):
+                shape = np.shape(getattr(layer, name))
+                size = int(np.prod(shape))
+                setattr(layer, name, self.params[offset : offset + size].reshape(shape))
+                offset += size
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -65,14 +84,7 @@ class Mlp:
         return out
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def copy(self) -> "Mlp":
-        layers = [
-            DenseLayer(l.weights.copy(), l.biases.copy(), l.activation, l.alpha)
-            for l in self.layers
-        ]
-        return Mlp(layers, dict(self.dropout))
+        return self.params.size
 
 
 def dense_layer(
@@ -142,7 +154,10 @@ def forward(
             if masks is not None:
                 mask = masks[i]
             else:
-                mask = (gen.random(act.shape) >= rate) / (1.0 - rate)
+                # (u >= rate) / (1 - rate), computed in the drawn buffer
+                mask = gen.random(act.shape)
+                np.greater_equal(mask, rate, out=mask)
+                mask *= 1.0 / (1.0 - rate)
             act = act * mask
             used_masks[i] = mask
         pres.append(pre)
@@ -171,9 +186,10 @@ def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray):
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        if i in tape.dropout_masks:
+        masked = i in tape.dropout_masks
+        if masked:
             g = g * tape.dropout_masks[i]
-        g = g * _activation_grad(tape.pres[i], tape.acts[i], layer, i in tape.dropout_masks)
+        g = _backprop_activation(g, tape.pres[i], tape.acts[i], layer, masked)
         grads[i] = (g.T @ tape.inputs[i], g.sum(axis=0))
         g = g @ layer.weights
     return grads, (g[0] if tape.single else g)
@@ -181,7 +197,9 @@ def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray):
 
 def _activate(pre: np.ndarray, layer: DenseLayer) -> np.ndarray:
     if layer.activation == "leaky_relu":
-        return np.where(pre > 0, pre, layer.alpha * pre)
+        # exact, signed zeros and NaN included, except that alpha 0 maps +inf
+        # to NaN
+        return np.maximum(pre, layer.alpha * pre)
     if layer.activation == "tanh":
         return np.tanh(pre)
     if layer.activation == "sigmoid":
@@ -190,25 +208,27 @@ def _activate(pre: np.ndarray, layer: DenseLayer) -> np.ndarray:
 
 
 def _sigmoid(pre: np.ndarray) -> np.ndarray:
-    # overflow-free in both tails
-    out = np.empty_like(pre)
-    pos = pre >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-    e = np.exp(pre[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # overflow-free in both tails: exp only sees -|pre|, written as a minimum
+    # so that a NaN keeps its sign bit through exp
+    e = np.exp(np.minimum(pre, -pre))
+    d = 1.0 + e
+    return np.where(pre >= 0, 1.0 / d, e / d)
 
 
-def _activation_grad(pre, act, layer: DenseLayer, act_was_masked: bool) -> np.ndarray:
+def _backprop_activation(g, pre, act, layer: DenseLayer, act_was_masked: bool) -> np.ndarray:
+    """`g` times the activation's derivative at `pre`."""
     if layer.activation == "leaky_relu":
-        return np.where(pre > 0, 1.0, layer.alpha)
+        slope = np.greater(pre, 0.0, out=np.empty_like(pre))
+        np.maximum(slope, layer.alpha, out=slope)  # 1.0 where pre > 0, else alpha
+        slope *= g
+        return slope
     if layer.activation == "tanh":
         t = np.tanh(pre) if act_was_masked else act
-        return 1.0 - t * t
+        return g * (1.0 - t * t)
     if layer.activation == "sigmoid":
         s = _sigmoid(pre) if act_was_masked else act
-        return s * (1.0 - s)
-    return np.ones_like(pre)
+        return g * (s * (1.0 - s))
+    return g
 
 
 def bce_loss(pred, target):
@@ -220,14 +240,17 @@ def bce_loss(pred, target):
     """
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    t = np.broadcast_to(np.atleast_1d(t), p.shape)
-    clipped = np.clip(p, _CLIP, 1.0 - _CLIP)
-    loss = float(np.mean(-(t * np.log(clipped) + (1.0 - t) * np.log(1.0 - clipped))))
-    grad = (clipped - t) / (clipped * (1.0 - clipped)) / p.size
-    grad = np.where((p > _CLIP) & (p < 1.0 - _CLIP), grad, 0.0)
-    return loss, (float(grad[0]) if scalar else grad)
+    if p.ndim == 0:
+        loss, grad = bce_loss(p[np.newaxis], np.broadcast_to(t, (1,)))
+        return loss, float(grad[0])
+    if t.shape != p.shape:
+        t = np.broadcast_to(t, p.shape)
+    clipped = np.minimum(np.maximum(p, _CLIP), 1.0 - _CLIP)
+    q = 1.0 - clipped
+    # -sum / n rounds exactly as the mean of the negated terms
+    loss = -float((t * np.log(clipped) + (1.0 - t) * np.log(q)).sum()) / p.size
+    grad = (clipped - t) / (clipped * q) / p.size
+    return loss, np.where((p > _CLIP) & (p < 1.0 - _CLIP), grad, 0.0)
 
 
 @dataclass
@@ -269,11 +292,11 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
 
 
 def apply_gradients(net: Mlp, state: AdamState, grads: list[tuple[np.ndarray, np.ndarray]]):
-    """Adam-update every layer of `net`; invalidates outstanding tapes."""
-    flat = []
-    for dw, db in grads:
-        flat += [dw, db]
-    adam_step(state, net.parameters(), flat)
+    """One Adam update over `net.params`; invalidates outstanding tapes."""
+    if any(p.base is not net.params for p in net.parameters()):
+        raise ValueError("a layer's weights or biases were rebound after the network was built")
+    flat = np.concatenate([g.ravel() for pair in grads for g in pair])
+    adam_step(state, [net.params], [flat])
     net.version += 1
 
 

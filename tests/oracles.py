@@ -114,3 +114,146 @@ def iforest_scores_by_walk(model_json_doc, x):
         paths += out
     mean_path = paths / len(trees)
     return np.exp2(-mean_path / c(model_json_doc["hyperparameters"]["subsample"]))
+
+
+# ---------------------------------------------------------------------------
+# The GAN training step in its first form: a separate array and Adam moment
+# per parameter, leaky ReLU and its slope through np.where, the sigmoid over
+# two boolean-indexed halves, a broadcasting BCE and per-epoch means over
+# Python lists. csiauth.gan.train_gan must reproduce it bit for bit.
+
+def where_leaky_relu(pre, alpha):
+    return np.where(pre > 0, pre, alpha * pre)
+
+
+def two_branch_sigmoid(pre):
+    out = np.empty_like(pre)
+    pos = pre >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
+    e = np.exp(pre[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def activation_slope(pre, act, activation, alpha, act_was_masked):
+    """The derivative array that the upstream gradient is multiplied by."""
+    if activation == "leaky_relu":
+        return np.where(pre > 0, 1.0, alpha)
+    if activation == "tanh":
+        t = np.tanh(pre) if act_was_masked else act
+        return 1.0 - t * t
+    if activation == "sigmoid":
+        s = two_branch_sigmoid(pre) if act_was_masked else act
+        return s * (1.0 - s)
+    return np.ones_like(pre)
+
+
+def broadcasting_bce(pred, target, clip=1e-7):
+    p = np.atleast_1d(np.asarray(pred, dtype=float))
+    t = np.broadcast_to(np.atleast_1d(np.asarray(target, dtype=float)), p.shape)
+    clipped = np.clip(p, clip, 1.0 - clip)
+    loss = float(np.mean(-(t * np.log(clipped) + (1.0 - t) * np.log(1.0 - clipped))))
+    grad = (clipped - t) / (clipped * (1.0 - clipped)) / p.size
+    return loss, np.where((p > clip) & (p < 1.0 - clip), grad, 0.0)
+
+
+class _ReferenceNet:
+    """Copies of an Mlp's parameters, trained with per-array Adam."""
+
+    def __init__(self, net):
+        self.params = [p.copy() for p in net.parameters()]
+        self.layers = [(l.activation, l.alpha) for l in net.layers]
+        self.dropout = dict(net.dropout)
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.t = 0
+
+    def forward(self, x, dropout_gen=None):
+        inputs, pres, acts, masks = [], [], [], {}
+        for i, (activation, alpha) in enumerate(self.layers):
+            inputs.append(x)
+            pre = x @ self.params[2 * i].T + self.params[2 * i + 1]
+            if activation == "leaky_relu":
+                act = where_leaky_relu(pre, alpha)
+            elif activation == "tanh":
+                act = np.tanh(pre)
+            elif activation == "sigmoid":
+                act = two_branch_sigmoid(pre)
+            else:
+                act = pre
+            rate = self.dropout.get(i)
+            if rate and dropout_gen is not None:
+                masks[i] = (dropout_gen.random(act.shape) >= rate) / (1.0 - rate)
+                act = act * masks[i]
+            pres.append(pre)
+            acts.append(act)
+            x = act
+        return x, (inputs, pres, acts, masks)
+
+    def backward(self, tape, g):
+        inputs, pres, acts, masks = tape
+        grads = [None] * len(self.params)
+        for i in range(len(self.layers) - 1, -1, -1):
+            if i in masks:
+                g = g * masks[i]
+            g = g * activation_slope(pres[i], acts[i], *self.layers[i], i in masks)
+            grads[2 * i] = g.T @ inputs[i]
+            grads[2 * i + 1] = g.sum(axis=0)
+            g = g @ self.params[2 * i]
+        return grads, g
+
+    def adam(self, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.t += 1
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for p, gr, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * gr
+            v *= b2
+            v += (1.0 - b2) * np.square(gr)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_train_gan(train_rows, cfg, rng):
+    """train_gan's loop over the first-form step.
+
+    Draws from the same substreams in the same order as csiauth.gan and
+    starts from the same initial networks; returns the discriminator's
+    parameter arrays and the report's four per-epoch lists.
+    """
+    from csiauth.gan import build_discriminator, build_generator
+
+    x_real = np.asarray(train_rows, dtype=float)
+    disc = _ReferenceNet(build_discriminator(rng.substream("init-d")))
+    gen = _ReferenceNet(build_generator(rng.substream("init-g"), cfg.latent_dim))
+    order_gen = rng.substream("batch-order").generator()
+    latent_gen = rng.substream("latent").generator()
+    dropout_gen = rng.substream("dropout").generator()
+    report = {"d_loss": [], "g_loss": [], "d_accuracy_on_real": [], "d_accuracy_on_fake": []}
+    n = x_real.shape[0]
+    for _ in range(cfg.max_epochs):
+        perm = order_gen.permutation(n)
+        epoch = {key: [] for key in report}
+        for start in range(0, n, cfg.batch):
+            real = x_real[perm[start : start + cfg.batch]]
+            b = real.shape[0]
+            fake, _ = gen.forward(latent_gen.standard_normal((b, cfg.latent_dim)))
+            pred, tape = disc.forward(np.vstack([real, fake]), dropout_gen)
+            scores = pred[:, 0]
+            loss, dscores = broadcasting_bce(scores, np.concatenate([np.ones(b), np.zeros(b)]))
+            grads, _ = disc.backward(tape, dscores.reshape(-1, 1))
+            disc.adam(grads, cfg.lr_d)
+            epoch["d_loss"].append(loss)
+            epoch["d_accuracy_on_real"].append(float(np.mean(scores[:b] >= 0.5)))
+            epoch["d_accuracy_on_fake"].append(float(np.mean(scores[b:] < 0.5)))
+
+            fake, tape_g = gen.forward(latent_gen.standard_normal((b, cfg.latent_dim)))
+            pred, tape_d = disc.forward(fake, dropout_gen)
+            loss, dscores = broadcasting_bce(pred[:, 0], np.ones(b))
+            _, dfake = disc.backward(tape_d, dscores.reshape(-1, 1))
+            grads_g, _ = gen.backward(tape_g, dfake)
+            gen.adam(grads_g, cfg.lr_g)
+            epoch["g_loss"].append(loss)
+        for key, values in epoch.items():
+            report[key].append(float(np.mean(values)))
+    return disc.params, report

@@ -85,7 +85,9 @@ def test_gen_writes_and_validates(tmp_path, fast_config):
     assert run_cli("gen", "--config", fast_config, "--out", out, "--seed", "5") == 0
     for name in ("master", "train", "test", "test_accidental", "test_nefarious"):
         assert (out / "datasets" / f"{name}.csv").exists()
-        assert (out / "datasets" / f"{name}.manifest.json").exists()
+        manifest = json.loads((out / "datasets" / f"{name}.manifest.json").read_text())
+        expected = sum(n for per_snr in manifest["counts"].values() for n in per_snr.values())
+        assert len(read_dataset(out / "datasets" / f"{name}.csv")) == expected > 0
     doc = json.loads((out / "datasets" / "master.manifest.json").read_text())
     assert doc["seed"] == 5
     assert doc["counts"]["0"]["legitimate"] == 1000

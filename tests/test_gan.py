@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import reference_train_gan
 
 from csiauth.channel import flatten_csi, sample_csi
 from csiauth.evaluate import gan_decider
@@ -108,6 +109,24 @@ def test_training_is_deterministic():
     assert r1.d_loss == r2.d_loss and r1.g_loss == r2.g_loss
     assert r1.epochs_run == 3
     assert len(r1.d_accuracy_on_real) == len(r1.d_accuracy_on_fake) == 3
+
+
+def test_train_gan_matches_reference_step():
+    # 150 rows make batches of 64, 64 and 22; the discriminator's dropout is
+    # on, so every draw of every stream must line up with the reference
+    data = legit_samples(150, seed=27)
+    cfg = TrainConfig(max_epochs=3)
+    disc, report = train_gan(data, cfg, RngStream(28))
+    ref_params, ref_report = reference_train_gan(data, cfg, RngStream(28))
+    assert len(disc.parameters()) == len(ref_params) == 6
+    for got, want in zip(disc.parameters(), ref_params):
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    for key, want in ref_report.items():
+        got = getattr(report, key)
+        np.testing.assert_array_equal(got, want)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert report.epochs_run == 3
 
 
 def test_epoch_hook_runs_each_epoch():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import activation_slope, two_branch_sigmoid, where_leaky_relu
 
 from csiauth.neuralnet import (
     AdamState,
@@ -15,9 +16,16 @@ from csiauth.neuralnet import (
     dense_layer,
     forward,
     load_checkpoint,
+    _activate,
+    _backprop_activation,
+    _sigmoid,
     save_checkpoint,
 )
 from csiauth.rng import RngStream
+
+EDGE_VALUES = np.array(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 710.0, -710.0, np.nan, -np.nan]
+)
 
 
 def small_net(seed=0, dims=(5, 3, 1), acts=("leaky_relu", "sigmoid"), dropout=None):
@@ -276,3 +284,71 @@ def test_mlp_validates_chain_and_dropout():
         Mlp([l1], dropout={0: 1.0})
     with pytest.raises(ValueError):
         Mlp([l1], dropout={5: 0.2})
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_leaky_relu_and_its_gradient_match_where_forms_bit_for_bit(alpha):
+    layer = DenseLayer(np.ones((1, 1)), np.zeros(1), "leaky_relu", alpha)
+    np.testing.assert_array_equal(
+        bits(_activate(EDGE_VALUES, layer)), bits(where_leaky_relu(EDGE_VALUES, alpha))
+    )
+    # every upstream value against every pre-activation value
+    g, pre = np.meshgrid(EDGE_VALUES, EDGE_VALUES)
+    want = g * activation_slope(pre, None, "leaky_relu", alpha, False)
+    np.testing.assert_array_equal(bits(_backprop_activation(g, pre, None, layer, False)), bits(want))
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    np.testing.assert_array_equal(bits(_sigmoid(EDGE_VALUES)), bits(two_branch_sigmoid(EDGE_VALUES)))
+    layer = DenseLayer(np.ones((1, 1)), np.zeros(1), "sigmoid")
+    g, pre = np.meshgrid(EDGE_VALUES, EDGE_VALUES)
+    want = g * activation_slope(pre, None, "sigmoid", 0.3, True)
+    np.testing.assert_array_equal(bits(_backprop_activation(g, pre, None, layer, True)), bits(want))
+
+
+def test_parameters_are_views_into_one_buffer():
+    net = small_net(seed=13, dims=(5, 4, 3, 1), acts=("leaky_relu", "tanh", "sigmoid"))
+    params = net.parameters()
+    assert all(p.base is net.params for p in params)
+    assert net.param_count() == net.params.size == sum(p.size for p in params)
+    assert np.concatenate([p.ravel() for p in params]).tobytes() == net.params.tobytes()
+    # one Adam update over the buffer is per-array Adam, bit for bit
+    copies = [p.copy() for p in params]
+    out, tape = forward(net, RngStream(14).generator().standard_normal((6, 5)))
+    grads, _ = backward(net, tape, np.ones_like(out))
+    state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for _ in range(3):
+        apply_gradients(net, state, grads)
+        adam_step(ref_state, copies, [g for pair in grads for g in pair])
+    for p, c in zip(net.parameters(), copies):
+        assert p.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("name", ["weights", "biases"])
+def test_apply_gradients_refuses_rebound_parameters(name):
+    net = small_net(seed=15)
+    out, tape = forward(net, np.ones(5))
+    grads, _ = backward(net, tape, np.ones_like(out))
+    layer = net.layers[1]
+    setattr(layer, name, getattr(layer, name).copy())
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="rebound"):
+        apply_gradients(net, AdamState(lr=0.01), grads)
+    assert net.params.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.5, float("nan"), -0.1, float("inf")])
+def test_leaky_alpha_outside_unit_interval_rejected(tmp_path, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        Mlp([DenseLayer(np.ones((1, 1)), np.zeros(1), "leaky_relu", alpha)])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=16), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["alpha"] = alpha
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="alpha"):
+        load_checkpoint(path)
