@@ -195,6 +195,20 @@ def iforest_fit(
     rng: RngStream | None = None,
     threshold: float = IFOREST_THRESHOLD,
 ) -> IForestModel:
+    """Grow n_trees isolation trees on subsamples of the finite rows `train`.
+
+    Tree t draws from its own generator, rng.substream("iforest-tree", t),
+    and the model bits rest on the order of those draws: first
+    choice(n, subsample, replace=False) picks its rows, then the tree is
+    grown in preorder (a node, its left subtree, its right subtree). A node
+    is a leaf when it is at height_limit = ceil(log2(subsample)), holds at
+    most one row, or no feature varies over its rows; otherwise it draws
+    k = integers(n_usable) to take the k-th varying feature f in column
+    order, then s = uniform(lo, hi) over f's range at the node, and rows
+    with x[f] < s go left. Trees never read each other's generators, so all
+    of them grow together here: each step takes the next preorder node of
+    every unfinished tree.
+    """
     x = _as_points(train)
     n = x.shape[0]
     if n_trees < 1:
@@ -203,39 +217,105 @@ def iforest_fit(
         raise ValueError(f"subsample must be in [2, train size], got {subsample} (n={n})")
     if rng is None:
         raise ValueError("iforest_fit requires an RngStream")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"iforest training row {bad[0]} is not finite")
     height_limit = math.ceil(math.log2(subsample))
-    trees = []
-    for t in range(n_trees):
-        g = rng.substream("iforest-tree", t).generator()
-        idx = g.choice(n, size=subsample, replace=False)
-        tree = {key: [] for key in _TREE_FIELDS}
-        _grow(tree, x, idx, 0, height_limit, g)
-        trees.append(tree)
-    return _forest(trees, n_trees, subsample, threshold, height_limit)
+    gens = [rng.substream("iforest-tree", t).generator() for t in range(n_trees)]
+    n_nodes, arrays = _grow_together(x, gens, subsample, height_limit)
+    return IForestModel(
+        n_trees=n_trees, subsample=subsample, threshold=threshold,
+        height_limit=height_limit, n_nodes=n_nodes, **arrays,
+    )
 
 
-def _grow(tree: dict[str, list], x, idx, depth, limit, g) -> int:
-    node = len(tree["feature"])
-    tree["feature"].append(-1)
-    tree["split"].append(0.0)
-    tree["left"].append(-1)
-    tree["right"].append(-1)
-    tree["size"].append(len(idx))
-    if depth >= limit or len(idx) <= 1:
-        return node
-    lo = x[idx].min(axis=0)
-    hi = x[idx].max(axis=0)
-    usable = np.nonzero(hi > lo)[0]
-    if usable.size == 0:
-        return node
-    f = int(usable[g.integers(usable.size)])
-    s = float(g.uniform(lo[f], hi[f]))
-    mask = x[idx, f] < s
-    tree["feature"][node] = f
-    tree["split"][node] = s
-    tree["left"][node] = _grow(tree, x, idx[mask], depth + 1, limit, g)
-    tree["right"][node] = _grow(tree, x, idx[~mask], depth + 1, limit, g)
-    return node
+def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
+    """Grow one tree per generator on the finite rows x, as iforest_fit
+    describes. Returns each tree's node count and the node arrays by field,
+    copied at the width of the largest tree so that the working buffers,
+    sized for a full tree, are freed on return."""
+    n_trees, (n, d) = len(gens), x.shape
+    # A node's rows are a range buf[start:end], tree t's root the t-th block of
+    # subsample entries; each split partitions its node's range in place.
+    buf = np.concatenate([g.choice(n, size=subsample, replace=False) for g in gens])
+    # The rows of a node are distinct training rows, so a column whose values
+    # are all distinct varies over every node of two or more rows; only the
+    # columns with repeated values need a min/max per node.
+    tied = np.flatnonzero((np.diff(np.sort(x, axis=0), axis=0) == 0).any(axis=0))
+
+    width = 2 ** (height_limit + 1) - 1
+    feature = np.full((n_trees, width), -1)
+    split = np.zeros((n_trees, width))
+    right = np.full((n_trees, width), -1)
+    size = np.zeros((n_trees, width), dtype=np.int64)
+    n_nodes = np.zeros(n_trees, dtype=np.int64)
+    # Pending nodes per tree as (start, end, depth, parent if a right child
+    # else -1). Popping a node at depth d leaves at most d below it and a
+    # split pushes two, so height_limit + 1 slots suffice.
+    stack = np.empty((n_trees, height_limit + 1, 4), dtype=np.int64)
+    roots = np.arange(n_trees) * subsample
+    stack[:, 0, 0], stack[:, 0, 1], stack[:, 0, 2], stack[:, 0, 3] = roots, roots + subsample, 0, -1
+    top = np.ones(n_trees, dtype=np.int64)
+    while (t := np.flatnonzero(top)).size:
+        top[t] -= 1
+        start, end, depth, parent = stack[t, top[t]].T
+        node = n_nodes[t]
+        n_nodes[t] += 1
+        size[t, node] = end - start
+        is_right = parent >= 0
+        right[t[is_right], parent[is_right]] = node[is_right]
+        grows = (depth < height_limit) & (end - start > 1)
+        t, start, end, depth, node = (a[grows] for a in (t, start, end, depth, node))
+        n_usable, usable = [d] * t.size, None
+        if tied.size and t.size:
+            _, offsets, pos = _segments(start, end)
+            vals = x[np.ix_(buf[pos], tied)]
+            usable = np.ones((t.size, d), dtype=bool)
+            usable[:, tied] = np.maximum.reduceat(vals, offsets) > np.minimum.reduceat(vals, offsets)
+            keep = usable.any(axis=1)
+            t, start, end, depth, node, usable = (
+                a[keep] for a in (t, start, end, depth, node, usable)
+            )
+            n_usable = usable.sum(axis=1).tolist()
+        if not t.size:
+            continue
+        k = np.fromiter(
+            (gens[i].integers(c) for i, c in zip(t.tolist(), n_usable)), np.int64, t.size
+        )
+        # The k-th usable column has exactly k usable columns before it.
+        f = k if usable is None else (usable.cumsum(axis=1) <= k[:, None]).sum(axis=1)
+        lengths, offsets, pos = _segments(start, end)
+        rows = buf[pos]
+        vals = x[rows, np.repeat(f, lengths)]
+        lo = np.minimum.reduceat(vals, offsets).tolist()
+        hi = np.maximum.reduceat(vals, offsets).tolist()
+        s = np.fromiter(
+            (gens[i].uniform(a, b) for i, a, b in zip(t.tolist(), lo, hi)), float, t.size
+        )
+        goes_left = vals < np.repeat(s, lengths)
+        n_left = np.add.reduceat(goes_left, offsets)
+        # Sort by (node, goes right): each node's range now lists its left rows first.
+        order = np.argsort(np.repeat(2 * np.arange(t.size), lengths) + ~goes_left, kind="stable")
+        buf[pos] = rows[order]
+        feature[t, node] = f
+        split[t, node] = s
+        children = depth + 1
+        stack[t, top[t]] = np.stack([start + n_left, end, children, node], axis=1)
+        stack[t, top[t] + 1] = np.stack([start, start + n_left, children, np.full(t.size, -1)], axis=1)
+        top[t] += 2
+    used = int(n_nodes.max())
+    feature, split, right, size = (a[:, :used].copy() for a in (feature, split, right, size))
+    # A left child always follows its parent in preorder.
+    left = np.where(feature >= 0, np.arange(1, used + 1), -1)
+    return n_nodes, dict(zip(_TREE_FIELDS, (feature, split, left, right, size)))
+
+
+def _segments(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Concatenate the ranges [start, end): their lengths, their offsets in
+    the result, and the result."""
+    lengths = end - start
+    offsets = np.cumsum(lengths) - lengths
+    return lengths, offsets, np.arange(lengths.sum()) + np.repeat(start - offsets, lengths)
 
 
 def _avg_path(n: int) -> float:

@@ -78,6 +78,54 @@ def paper_disk_probability(region, std):
     return p
 
 
+def iforest_fit_by_recursion(train, n_trees, subsample, rng, threshold=0.5):
+    """An isolation forest grown one tree at a time by recursion, as a saved
+    model document.
+
+    Tree t draws choice, then integers and uniform at each split in
+    preorder, from rng.substream("iforest-tree", t), so the document is
+    byte for byte what csiauth.detectors.iforest_fit must save.
+    """
+    x = np.asarray(train, dtype=float)
+    n = x.shape[0]
+    height_limit = math.ceil(math.log2(subsample))
+
+    def grow(tree, idx, depth, g):
+        node = len(tree["feature"])
+        tree["feature"].append(-1)
+        tree["split"].append(0.0)
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        tree["size"].append(len(idx))
+        if depth >= height_limit or len(idx) <= 1:
+            return node
+        lo = x[idx].min(axis=0)
+        hi = x[idx].max(axis=0)
+        usable = np.nonzero(hi > lo)[0]
+        if usable.size == 0:
+            return node
+        f = int(usable[g.integers(usable.size)])
+        s = float(g.uniform(lo[f], hi[f]))
+        mask = x[idx, f] < s
+        tree["feature"][node] = f
+        tree["split"][node] = s
+        tree["left"][node] = grow(tree, idx[mask], depth + 1, g)
+        tree["right"][node] = grow(tree, idx[~mask], depth + 1, g)
+        return node
+
+    trees = []
+    for t in range(n_trees):
+        g = rng.substream("iforest-tree", t).generator()
+        tree = {key: [] for key in ("feature", "split", "left", "right", "size")}
+        grow(tree, g.choice(n, size=subsample, replace=False), 0, g)
+        trees.append(tree)
+    return {
+        "algorithm": "iforest",
+        "hyperparameters": {"n_trees": n_trees, "subsample": subsample, "threshold": threshold},
+        "payload": {"height_limit": height_limit, "trees": trees},
+    }
+
+
 def iforest_scores_by_walk(model_json_doc, x):
     """Isolation-forest scores from a saved model document, one tree at a time.
 

@@ -234,3 +234,22 @@ def test_non_finite_feature_names_line(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError, match=r"m\.csv:3:"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("fault", ["cells", "float", "label"])
+def test_read_dataset_names_malformed_line(tmp_path, fault):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    if fault == "cells":
+        cells.pop()
+    elif fault == "float":
+        cells[9] = "0.5x"
+    else:
+        cells[1] = "maybe"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
+        read_dataset(path)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import brute_force_lof, iforest_scores_by_walk
+from oracles import brute_force_lof, iforest_fit_by_recursion, iforest_scores_by_walk
 
 from csiauth.detectors import (
     _ROW_BLOCK,
@@ -149,6 +149,47 @@ def test_iforest_validation():
         iforest_fit(x, n_trees=0, rng=RngStream(0))
     with pytest.raises(ValueError):
         iforest_fit(x, rng=None)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_iforest_rejects_non_finite_training_rows(bad):
+    x = gaussian_points(100, 4, seed=46)
+    x[37, 2] = float(bad)
+    x[52, 0] = float(bad)
+    with pytest.raises(ValueError, match="row 37 "):
+        iforest_fit(x, subsample=64, rng=RngStream(47))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["default", "subsample-2", "subsample-n", "subsample-100", "one-tree", "identical-rows",
+     "duplicated-rows", "rounded-columns", "constant-columns"],
+)
+def test_iforest_fit_matches_recursive_growth(tmp_path, case):
+    x = gaussian_points(300, 6, seed=48)
+    kwargs = {"n_trees": 100, "subsample": 256}
+    if case == "subsample-2":
+        kwargs["subsample"] = 2
+    elif case == "subsample-n":
+        kwargs["subsample"] = len(x)
+    elif case == "subsample-100":
+        kwargs["subsample"] = 100
+    elif case == "one-tree":
+        kwargs["n_trees"] = 1
+    elif case == "identical-rows":
+        x = np.ones_like(x)
+    elif case == "duplicated-rows":
+        x = np.repeat(x[:60], 5, axis=0)
+    elif case == "rounded-columns":
+        x = np.round(x, 1)
+    elif case == "constant-columns":
+        x[:, [1, 4]] = 2.5
+    rng = RngStream(49)
+    fitted, grown, reference = (tmp_path / name for name in ("fit.json", "grown.json", "ref.json"))
+    save_model(iforest_fit(x, rng=rng, **kwargs), fitted)
+    grown.write_text(json.dumps(iforest_fit_by_recursion(x, rng=rng, **kwargs)))
+    save_model(load_model(grown), reference)
+    assert fitted.read_bytes() == reference.read_bytes()
 
 
 def _saved_doc(model, tmp_path):
