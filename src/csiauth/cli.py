@@ -193,9 +193,11 @@ def cmd_gen(cfg: RunConfig) -> int:
         "test_accidental": accidental,
         "test_nefarious": nefarious,
     }
+    # The splits and attack sets repeat master's rows; one memo formats each once.
+    memo = {}
     for name, ds in built.items():
         path = cfg.data_dir / f"{name}.csv"
-        datasets.write_dataset(path, ds)
+        datasets.write_dataset(path, ds, memo)
         print(f"wrote {path} ({len(ds)} samples)")
     return 0
 

@@ -38,6 +38,7 @@ MASTER_SAMPLES_PER_SNR = 1000
 TRAIN_FRACTION = 0.7
 N_ATTACKERS = 5
 SAMPLES_PER_ATTACKER = 80
+_WRITE_BLOCK = 256  # CSV lines joined per write
 
 
 class DatasetFormatError(ValueError):
@@ -234,20 +235,44 @@ def _stack(manifest: DatasetManifest, parts: list[tuple]) -> Dataset:
 # ---------------------------------------------------------------------------
 # Persistence
 
-def write_dataset(path, dataset: Dataset) -> None:
-    """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip."""
+def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
+    """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
+
+    `memo` maps the raw bytes of a feature row to the row's text. Calls that
+    share one dict format a legitimate row they have in common once; keying
+    on bytes keeps rows apart that compare equal but print differently (0.0,
+    -0.0). Only legitimate rows are added: the splits and attack sets repeat
+    the enrolled rows of the master set, while each attacker row is written
+    once, and holding its text would only cost memory.
+    """
     path = Path(path)
     mf = dataset.manifest
+    memo = {} if memo is None else memo
     header = _csv_header(*mf.h_true.shape)
     # "%.17g" renders a double exactly as format(v, ".17g") does.
-    features = ",".join(["%.17g"] * (len(header) - 3))
-    lines = [",".join(header)]
-    for snr, legit, source, row in zip(
-        dataset.snr.tolist(), dataset.legit.tolist(), dataset.source.tolist(), dataset.x.tolist()
-    ):
-        label = LEGITIMATE if legit else ILLEGITIMATE
-        lines.append(f"{format(snr, '.17g')},{label},{source}," + features % tuple(row))
-    path.write_text("\n".join(lines) + "\n")
+    features = ",".join(["%.17g"] * (len(header) - 3)) + "\n"
+    x = np.ascontiguousarray(dataset.x, dtype=float)
+    row_bytes = np.dtype((np.void, x.itemsize * x.shape[1]))
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        # A block of lines at a time, so that the file's text is never held
+        # whole; a line is joined from its label cells and the row's text.
+        for start in range(0, len(x), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            rows = x[block]
+            lines = []
+            for i, (snr, legit, source, key) in enumerate(zip(
+                dataset.snr[block].tolist(), dataset.legit[block].tolist(),
+                dataset.source[block].tolist(), rows.view(row_bytes).ravel().tolist(),
+            )):
+                text = memo.get(key)
+                if text is None:
+                    text = features % tuple(rows[i].tolist())
+                    if legit:
+                        memo[key] = text
+                label = LEGITIMATE if legit else ILLEGITIMATE
+                lines += (f"{format(snr, '.17g')},{label},{source},", text)
+            fh.write("".join(lines))
     _manifest_path(path).write_text(_manifest_to_json(mf))
 
 

@@ -195,7 +195,8 @@ def iforest_fit(
     rng: RngStream | None = None,
     threshold: float = IFOREST_THRESHOLD,
 ) -> IForestModel:
-    """Grow n_trees isolation trees on subsamples of the finite rows `train`.
+    """Grow n_trees isolation trees on subsamples of the finite rows `train`,
+    each of whose columns must have a finite max - min.
 
     Tree t draws from its own generator, rng.substream("iforest-tree", t),
     and the model bits rest on the order of those draws: first
@@ -220,6 +221,12 @@ def iforest_fit(
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"iforest training row {bad[0]} is not finite")
+    # A split draws uniform(lo, hi) over a node's range of one column, which
+    # is finite only if the column's range over all the rows is.
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(x.max(axis=0) - x.min(axis=0)))
+    if wide.size:
+        raise ValueError(f"iforest training column {wide[0]}: max - min is not finite")
     height_limit = math.ceil(math.log2(subsample))
     gens = [rng.substream("iforest-tree", t).generator() for t in range(n_trees)]
     n_nodes, arrays = _grow_together(x, gens, subsample, height_limit)
@@ -238,6 +245,9 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
     # A node's rows are a range buf[start:end], tree t's root the t-th block of
     # subsample entries; each split partitions its node's range in place.
     buf = np.concatenate([g.choice(n, size=subsample, replace=False) for g in gens])
+    # A tree of height_limit has at most 2**height_limit - 1 splits, each
+    # taking at most one word for k and one for s unless k is rejected.
+    draws = _SplitDraws(gens, 2 * (2**height_limit - 1))
     # The rows of a node are distinct training rows, so a column whose values
     # are all distinct varies over every node of two or more rows; only the
     # columns with repeated values need a min/max per node.
@@ -266,7 +276,7 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
         right[t[is_right], parent[is_right]] = node[is_right]
         grows = (depth < height_limit) & (end - start > 1)
         t, start, end, depth, node = (a[grows] for a in (t, start, end, depth, node))
-        n_usable, usable = [d] * t.size, None
+        n_usable, usable = np.full(t.size, d), None
         if tied.size and t.size:
             _, offsets, pos = _segments(start, end)
             vals = x[np.ix_(buf[pos], tied)]
@@ -276,21 +286,17 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
             t, start, end, depth, node, usable = (
                 a[keep] for a in (t, start, end, depth, node, usable)
             )
-            n_usable = usable.sum(axis=1).tolist()
+            n_usable = usable.sum(axis=1)
         if not t.size:
             continue
-        k = np.fromiter(
-            (gens[i].integers(c) for i, c in zip(t.tolist(), n_usable)), np.int64, t.size
-        )
+        k = draws.integers(t, n_usable)
         # The k-th usable column has exactly k usable columns before it.
         f = k if usable is None else (usable.cumsum(axis=1) <= k[:, None]).sum(axis=1)
         lengths, offsets, pos = _segments(start, end)
         rows = buf[pos]
         vals = x[rows, np.repeat(f, lengths)]
-        lo = np.minimum.reduceat(vals, offsets).tolist()
-        hi = np.maximum.reduceat(vals, offsets).tolist()
-        s = np.fromiter(
-            (gens[i].uniform(a, b) for i, a, b in zip(t.tolist(), lo, hi)), float, t.size
+        s = draws.uniform(
+            t, np.minimum.reduceat(vals, offsets), np.maximum.reduceat(vals, offsets)
         )
         goes_left = vals < np.repeat(s, lengths)
         n_left = np.add.reduceat(goes_left, offsets)
@@ -308,6 +314,73 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
     # A left child always follows its parent in preorder.
     left = np.where(feature >= 0, np.arange(1, used + 1), -1)
     return n_nodes, dict(zip(_TREE_FIELDS, (feature, split, left, right, size)))
+
+
+class _SplitDraws:
+    """integers(c) and uniform(lo, hi) for each of a list of PCG64
+    Generators, bit for bit what the Generators return, computed for many of
+    them at once from raw words drawn ahead.
+
+    numpy draws integers(c), c < 2**32, by Lemire's method on 32-bit values:
+    c == 1 takes nothing; otherwise v = next32() until the low 32 bits of
+    v * c are not below (2**32 - c) % c, and the result is v * c >> 32.
+    next32() returns the upper half of the last 64-bit word if it is
+    buffered (has_uint32), else takes a word, returns its lower half and
+    buffers the upper. uniform(lo, hi) takes one word w and returns
+    lo + (hi - lo) * ((w >> 11) * 2**-53), leaving the buffer alone.
+    Reading the words ahead advances the Generators; they are spent after.
+    """
+
+    def __init__(self, gens, block: int):
+        states = [g.bit_generator.state for g in gens]
+        assert all(st["bit_generator"] == "PCG64" for st in states)
+        self._gens, self._block = gens, block
+        self._has32 = np.array([st["has_uint32"] for st in states], dtype=bool)
+        self._upper = np.array([st["uinteger"] for st in states], dtype=np.uint64)
+        self._pos = np.zeros(len(gens), dtype=np.int64)
+        self._words = self._draw()
+
+    def _draw(self) -> np.ndarray:
+        """The next block of words of every generator, one row each."""
+        words = np.empty((len(self._gens), self._block), dtype=np.uint64)
+        for row, g in zip(words, self._gens):
+            row[:] = g.bit_generator.random_raw(self._block)
+        return words
+
+    def _take(self, t: np.ndarray) -> np.ndarray:
+        """The next word of each generator t (distinct indices)."""
+        if t.size and self._pos[t].max() >= self._words.shape[1]:
+            # Only a run of rejected k draws gets past the first block.
+            self._words = np.concatenate([self._words, self._draw()], axis=1)
+        w = self._words[t, self._pos[t]]
+        self._pos[t] += 1
+        return w
+
+    def _next32(self, t: np.ndarray) -> np.ndarray:
+        has = self._has32[t]
+        v = self._upper[t]
+        fresh = t[~has]
+        w = self._take(fresh)
+        v[~has] = w & 0xFFFFFFFF
+        self._upper[fresh] = w >> 32
+        self._has32[t] = ~has
+        return v
+
+    def integers(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """integers(c[i]) of generator t[i], for bounds 1 <= c < 2**32."""
+        k = np.zeros(t.size, dtype=np.uint64)
+        draw = c > 1
+        t, c = t[draw], c[draw].astype(np.uint64)
+        m = self._next32(t) * c
+        threshold = (2**32 - c) % c
+        while (rejected := (m & 0xFFFFFFFF) < threshold).any():
+            m[rejected] = self._next32(t[rejected]) * c[rejected]
+        k[draw] = m >> 32
+        return k.astype(np.int64)
+
+    def uniform(self, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """uniform(lo[i], hi[i]) of generator t[i], for finite hi - lo."""
+        return lo + (hi - lo) * ((self._take(t) >> 11) * 2.0**-53)
 
 
 def _segments(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -146,7 +146,7 @@ def _discriminator_step(disc, gen, state_d, real, cfg, latent_gen, dropout_gen):
     pred, tape = forward(disc, batch, "train", dropout_gen)
     scores = pred[:, 0]
     loss, dscores = bce_loss(scores, targets)
-    grads, _ = backward(disc, tape, dscores.reshape(-1, 1))
+    grads, _ = backward(disc, tape, dscores.reshape(-1, 1), input_grad=False)
     apply_gradients(disc, state_d, grads)
     acc_real = np.count_nonzero(scores[:b] >= 0.5) / b
     acc_fake = np.count_nonzero(scores[b:] < 0.5) / b
@@ -159,7 +159,7 @@ def _generator_step(disc, gen, state_g, b, cfg, latent_gen, dropout_gen):
     pred, tape_d = forward(disc, fake, "train", dropout_gen)
     loss, dscores = bce_loss(pred[:, 0], np.ones(b))
     _, dfake = backward(disc, tape_d, dscores.reshape(-1, 1))
-    grads_g, _ = backward(gen, tape_g, dfake)
+    grads_g, _ = backward(gen, tape_g, dfake, input_grad=False)
     apply_gradients(gen, state_g, grads_g)
     return loss
 

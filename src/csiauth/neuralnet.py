@@ -170,11 +170,12 @@ def forward(
     return (x[0] if single else x), tape
 
 
-def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray):
+def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray, input_grad: bool = True):
     """Exact reverse-mode gradients; returns ([(dW, db), ...], dinput).
 
     Reuses the dropout masks recorded on the tape, so the gradient matches
-    the sampled forward pass exactly.
+    the sampled forward pass exactly. With input_grad=False, dinput is None
+    and the first layer's input product is skipped.
     """
     if tape.net_id != id(net) or tape.version != net.version:
         raise ValueError("stale tape: parameters changed since the forward pass")
@@ -191,6 +192,8 @@ def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray):
             g = g * tape.dropout_masks[i]
         g = _backprop_activation(g, tape.pres[i], tape.acts[i], layer, masked)
         grads[i] = (g.T @ tape.inputs[i], g.sum(axis=0))
+        if i == 0 and not input_grad:
+            return grads, None
         g = g @ layer.weights
     return grads, (g[0] if tape.single else g)
 

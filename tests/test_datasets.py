@@ -181,6 +181,40 @@ def test_round_trip(tmp_path, accidental):
     ).read_bytes()
 
 
+def test_shared_memo_writes_same_bytes(tmp_path):
+    # 400 master rows: more than one block of lines per file.
+    master = build_master(RngStream(3), snr_grid=(0.0, 2.0), samples_per_snr=200)
+    # Rows 1 and 2 become copies of row 0 except for the sign of one zero.
+    master.x[0, 5] = 0.0
+    master.x[1] = master.x[0]
+    master.x[1, 5] = -0.0
+    master.x[2] = master.x[1]
+    train, test = split_train_test(master)
+    rng = RngStream(4)
+    sets = {
+        "master": master,
+        "train": train,
+        "test": test,
+        "accidental": build_accidental(test, rng),
+        "nefarious": build_nefarious(test, default_nefarious_offsets(), rng),
+    }
+    alone, shared = tmp_path / "alone", tmp_path / "shared"
+    alone.mkdir()
+    shared.mkdir()
+    memo = {}
+    for name, ds in sets.items():
+        write_dataset(alone / f"{name}.csv", ds)
+        write_dataset(shared / f"{name}.csv", ds, memo)
+    # Only legitimate rows are kept: master's, of which rows 1 and 2 share one.
+    assert len(memo) == len(master) - 1
+    for name in sets:
+        assert (shared / f"{name}.csv").read_bytes() == (alone / f"{name}.csv").read_bytes()
+    lines = (shared / "master.csv").read_text().splitlines()
+    assert lines[1].split(",")[8] == "0" and lines[2].split(",")[8] == "-0"
+    back = read_dataset(shared / "master.csv")
+    np.testing.assert_array_equal(np.signbit(back.x[:3, 5]), [False, True, True])
+
+
 def test_csv_header_matches_flatten_order(tmp_path, master):
     small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=2)
     path = tmp_path / "m.csv"

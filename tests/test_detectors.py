@@ -7,6 +7,7 @@ from oracles import brute_force_lof, iforest_fit_by_recursion, iforest_scores_by
 from csiauth.detectors import (
     _ROW_BLOCK,
     ConvergenceError,
+    _SplitDraws,
     iforest_fit,
     iforest_scores,
     lof_fit,
@@ -158,6 +159,75 @@ def test_iforest_rejects_non_finite_training_rows(bad):
     x[52, 0] = float(bad)
     with pytest.raises(ValueError, match="row 37 "):
         iforest_fit(x, subsample=64, rng=RngStream(47))
+
+
+@pytest.mark.parametrize("column", [0, 3])
+def test_iforest_rejects_column_with_non_finite_range(column):
+    # Every value is finite, but max - min overflows.
+    x = gaussian_points(100, 4, seed=46)
+    x[::2, column] = 1e308
+    x[1::2, column] = -1e308
+    with pytest.raises(ValueError, match=f"column {column}: max - min is not finite"):
+        iforest_fit(x, subsample=64, rng=RngStream(47))
+
+
+def _primed_generators():
+    """Four generators, two with a buffered upper half (has_uint32) and two
+    without; each call returns fresh generators in the same states."""
+    primes = [lambda g: None, lambda g: g.integers(3), lambda g: g.uniform(),
+              lambda g: (g.integers(5), g.integers(7), g.integers(9))]
+    gens = [RngStream(50, i).generator() for i in range(len(primes))]
+    for g, prime in zip(gens, primes):
+        prime(g)
+    return gens
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_split_draws_match_generator_bit_for_bit(block):
+    gens, twins = _primed_generators(), _primed_generators()
+    assert [g.bit_generator.state["has_uint32"] for g in gens] == [0, 1, 0, 1]
+    draws = _SplitDraws(twins, block)
+    plan = np.random.default_rng(51)
+    # 2**31 + 1 rejects about half of its 32-bit values.
+    bounds = np.array([1, 2, 31, 32, 2**31 + 1])
+    for _ in range(300):
+        t = np.flatnonzero(plan.random(len(gens)) < 0.7)
+        if plan.random() < 0.5:
+            c = plan.choice(bounds, size=t.size)
+            expected = [gens[i].integers(b) for i, b in zip(t.tolist(), c.tolist())]
+            got = draws.integers(t, c)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        else:
+            lo = plan.normal(size=t.size) * 10.0 ** plan.integers(-3, 4, size=t.size)
+            hi = lo + plan.exponential(size=t.size) * (plan.random(size=t.size) < 0.9)
+            expected = [gens[i].uniform(a, b) for i, a, b in zip(t.tolist(), lo, hi)]
+            got = draws.uniform(t, lo, hi)
+            np.testing.assert_array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+    if block < 512:
+        assert draws._words.shape[1] > block  # refilled
+
+
+@pytest.mark.parametrize("v", [2**31 - 2, 2**32 - 1])
+def test_split_draws_rejection_threshold_boundary(v):
+    # For c = 2**31 + 1 the threshold is 2**31 - 1: a buffered v = 2**31 - 2
+    # leaves 2**31 - 2 (rejected), and v = 2**32 - 1 leaves exactly 2**31 - 1
+    # (accepted).
+    c = 2**31 + 1
+    g, twin = RngStream(52).generator(), RngStream(52).generator()
+    for gen in (g, twin):
+        state = gen.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, v
+        gen.bit_generator.state = state
+    draws = _SplitDraws([twin], 4)
+    got = draws.integers(np.array([0]), np.array([c]))
+    assert got.tolist() == [g.integers(c)]
+    assert int(draws._pos[0]) == (1 if v == 2**31 - 2 else 0)
+
+
+def test_split_draws_require_pcg64():
+    with pytest.raises(AssertionError):
+        _SplitDraws([np.random.Generator(np.random.MT19937(0))], 4)
 
 
 @pytest.mark.parametrize(

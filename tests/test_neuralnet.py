@@ -150,6 +150,19 @@ def test_backward_linear_layer_closed_form():
     np.testing.assert_allclose(dx, up @ layer.weights)
 
 
+def test_backward_without_input_grad_keeps_parameter_grads():
+    net = small_net(seed=9, dims=(5, 4, 3, 1), acts=("leaky_relu", "leaky_relu", "sigmoid"),
+                    dropout={1: 0.2})
+    xs = RngStream(10).generator().standard_normal((6, 5))
+    out, tape = forward(net, xs, "train", RngStream(11).generator())
+    up = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
+    grads, dx = backward(net, tape, up)
+    grads_only, none = backward(net, tape, up, input_grad=False)
+    assert dx.shape == xs.shape and none is None
+    for (dw, db), (dw_only, db_only) in zip(grads, grads_only):
+        assert dw.tobytes() == dw_only.tobytes() and db.tobytes() == db_only.tobytes()
+
+
 def test_backward_batch_matches_mean_of_singles():
     net = small_net(seed=9)
     gen = RngStream(10).generator()
