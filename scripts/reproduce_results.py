@@ -24,12 +24,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default="runs/full")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--pooled", action="store_true",
                         help="single GAN over all SNRs instead of one per SNR")
     args = parser.parse_args()
 
-    common = ["--seed", str(args.seed), "--out", args.out, "--jobs", str(args.jobs)]
+    common = ["--seed", str(args.seed), "--out", args.out]
     pooled = ["--pooled"] if args.pooled else []
     t0 = time.perf_counter()
     run(["gen", *common])

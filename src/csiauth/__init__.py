@@ -9,13 +9,12 @@ detectors, with per-SNR accuracy reporting.
 from .rng import RngStream
 from .channel import (
     NoiseModel,
-    add_measurement_error,
     estimate_csi,
     flatten_csi,
     sample_csi,
     unflatten_csi,
 )
-from .threshold import AuthDecision, Threshold, decide, false_accept_rate_sim, lambda_ave
+from .threshold import Threshold, accept_rows, false_accept_rate_sim, lambda_ave
 from .analytic import (
     DiskRegion,
     GaussianSpec,

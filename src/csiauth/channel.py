@@ -37,22 +37,10 @@ def sample_csi(n_rx: int, m_tx: int, rng: RngStream) -> np.ndarray:
     return np.sqrt(0.5) * (re + 1j * im)
 
 
-def add_measurement_error(h: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.ndarray:
-    """Return a noisy measurement h + e with e i.i.d. CN(0, sigma2) per element."""
-    h = _as_csi(h)
-    sigma2 = noise.sigma2
-    if sigma2 == 0.0:
-        return h.copy()
-    g = rng.generator()
-    scale = np.sqrt(sigma2 / 2.0)
-    e = scale * (g.standard_normal(h.shape) + 1j * g.standard_normal(h.shape))
-    return h + e
-
-
 def measurement_batch(
     h: np.ndarray, noise: NoiseModel, count: int, rng: RngStream
 ) -> np.ndarray:
-    """Draw `count` noisy measurements at once; shape (count, n_rx, m_tx)."""
+    """Draw `count` noisy measurements h + e, e i.i.d. CN(0, sigma2); shape (count, n_rx, m_tx)."""
     h = _as_csi(h)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

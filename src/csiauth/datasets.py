@@ -121,32 +121,19 @@ def build_master(
     return _stack(manifest, parts)
 
 
-def split_train_test(
-    master: Dataset,
-    train_fraction: float = TRAIN_FRACTION,
-    shuffle: bool = False,
-    rng: RngStream | None = None,
-) -> tuple[Dataset, Dataset]:
-    """Per-SNR split with identical proportions at every SNR.
-
-    Deterministic by sample index unless `shuffle` is set, in which case a
-    seeded permutation is applied within each SNR slice.
-    """
+def split_train_test(master: Dataset, train_fraction: float = TRAIN_FRACTION) -> tuple[Dataset, Dataset]:
+    """Per-SNR split with identical proportions at every SNR: the first
+    `train_fraction` of each SNR slice, by sample index, is the train set."""
     if master.manifest.kind != KIND_MASTER:
         raise ValueError(f"expected a master dataset, got kind {master.manifest.kind!r}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if shuffle and rng is None:
-        raise ValueError("shuffle requires an RngStream")
     train_parts, test_parts = [], []
     train_counts, test_counts = {}, {}
     for snr in master.manifest.snr_grid:
         rows = np.flatnonzero(master.snr == snr)
         if rows.size == 0:
             raise ValueError(f"master dataset has no samples at SNR {snr}")
-        if shuffle:
-            g = rng.substream("split", snr).generator()
-            rows = rows[g.permutation(rows.size)]
         n_train = round(train_fraction * rows.size)
         train_parts.append(_rows(master, rows[:n_train]))
         test_parts.append(_rows(master, rows[n_train:]))

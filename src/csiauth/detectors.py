@@ -52,16 +52,14 @@ class LofModel:
 
 
 def lof_fit(train, k: int = LOF_K, threshold: float = LOF_THRESHOLD) -> LofModel:
-    x = _as_points(train)
+    x = _as_train_points(train, "lof")
     n = x.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < train size, got k={k}, n={n}")
     d = _pairwise(x, x)
     np.fill_diagonal(d, np.inf)
     kdist = np.partition(d, k - 1, axis=1)[:, k - 1]
-    neigh = d <= kdist[:, np.newaxis]
-    reach = np.maximum(kdist[np.newaxis, :], d)
-    lrd = neigh.sum(axis=1) / np.where(neigh, reach, 0.0).sum(axis=1)
+    lrd, _ = _reach_density(d, kdist, kdist)
     return LofModel(k=k, train_points=x, threshold=threshold, kdist=kdist, lrd=lrd)
 
 
@@ -70,10 +68,7 @@ def lof_scores(model: LofModel, points) -> np.ndarray:
     q = _as_points(points)
     d = _pairwise(q, model.train_points)
     kdist_q = np.partition(d, model.k - 1, axis=1)[:, model.k - 1]
-    neigh = d <= kdist_q[:, np.newaxis]
-    reach = np.maximum(model.kdist[np.newaxis, :], d)
-    lrd_q = neigh.sum(axis=1) / np.where(neigh, reach, 0.0).sum(axis=1)
-    mean_neighbor_lrd = np.where(neigh, model.lrd[np.newaxis, :], 0.0).sum(axis=1) / neigh.sum(axis=1)
+    lrd_q, mean_neighbor_lrd = _reach_density(d, kdist_q, model.kdist, model.lrd)
     return mean_neighbor_lrd / lrd_q
 
 
@@ -81,9 +76,21 @@ def lof_train_scores(model: LofModel) -> np.ndarray:
     """LOF of the training points themselves (self excluded from neighborhoods)."""
     d = _pairwise(model.train_points, model.train_points)
     np.fill_diagonal(d, np.inf)
-    neigh = d <= model.kdist[:, np.newaxis]
-    mean_neighbor_lrd = np.where(neigh, model.lrd[np.newaxis, :], 0.0).sum(axis=1) / neigh.sum(axis=1)
+    _, mean_neighbor_lrd = _reach_density(d, model.kdist, model.kdist, model.lrd)
     return mean_neighbor_lrd / model.lrd
+
+
+def _reach_density(d, kdist_rows, kdist, lrd=None):
+    """lrd of each row of distances d and, given the train lrd, its neighbors' mean lrd; overwrites d."""
+    neigh = d <= kdist_rows[:, np.newaxis]
+    count = neigh.sum(axis=1)
+    np.maximum(d, kdist, out=d)  # reach-distances
+    np.copyto(d, 0.0, where=~neigh)
+    lrd_rows = count / d.sum(axis=1)
+    if lrd is None:
+        return lrd_rows, None
+    np.copyto(d, lrd, where=neigh)
+    return lrd_rows, d.sum(axis=1) / count
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +217,7 @@ def iforest_fit(
     of them grow together here: each step takes the next preorder node of
     every unfinished tree.
     """
-    x = _as_points(train)
+    x = _as_train_points(train, "iforest")
     n = x.shape[0]
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -218,9 +225,6 @@ def iforest_fit(
         raise ValueError(f"subsample must be in [2, train size], got {subsample} (n={n})")
     if rng is None:
         raise ValueError("iforest_fit requires an RngStream")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"iforest training row {bad[0]} is not finite")
     # A split draws uniform(lo, hi) over a node's range of one column, which
     # is finite only if the column's range over all the rows is.
     with np.errstate(over="ignore"):
@@ -464,10 +468,12 @@ def ocsvm_fit(
     below `tol`. Raises ConvergenceError (with the residual) at the
     iteration cap.
     """
-    x = _as_points(train)
+    x = _as_train_points(train, "ocsvm")
     n = x.shape[0]
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must be in (0, 1], got {nu}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if gamma is None:
         gamma = default_gamma(x)
     if gamma <= 0:
@@ -619,6 +625,14 @@ def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, d) array, got shape {x.shape}")
+    return x
+
+
+def _as_train_points(x, algo: str) -> np.ndarray:
+    x = _as_points(x)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{algo} training row {bad[0]} is not finite")
     return x
 
 

@@ -2,8 +2,9 @@
 
 Every authenticator is adapted to one contract: a callable taking feature
 rows (n, 2 * n_rx * m_tx), as stored in `Dataset.x`, and returning the
-(n,) boolean accept mask. Rows of the confusion matrix are ground truth
-(Real = legitimate), columns are the prediction.
+(n,) boolean accept mask, which for the hypothesis test is
+`threshold.accept_rows` itself. Rows of the confusion matrix are ground
+truth (Real = legitimate), columns are the prediction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .detectors import (
 )
 from .gan import scores_batch
 from .neuralnet import Mlp
-from .threshold import Threshold
+from .threshold import Threshold, accept_rows
 
 DecisionFn = Callable[[np.ndarray], np.ndarray]
 
@@ -58,16 +59,8 @@ class AccuracyCurve:
 # Decision adapters: each maps feature rows (n, d) to the (n,) accept mask.
 
 def threshold_decider(h_ref: np.ndarray, thr: Threshold) -> DecisionFn:
-    """Row form of threshold.decide: accept iff every element is within z."""
     ref = flatten_csi(h_ref)
-    z2 = thr.z**2
-
-    def accept(rows: np.ndarray) -> np.ndarray:
-        delta = rows - ref[np.newaxis, :]
-        d2 = delta[:, 0::2] ** 2 + delta[:, 1::2] ** 2
-        return np.all(d2 <= z2, axis=1)
-
-    return accept
+    return lambda rows: accept_rows(rows, ref, thr)
 
 
 def gan_decider(d: Mlp, tau: float = 0.5) -> DecisionFn:

@@ -263,34 +263,33 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] | None = None
-    v: list[np.ndarray] | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
+    """One bias-corrected Adam update of the array `params`, in place; returns (params, state)."""
     if state.m is None:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
-    for p, gr in zip(params, grads):
-        if p.shape != np.shape(gr):
-            raise ValueError(f"gradient shape {np.shape(gr)} != parameter shape {p.shape}")
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    if not params.shape == np.shape(grads) == state.m.shape:
+        raise ValueError(
+            f"shapes differ: parameters {params.shape}, gradients {np.shape(grads)}, "
+            f"Adam state {state.m.shape}"
+        )
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for p, gr, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * gr
-        v *= b2
-        v += (1.0 - b2) * np.square(gr)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * np.square(grads)
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
     return params, state
 
 
@@ -299,7 +298,7 @@ def apply_gradients(net: Mlp, state: AdamState, grads: list[tuple[np.ndarray, np
     if any(p.base is not net.params for p in net.parameters()):
         raise ValueError("a layer's weights or biases were rebound after the network was built")
     flat = np.concatenate([g.ravel() for pair in grads for g in pair])
-    adam_step(state, [net.params], [flat])
+    adam_step(state, net.params, flat)
     net.version += 1
 
 

@@ -8,11 +8,11 @@ eigenvalue of the 2x2 real covariance of one element's measurement error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_csi
+from .channel import _as_csi, flatten_csi
 from .rng import RngStream
 
 
@@ -43,13 +43,6 @@ class Threshold:
         return cls(multiplier, sigma2 / 2.0)
 
 
-@dataclass(frozen=True)
-class AuthDecision:
-    accept: bool
-    per_element_dist2: np.ndarray
-    failing_elements: list = field(default_factory=list)
-
-
 def lambda_ave(cov: np.ndarray) -> float:
     """Average eigenvalue of a 2x2 real symmetric PSD matrix: trace/2."""
     cov = np.asarray(cov, dtype=float)
@@ -63,36 +56,14 @@ def lambda_ave(cov: np.ndarray) -> float:
     return float(np.trace(cov)) / 2.0
 
 
-def decide(
-    h_hat: np.ndarray,
-    h_ref: np.ndarray,
-    threshold: Threshold | None = None,
-    per_element_z: np.ndarray | None = None,
-) -> AuthDecision:
-    """Accept iff |h_hat - h_ref| <= z for every element.
-
-    A single scalar z applies to all elements by default; `per_element_z`
-    is the optional hook for element-specific radii (same shape as the CSI).
-    """
-    h_hat = _as_csi(h_hat)
-    h_ref = _as_csi(h_ref)
-    if h_hat.shape != h_ref.shape:
-        raise ValueError(f"shape mismatch: {h_hat.shape} vs {h_ref.shape}")
-    if (threshold is None) == (per_element_z is None):
-        raise ValueError("provide exactly one of threshold or per_element_z")
-    if per_element_z is not None:
-        z = np.asarray(per_element_z, dtype=float)
-        if z.shape != h_hat.shape:
-            raise ValueError(f"per_element_z shape {z.shape} != CSI shape {h_hat.shape}")
-        if np.any(z < 0):
-            raise ValueError("per-element thresholds must be >= 0")
-        z2 = z**2
-    else:
-        z2 = threshold.z**2
-    d2 = np.abs(h_hat - h_ref) ** 2
-    fail_mask = d2 > z2
-    failing = [(int(n), int(m)) for n, m in zip(*np.nonzero(fail_mask))]
-    return AuthDecision(accept=not failing, per_element_dist2=d2, failing_elements=failing)
+def accept_rows(rows: np.ndarray, ref: np.ndarray, threshold: Threshold) -> np.ndarray:
+    """Accept mask (n,) of feature rows (n, 2 * n_rx * m_tx): a row passes iff
+    every element is within z of its element of the flattened reference `ref`."""
+    if rows.shape[1:] != ref.shape:
+        raise ValueError(f"rows of shape {rows.shape} do not match reference shape {ref.shape}")
+    delta = rows - ref
+    d2 = delta[:, 0::2] ** 2 + delta[:, 1::2] ** 2
+    return np.all(d2 <= threshold.z**2, axis=1)
 
 
 def false_accept_rate_sim(
@@ -100,10 +71,10 @@ def false_accept_rate_sim(
 ) -> float:
     """Monte Carlo fraction of unrelated CN(0,1) transmitters that authenticate."""
     h_ref = _as_csi(h_ref)
+    ref = flatten_csi(h_ref)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     g = rng.generator()
-    z2 = threshold.z**2
     accepted = 0
     # Chunked so very large trial counts stay memory-bounded.
     remaining = n_trials
@@ -111,7 +82,6 @@ def false_accept_rate_sim(
         chunk = min(remaining, 1 << 16)
         shape = (chunk,) + h_ref.shape
         imp = np.sqrt(0.5) * (g.standard_normal(shape) + 1j * g.standard_normal(shape))
-        d2 = np.abs(imp - h_ref[np.newaxis]) ** 2
-        accepted += int(np.sum(np.all(d2 <= z2, axis=(1, 2))))
+        accepted += int(np.count_nonzero(accept_rows(flatten_csi(imp), ref, threshold)))
         remaining -= chunk
     return accepted / n_trials

@@ -305,3 +305,10 @@ def reference_train_gan(train_rows, cfg, rng):
         for key, values in epoch.items():
             report[key].append(float(np.mean(values)))
     return disc.params, report
+
+
+def per_matrix_threshold_test(h_hat, h_ref, z):
+    """The per-element distance test on one CSI matrix: accept iff
+    |h_hat - h_ref|^2 <= z^2 for every element."""
+    d2 = np.abs(np.asarray(h_hat, dtype=complex) - h_ref) ** 2
+    return bool(np.all(d2 <= z**2))

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from csiauth.channel import (
     NoiseModel,
-    add_measurement_error,
     estimate_csi,
     flatten_csi,
     measurement_batch,
@@ -57,8 +56,9 @@ def test_noise_model_sigma2():
 
 def test_zero_noise_limit_is_identity():
     h = sample_csi(4, 4, RngStream(5))
-    out = add_measurement_error(h, NoiseModel(float("inf")), RngStream(6))
-    np.testing.assert_array_equal(out, h)
+    out = measurement_batch(h, NoiseModel(float("inf")), 1, RngStream(6))
+    assert out.shape == (1, 4, 4)
+    np.testing.assert_array_equal(out[0], h)
 
 
 @pytest.mark.parametrize("snr_db,expect,tol", [(0.0, 1.0, 0.05), (10.0, 0.1, 0.01)])

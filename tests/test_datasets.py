@@ -71,16 +71,6 @@ def test_split_rejects_non_master(splits):
         split_train_test(train)
 
 
-def test_split_shuffle_mode(master):
-    t1, _ = split_train_test(master, shuffle=True, rng=RngStream(1))
-    t2, _ = split_train_test(master, shuffle=True, rng=RngStream(1))
-    t3, _ = split_train_test(master)
-    np.testing.assert_array_equal(t1.x, t2.x)
-    assert not np.array_equal(t1.x, t3.x)
-    with pytest.raises(ValueError):
-        split_train_test(master, shuffle=True)
-
-
 @pytest.fixture(scope="module")
 def accidental(splits):
     return build_accidental(splits[1], RngStream(7))

@@ -452,3 +452,20 @@ def test_load_model_rejects_unknown(tmp_path):
         load_model(path)
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "y.json")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("algo", ["lof", "ocsvm"])
+def test_lof_and_ocsvm_reject_non_finite_training_rows(algo, bad):
+    fit = {"lof": lof_fit, "ocsvm": ocsvm_fit}[algo]
+    x = gaussian_points(100, 4, seed=46)
+    x[37, 2] = float(bad)
+    x[52, 0] = float(bad)
+    with pytest.raises(ValueError, match=f"{algo} training row 37 "):
+        fit(x)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_ocsvm_rejects_max_iter_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        ocsvm_fit(gaussian_points(50, 4, seed=30), max_iter=max_iter)

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from oracles import per_matrix_threshold_test
 
 from csiauth import datasets
 from csiauth.channel import NoiseModel, unflatten_csi
@@ -31,7 +32,7 @@ from csiauth.evaluate import (
 )
 from csiauth.gan import build_discriminator, scores_batch
 from csiauth.rng import RngStream
-from csiauth.threshold import Threshold, decide
+from csiauth.threshold import Threshold
 
 
 def always(rows):
@@ -70,12 +71,15 @@ def test_row_sums_match_class_counts(acc_dataset):
 
 
 def test_batch_path_matches_scalar_path(acc_dataset):
-    # threshold.decide, one CSI matrix at a time, is the reference for the row form
+    # the test applied to one CSI matrix at a time is the reference for the row form
     h_ref = acc_dataset.manifest.h_true
     for snr in acc_dataset.manifest.snr_grid:
         thr = Threshold.from_sigma2(3.0, NoiseModel(snr).sigma2)
         rows = acc_dataset.x[acc_dataset.snr == snr]
-        scalar = [decide(unflatten_csi(row, *h_ref.shape), h_ref, thr).accept for row in rows]
+        scalar = [
+            per_matrix_threshold_test(unflatten_csi(row, *h_ref.shape), h_ref, thr.z)
+            for row in rows
+        ]
         batch = threshold_decider(h_ref, thr)(rows)
         assert batch.dtype == bool
         np.testing.assert_array_equal(batch, scalar)

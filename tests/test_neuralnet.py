@@ -218,27 +218,31 @@ def test_bce_clipping_absorbs_saturation():
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = [np.array([1.0, 2.0])]
-    adam_step(AdamState(lr=0.1), p, [np.zeros(2)])
-    np.testing.assert_array_equal(p[0], [1.0, 2.0])
+    p = np.array([1.0, 2.0])
+    adam_step(AdamState(lr=0.1), p, np.zeros(2))
+    np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
 def test_adam_first_step_magnitude_is_lr():
     # bias-corrected ratio is 1 on the first step for any constant gradient
-    p = [np.array([1.0])]
-    adam_step(AdamState(lr=0.01), p, [np.array([123.456])])
-    assert p[0][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+    p = np.array([1.0])
+    adam_step(AdamState(lr=0.01), p, np.array([123.456]))
+    assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
 
 def test_adam_zero_lr_keeps_params():
-    p = [np.array([3.0])]
-    adam_step(AdamState(lr=0.0), p, [np.array([5.0])])
-    assert p[0][0] == 3.0
+    p = np.array([3.0])
+    adam_step(AdamState(lr=0.0), p, np.array([5.0]))
+    assert p[0] == 3.0
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError):
-        adam_step(AdamState(lr=0.1), [np.zeros(2)], [np.zeros(3)])
+        adam_step(AdamState(lr=0.1), np.zeros(2), np.zeros(3))
+    state = AdamState(lr=0.1)
+    adam_step(state, np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        adam_step(state, np.zeros(3), np.zeros(3))  # moments sized for 2 parameters
 
 
 @given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=4))
@@ -333,10 +337,12 @@ def test_parameters_are_views_into_one_buffer():
     copies = [p.copy() for p in params]
     out, tape = forward(net, RngStream(14).generator().standard_normal((6, 5)))
     grads, _ = backward(net, tape, np.ones_like(out))
-    state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    state = AdamState(lr=0.01)
+    ref_states = [AdamState(lr=0.01) for _ in copies]
     for _ in range(3):
         apply_gradients(net, state, grads)
-        adam_step(ref_state, copies, [g for pair in grads for g in pair])
+        for c, g, s in zip(copies, [g for pair in grads for g in pair], ref_states):
+            adam_step(s, c, g)
     for p, c in zip(net.parameters(), copies):
         assert p.tobytes() == c.tobytes()
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csiauth.channel import sample_csi
+from csiauth.channel import flatten_csi, sample_csi
 from csiauth.rng import RngStream
-from csiauth.threshold import Threshold, decide, false_accept_rate_sim, lambda_ave
+from csiauth.threshold import Threshold, accept_rows, false_accept_rate_sim, lambda_ave
+
+
+def element_passes(rows, ref, thr):
+    """(n, n_elements) mask: the row form applied to one element's (re, im) columns."""
+    pairs = [slice(2 * e, 2 * e + 2) for e in range(ref.size // 2)]
+    return np.stack([accept_rows(rows[:, p], ref[p], thr) for p in pairs], axis=1)
 
 
 def test_lambda_ave_basics():
@@ -35,18 +41,20 @@ def test_threshold_derivation():
 
 def test_decide_accepts_equal_matrices():
     h = sample_csi(4, 4, RngStream(0))
-    d = decide(h, h, Threshold(1e-9, 1.0))
-    assert d.accept and d.failing_elements == []
+    mask = accept_rows(flatten_csi(h[np.newaxis]), flatten_csi(h), Threshold(1e-9, 1.0))
+    assert mask.dtype == bool and mask.tolist() == [True]
 
 
 def test_decide_rejects_single_displaced_element():
     h = sample_csi(4, 4, RngStream(1))
     thr = Threshold(2.0, 0.25)  # z = 1
-    h_hat = h.copy()
-    h_hat[2, 3] += 2 * thr.z
-    d = decide(h_hat, h, thr)
-    assert not d.accept
-    assert d.failing_elements == [(2, 3)]
+    ref = flatten_csi(h)
+    # row 0 is the reference; row 1 + c moves only column c (one element's re or im) by 2z
+    rows = np.vstack([ref, ref + 2 * thr.z * np.eye(ref.size)])
+    assert accept_rows(rows, ref, thr).tolist() == [True] + [False] * ref.size
+    failing = ~element_passes(rows, ref, thr)
+    assert not failing[0].any()
+    np.testing.assert_array_equal(np.nonzero(failing[1:])[1], np.arange(ref.size) // 2)
 
 
 def test_decide_fig2_style_scenario():
@@ -57,14 +65,28 @@ def test_decide_fig2_style_scenario():
     inside = h + thr.z * 0.9
     outside = h.copy()
     outside[0, 0] += thr.z * 1.5
-    assert decide(inside * 0 + h, h, thr).accept
-    assert not decide(outside, h, thr).accept
-    assert (0, 0) in decide(outside, h, thr).failing_elements
+    rows = flatten_csi(np.stack([h, inside, outside]))
+    assert accept_rows(rows, flatten_csi(h), thr).tolist() == [True, True, False]
+    assert element_passes(rows, flatten_csi(h), thr)[2].tolist() == [False, True, True, True]
 
 
 def test_decide_shape_mismatch():
+    thr = Threshold(1.0, 1.0)
     with pytest.raises(ValueError):
-        decide(np.ones((2, 2), complex), np.ones((2, 3), complex), Threshold(1.0, 1.0))
+        accept_rows(np.ones((3, 8)), np.ones(12), thr)
+    with pytest.raises(ValueError):
+        accept_rows(np.ones(8), np.ones(8), thr)  # one row must be passed as (1, 8)
+
+
+def test_decide_boundary_is_inclusive_to_the_ulp():
+    thr = Threshold(2.5, 0.25)  # z = 1.25, and z^2 = 0.75^2 + 1^2 exactly
+    ref = flatten_csi(np.full((2, 2), 0.5 - 0.25j))
+    at_z = ref + np.tile([0.75, 1.0], 4)
+    beyond = at_z.copy()
+    beyond[5] = ref[5] + np.nextafter(1.0, 2.0)  # element 2 one ulp outside
+    np.testing.assert_array_equal(at_z - ref, np.tile([0.75, 1.0], 4))
+    rows = np.vstack([at_z, 2 * ref - at_z, beyond])
+    assert accept_rows(rows, ref, thr).tolist() == [True, True, False]
 
 
 @given(seed=st.integers(0, 2**32 - 1), m1=st.floats(0.1, 3.0), m2=st.floats(0.1, 3.0))
@@ -72,27 +94,25 @@ def test_decide_shape_mismatch():
 def test_decide_monotone_in_threshold(seed, m1, m2):
     lo, hi = sorted([m1, m2])
     h = sample_csi(3, 3, RngStream(seed))
-    h_hat = h + 0.3 * sample_csi(3, 3, RngStream(seed, 1))
-    if decide(h_hat, h, Threshold(lo, 0.5)).accept:
-        assert decide(h_hat, h, Threshold(hi + 1e-9, 0.5)).accept
+    noisy = h + 0.3 * np.stack([sample_csi(3, 3, RngStream(seed, i)) for i in range(1, 21)])
+    rows, ref = flatten_csi(noisy), flatten_csi(h)
+    lo_mask = accept_rows(rows, ref, Threshold(lo, 0.5))
+    assert accept_rows(rows, ref, Threshold(hi + 1e-9, 0.5))[lo_mask].all()
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_decide_permutation_equivariant(seed):
     h = sample_csi(2, 3, RngStream(seed))
-    h_hat = h + 0.5 * sample_csi(2, 3, RngStream(seed, 1))
+    noisy = h + 0.5 * np.stack([sample_csi(2, 3, RngStream(seed, i)) for i in range(1, 11)])
+    rows, ref = flatten_csi(noisy), flatten_csi(h)
     thr = Threshold(1.0, 0.25)
-    base = decide(h_hat, h, thr)
-    g = RngStream(seed, 2).generator()
-    perm = g.permutation(6)
-    ph = h.reshape(-1)[perm].reshape(2, 3)
-    ph_hat = h_hat.reshape(-1)[perm].reshape(2, 3)
-    permuted = decide(ph_hat, ph, thr)
-    assert permuted.accept == base.accept
-    base_fail = {int(np.nonzero(perm == n * 3 + m)[0][0]) for n, m in base.failing_elements}
-    perm_fail = {n * 3 + m for n, m in permuted.failing_elements}
-    assert base_fail == perm_fail
+    perm = RngStream(seed, 0).generator().permutation(6)
+    cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()  # keep (re, im) pairs together
+    np.testing.assert_array_equal(accept_rows(rows[:, cols], ref[cols], thr), accept_rows(rows, ref, thr))
+    np.testing.assert_array_equal(
+        element_passes(rows[:, cols], ref[cols], thr), element_passes(rows, ref, thr)[:, perm]
+    )
 
 
 @given(seed=st.integers(0, 2**32 - 1), phase=st.floats(0, 2 * np.pi))
@@ -100,29 +120,13 @@ def test_decide_permutation_equivariant(seed):
 def test_decide_depends_only_on_distance(seed, phase):
     # rotating each per-element difference in the complex plane changes nothing
     h = sample_csi(2, 2, RngStream(seed))
-    diff = 0.4 * sample_csi(2, 2, RngStream(seed, 1))
+    diff = 0.4 * np.stack([sample_csi(2, 2, RngStream(seed, i)) for i in range(1, 11)])
+    ref = flatten_csi(h)
     thr = Threshold(1.2, 0.25)
-    a = decide(h + diff, h, thr)
-    b = decide(h + diff * np.exp(1j * phase), h, thr)
-    assert a.accept == b.accept and a.failing_elements == b.failing_elements
-
-
-def test_per_element_threshold_hook():
-    h = sample_csi(2, 2, RngStream(30))
-    h_hat = h.copy()
-    h_hat[0, 1] += 1.0
-    z = np.full((2, 2), 0.5)
-    assert not decide(h_hat, h, per_element_z=z).accept
-    z[0, 1] = 2.0  # widen just the displaced element's disk
-    assert decide(h_hat, h, per_element_z=z).accept
-    with pytest.raises(ValueError):
-        decide(h_hat, h, Threshold(1.0, 1.0), per_element_z=z)
-    with pytest.raises(ValueError):
-        decide(h_hat, h)
-    with pytest.raises(ValueError):
-        decide(h_hat, h, per_element_z=np.full((3, 2), 0.5))
-    with pytest.raises(ValueError):
-        decide(h_hat, h, per_element_z=-z)
+    a = flatten_csi(h + diff)
+    b = flatten_csi(h + diff * np.exp(1j * phase))
+    np.testing.assert_array_equal(accept_rows(a, ref, thr), accept_rows(b, ref, thr))
+    np.testing.assert_array_equal(element_passes(a, ref, thr), element_passes(b, ref, thr))
 
 
 def test_false_accept_rate_limits():
@@ -138,8 +142,9 @@ def test_legit_acceptance_monotone_over_multiplier_grid():
         RngStream(7).generator().standard_normal((200, 4, 4))
         + 1j * RngStream(8).generator().standard_normal((200, 4, 4))
     )
+    rows, ref = flatten_csi(noisy), flatten_csi(h)
     rates = []
     for mult in (1.0, 3.0, 5.0, 6.0):
         thr = Threshold.from_sigma2(mult, sigma2)
-        rates.append(np.mean([decide(x, h, thr).accept for x in noisy]))
+        rates.append(np.mean(accept_rows(rows, ref, thr)))
     assert all(a <= b for a, b in zip(rates, rates[1:]))
