@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,9 @@ TRAIN_FRACTION = 0.7
 N_ATTACKERS = 5
 SAMPLES_PER_ATTACKER = 80
 _WRITE_BLOCK = 256  # CSV lines joined per write
+# One character wider than the longest label, so that a longer cell is cut to
+# an invalid label and can never be cut to a valid one.
+_LABEL_DTYPE = f"U{len(ILLEGITIMATE) + 1}"
 
 
 class DatasetFormatError(ValueError):
@@ -264,7 +268,11 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Parse and validate a dataset file; every feature must be finite."""
+    """Parse and validate a dataset file; every feature must be finite.
+
+    The body is parsed by one `np.loadtxt` pass, so a number must follow its
+    grammar: Python's `float()` without underscores or non-ASCII digits.
+    """
     path = Path(path)
     mpath = _manifest_path(path)
     if not mpath.exists():
@@ -275,37 +283,65 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
     n_rx, m_tx = manifest.h_true.shape
     expected_header = _csv_header(n_rx, m_tx)
+    n_cells = len(expected_header)
     text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0].split(",") != expected_header:
         raise DatasetFormatError(
             f"{path}: header does not match the {n_rx}x{m_tx} dataset schema"
         )
-    snr, legit, source, rows = [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(expected_header):
-            raise DatasetFormatError(f"{path}:{ln}: expected {len(expected_header)} cells")
-        try:
-            snr.append(float(cells[0]))
-            rows.append([float(c) for c in cells[3:]])
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{ln}: {exc}") from exc
-        label = cells[1]
-        if label not in (LEGITIMATE, ILLEGITIMATE):
-            raise DatasetFormatError(f"{path}:{ln}: unknown label {label!r}")
-        legit.append(label == LEGITIMATE)
-        source.append(cells[2])
-    x = np.array(rows, dtype=float).reshape(len(rows), len(expected_header) - 3)
+    body = lines[1:]
+    dtype = np.dtype([("snr", float), ("label", _LABEL_DTYPE), ("x", float, (n_cells - 3,))])
+    parse = partial(
+        np.loadtxt, dtype=dtype, delimiter=",", usecols=[0, 1, *range(3, n_cells)],
+        comments=None, ndmin=1,
+    )
+    try:
+        rec = parse(body) if body else np.empty(0, dtype)
+    except ValueError as exc:
+        raise _first_bad_line(path, body, n_cells, parse) or DatasetFormatError(
+            f"{path}: {exc}"
+        ) from exc
+    # loadtxt skips empty lines, ignores cells past the last column it reads,
+    # and drops a label's trailing NULs ("legitimate\0" would read as valid)
+    if len(rec) != len(body) or text.count(",") != len(lines) * (n_cells - 1) or "\0" in text:
+        error = _first_bad_line(path, body, n_cells, parse)
+        if error:
+            raise error
+    legit = rec["label"] == LEGITIMATE
+    bad = np.flatnonzero(~legit & (rec["label"] != ILLEGITIMATE))
+    if bad.size:
+        label = body[bad[0]].split(",", 2)[1]
+        raise DatasetFormatError(f"{path}:{bad[0] + 2}: unknown label {label!r}")
+    x = np.ascontiguousarray(rec["x"])
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DatasetFormatError(f"{path}:{bad[0] + 2}: non-finite feature value")
     ds = Dataset(
-        manifest, x, np.array(snr, dtype=float), np.array(legit, dtype=bool),
-        np.array(source, dtype=str),
+        manifest, x, np.ascontiguousarray(rec["snr"]), legit,
+        np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
     verify_counts(ds)
     return ds
+
+
+def _first_bad_line(path, body, n_cells, parse) -> DatasetFormatError | None:
+    """The error naming the first malformed body line, found one line at a time.
+
+    Only a file that fails a bulk check pays for this scan.
+    """
+    for ln, line in enumerate(body, start=2):
+        cells = line.split(",")
+        if len(cells) != n_cells:
+            return DatasetFormatError(f"{path}:{ln}: expected {n_cells} cells")
+        try:
+            parse([line])
+        except ValueError as exc:
+            # numpy's message ends with the cell's position in the one-line parse
+            return DatasetFormatError(f"{path}:{ln}: {str(exc).partition(' at row')[0]}")
+        if cells[1] not in (LEGITIMATE, ILLEGITIMATE):
+            return DatasetFormatError(f"{path}:{ln}: unknown label {cells[1]!r}")
+    return None
 
 
 def verify_counts(dataset: Dataset) -> None:

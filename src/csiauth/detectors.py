@@ -189,6 +189,7 @@ def _forest(trees, n_trees, subsample, threshold, height_limit) -> IForestModel:
         a = np.full(valid.shape, fill, dtype=type(fill))
         a[valid] = np.fromiter(chain.from_iterable(tree[key] for tree in trees), dtype=a.dtype)
         arrays[key] = a
+    _reject_trees(~np.isfinite(arrays["split"]), "a split value is not finite")
     return IForestModel(
         n_trees=n_trees, subsample=subsample, threshold=threshold,
         height_limit=height_limit, n_nodes=n_nodes, **arrays,
@@ -592,30 +593,68 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a detector written by save_model; a malformed file raises
+    ValueError naming it."""
     doc = json.loads(Path(path).read_text())
+    try:
+        return _model_from_doc(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _model_from_doc(doc):
     algo = doc.get("algorithm")
     hp = doc["hyperparameters"]
     payload = doc["payload"]
     if algo == "lof":
-        return LofModel(
-            k=int(hp["k"]), threshold=float(hp["threshold"]),
-            train_points=np.array(payload["train_points"], dtype=float),
-            kdist=np.array(payload["kdist"], dtype=float),
-            lrd=np.array(payload["lrd"], dtype=float),
+        model = LofModel(
+            k=int(hp["k"]), threshold=_finite(hp, "threshold"),
+            train_points=_finite(payload, "train_points", ndim=2),
+            kdist=_finite(payload, "kdist", ndim=1),
+            lrd=_finite(payload, "lrd", ndim=1),
         )
+        n = len(model.train_points)
+        if not 1 <= model.k < n:
+            raise ValueError(f"lof k must satisfy 1 <= k < {n} training rows, got {model.k}")
+        if not len(model.kdist) == len(model.lrd) == n:
+            raise ValueError(
+                f"lof has {n} training rows, {len(model.kdist)} kdist and "
+                f"{len(model.lrd)} lrd values"
+            )
+        return model
     if algo == "iforest":
         return _forest(
             payload["trees"], n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
-            threshold=float(hp["threshold"]), height_limit=int(payload["height_limit"]),
+            threshold=_finite(hp, "threshold"), height_limit=int(payload["height_limit"]),
         )
     if algo == "ocsvm":
-        return OcsvmModel(
-            nu=float(hp["nu"]), gamma=float(hp["gamma"]),
-            support_vectors=np.array(payload["support_vectors"], dtype=float),
-            alphas=np.array(payload["alphas"], dtype=float),
-            rho=float(payload["rho"]), kkt_residual=float(payload["kkt_residual"]),
+        model = OcsvmModel(
+            nu=_finite(hp, "nu"), gamma=_finite(hp, "gamma"),
+            support_vectors=_finite(payload, "support_vectors", ndim=2),
+            alphas=_finite(payload, "alphas", ndim=1),
+            rho=_finite(payload, "rho"), kkt_residual=_finite(payload, "kkt_residual"),
         )
+        if not 0.0 < model.nu <= 1.0:
+            raise ValueError(f"ocsvm nu must be in (0, 1], got {model.nu}")
+        if not model.gamma > 0.0:
+            raise ValueError(f"ocsvm gamma must be > 0, got {model.gamma}")
+        if len(model.alphas) != len(model.support_vectors):
+            raise ValueError(
+                f"ocsvm has {len(model.support_vectors)} support vectors and "
+                f"{len(model.alphas)} alphas"
+            )
+        return model
     raise ValueError(f"unknown detector algorithm {algo!r}")
+
+
+def _finite(doc: dict, key: str, ndim: int = 0):
+    """doc[key] as a float (ndim 0) or a float array of `ndim` dimensions, all finite."""
+    a = np.array(doc[key], dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{key} must have {ndim} dimensions, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key} holds a non-finite value")
+    return float(a) if ndim == 0 else a
 
 
 # ---------------------------------------------------------------------------

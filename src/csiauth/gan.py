@@ -158,7 +158,7 @@ def _generator_step(disc, gen, state_g, b, cfg, latent_gen, dropout_gen):
     fake, tape_g = forward(gen, z, "train")
     pred, tape_d = forward(disc, fake, "train", dropout_gen)
     loss, dscores = bce_loss(pred[:, 0], np.ones(b))
-    _, dfake = backward(disc, tape_d, dscores.reshape(-1, 1))
+    _, dfake = backward(disc, tape_d, dscores.reshape(-1, 1), param_grads=False)
     grads_g, _ = backward(gen, tape_g, dfake, input_grad=False)
     apply_gradients(gen, state_g, grads_g)
     return loss

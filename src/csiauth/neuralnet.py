@@ -170,12 +170,16 @@ def forward(
     return (x[0] if single else x), tape
 
 
-def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray, input_grad: bool = True):
+def backward(
+    net: Mlp, tape: Tape, upstream_grad: np.ndarray, input_grad: bool = True,
+    param_grads: bool = True,
+):
     """Exact reverse-mode gradients; returns ([(dW, db), ...], dinput).
 
     Reuses the dropout masks recorded on the tape, so the gradient matches
     the sampled forward pass exactly. With input_grad=False, dinput is None
-    and the first layer's input product is skipped.
+    and the first layer's input product is skipped; with param_grads=False,
+    every (dW, db) is None and only the chain to the input is computed.
     """
     if tape.net_id != id(net) or tape.version != net.version:
         raise ValueError("stale tape: parameters changed since the forward pass")
@@ -191,7 +195,8 @@ def backward(net: Mlp, tape: Tape, upstream_grad: np.ndarray, input_grad: bool =
         if masked:
             g = g * tape.dropout_masks[i]
         g = _backprop_activation(g, tape.pres[i], tape.acts[i], layer, masked)
-        grads[i] = (g.T @ tape.inputs[i], g.sum(axis=0))
+        if param_grads:
+            grads[i] = (g.T @ tape.inputs[i], g.sum(axis=0))
         if i == 0 and not input_grad:
             return grads, None
         g = g @ layer.weights
@@ -329,9 +334,11 @@ def load_checkpoint(path) -> Mlp:
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')!r}")
     layers = []
-    for spec in doc["layers"]:
+    for i, spec in enumerate(doc["layers"]):
         w = np.array(spec["weights"], dtype=float).reshape(spec["out_dim"], spec["in_dim"])
         b = np.array(spec["biases"], dtype=float)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {i} has a non-finite weight or bias")
         layers.append(DenseLayer(w, b, spec["activation"], spec.get("alpha", 0.3)))
     dropout = {int(i): float(r) for i, r in doc.get("dropout", {}).items()}
     return Mlp(layers, dropout)

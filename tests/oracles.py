@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -312,3 +313,30 @@ def per_matrix_threshold_test(h_hat, h_ref, z):
     |h_hat - h_ref|^2 <= z^2 for every element."""
     d2 = np.abs(np.asarray(h_hat, dtype=complex) - h_ref) ** 2
     return bool(np.all(d2 <= z**2))
+
+
+def read_dataset_by_lines(path, n_cells):
+    """The per-line reader of a dataset CSV body: one `split` and a `float()`
+    per cell, every check naming its line. Returns (x, snr, legit, source)."""
+    from csiauth.datasets import ILLEGITIMATE, LEGITIMATE, DatasetFormatError
+
+    snr, legit, source, rows = [], [], [], []
+    for ln, line in enumerate(Path(path).read_text().splitlines()[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != n_cells:
+            raise DatasetFormatError(f"{path}:{ln}: expected {n_cells} cells")
+        try:
+            snr.append(float(cells[0]))
+            rows.append([float(c) for c in cells[3:]])
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{ln}: {exc}") from exc
+        label = cells[1]
+        if label not in (LEGITIMATE, ILLEGITIMATE):
+            raise DatasetFormatError(f"{path}:{ln}: unknown label {label!r}")
+        legit.append(label == LEGITIMATE)
+        source.append(cells[2])
+    x = np.array(rows, dtype=float).reshape(len(rows), n_cells - 3)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}:{bad[0] + 2}: non-finite feature value")
+    return x, np.array(snr, dtype=float), np.array(legit, dtype=bool), np.array(source, dtype=str)

@@ -1,10 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import read_dataset_by_lines
 from scipy import stats
 
 from csiauth.channel import NoiseModel, flatten_csi
 from csiauth.datasets import (
+    Dataset,
     DatasetFormatError,
+    DatasetManifest,
     NefariousOffsets,
     build_accidental,
     build_master,
@@ -277,3 +284,100 @@ def test_read_dataset_names_malformed_line(tmp_path, fault):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["blank-line", "extra-cell", "comment-mark", "underscore", "long-label", "nul-label",
+     "label-before-float"],
+)
+def test_read_dataset_names_line_the_bulk_parse_would_misread(tmp_path, fault):
+    # np.loadtxt skips blank lines, ignores surplus cells, strips "#..." by
+    # default, cuts fixed-width strings and drops their trailing NULs; each
+    # must still fail, naming line 4. Python's float() accepted "1_0".
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=4)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    if fault == "blank-line":
+        lines[3] = ""
+    elif fault == "extra-cell":
+        lines[3] += ",0.5"
+    elif fault == "comment-mark":
+        cells[9] = "0.5#x"
+    elif fault == "underscore":
+        cells[9] = "1_0"
+    elif fault == "long-label":
+        cells[1] = "illegitimateX"
+    elif fault == "nul-label":
+        cells[1] = "legitimate\0"
+    else:
+        cells[1] = "maybe"
+        after = lines[4].split(",")
+        after[9] = "0.5x"
+        lines[4] = ",".join(after)
+    if fault not in ("blank-line", "extra-cell"):
+        lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
+        read_dataset(path)
+
+
+def _columns_dataset(x, snr, legit, source) -> Dataset:
+    """A test-kind Dataset of the given columns, with a manifest that counts them."""
+    counts = {}
+    for s, is_legit in zip(snr.tolist(), legit.tolist()):
+        key = (s, "legitimate" if is_legit else "illegitimate")
+        counts[key] = counts.get(key, 0) + 1
+    manifest = DatasetManifest(
+        seed=1, kind="test_accidental", snr_grid=sorted(set(snr.tolist())), counts=counts,
+        h_true=np.zeros((4, 4), dtype=complex),
+    )
+    return Dataset(manifest, x, snr, legit, source)
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+
+@given(data=st.data(), n=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_read_dataset_matches_per_line_reader(data, n):
+    def column(elements):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+    doubles = st.one_of(
+        st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    x = np.array(column(st.lists(doubles, min_size=32, max_size=32)), dtype=float).reshape(n, 32)
+    snr = np.array(column(st.sampled_from([-4.0, -0.0, 2.0, 12.5, 30.0])), dtype=float)
+    legit = np.array(column(st.booleans()), dtype=bool)
+    # ids hold no comma, control character or line separator
+    characters = st.characters(
+        blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=","
+    )
+    source = np.array(column(st.text(characters, max_size=40)), dtype=str)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset(path, _columns_dataset(x, snr, legit, source))
+        back = read_dataset(path)
+        want = read_dataset_by_lines(path, 35)
+    for column_name, ref in zip(("x", "snr", "legit", "source"), want):
+        got = getattr(back, column_name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_read_dataset_edge_shapes_and_long_ids(tmp_path, n):
+    gen = RngStream(5).generator()
+    source = np.array(["s" * 39 + str(i) for i in range(n)], dtype=str)
+    ds = _columns_dataset(gen.standard_normal((n, 32)), np.full(n, 4.0), np.zeros(n, bool), source)
+    path = tmp_path / "d.csv"
+    write_dataset(path, ds)
+    back = read_dataset(path)
+    assert back.x.shape == (n, 32) and back.x.flags.c_contiguous
+    for column in ("x", "snr", "legit", "source"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+    assert all(len(s) == 40 for s in back.source)

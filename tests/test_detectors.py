@@ -322,7 +322,7 @@ def _max_depth(tree):
 @pytest.mark.parametrize(
     "rule",
     ["list-lengths", "tree-count", "child-outside-tree", "child-before-parent",
-     "leaf-with-children", "deeper-than-height-limit"],
+     "leaf-with-children", "deeper-than-height-limit", "nan-split", "inf-threshold"],
 )
 def test_load_model_rejects_malformed_iforest(tmp_path, rule):
     model = iforest_fit(gaussian_points(200, 4, seed=42), n_trees=5, subsample=32, rng=RngStream(43))
@@ -341,6 +341,11 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
         tree["right"][0] = 0
     elif rule == "leaf-with-children":
         tree["left"][tree["feature"].index(-1)] = 1
+    elif rule == "nan-split":
+        tree["split"][0] = float("nan")
+    elif rule == "inf-threshold":
+        doc["hyperparameters"]["threshold"] = float("inf")
+        expected = "threshold holds a non-finite"
     else:
         depths = [_max_depth(t) for t in trees]
         doc["payload"]["height_limit"] = max(depths) - 1
@@ -452,6 +457,57 @@ def test_load_model_rejects_unknown(tmp_path):
         load_model(path)
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "y.json")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lof-nan-training-point", "lof-inf-lrd", "lof-short-kdist", "lof-short-lrd",
+     "lof-k-not-below-n", "lof-inf-threshold", "ocsvm-short-alphas", "ocsvm-nan-support-vector",
+     "ocsvm-inf-rho", "ocsvm-zero-gamma", "ocsvm-nu-above-one"],
+)
+def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
+    x = gaussian_points(60, 4, seed=47)
+    model = lof_fit(x, k=10) if case.startswith("lof") else ocsvm_fit(x, nu=0.2)
+    path = tmp_path / "edited.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    hp, payload = doc["hyperparameters"], doc["payload"]
+    if case == "lof-nan-training-point":
+        payload["train_points"][3][1] = float("nan")
+        expected = "train_points holds a non-finite"
+    elif case == "lof-inf-lrd":
+        payload["lrd"][5] = float("inf")
+        expected = "lrd holds a non-finite"
+    elif case == "lof-short-kdist":
+        payload["kdist"].pop()
+        expected = "59 kdist"
+    elif case == "lof-short-lrd":
+        payload["lrd"].pop()
+        expected = "59 lrd"
+    elif case == "lof-k-not-below-n":
+        hp["k"] = 60
+        expected = "k must satisfy"
+    elif case == "lof-inf-threshold":
+        hp["threshold"] = float("inf")
+        expected = "threshold holds a non-finite"
+    elif case == "ocsvm-short-alphas":
+        payload["alphas"].pop()
+        expected = "alphas"
+    elif case == "ocsvm-nan-support-vector":
+        payload["support_vectors"][0][0] = float("nan")
+        expected = "support_vectors holds a non-finite"
+    elif case == "ocsvm-inf-rho":
+        payload["rho"] = float("-inf")
+        expected = "rho holds a non-finite"
+    elif case == "ocsvm-zero-gamma":
+        hp["gamma"] = 0.0
+        expected = "gamma must be > 0"
+    else:
+        hp["nu"] = 1.5
+        expected = "nu must be in"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"edited\.json: .*{expected}"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -371,3 +371,14 @@ def test_leaky_alpha_outside_unit_interval_rejected(tmp_path, alpha):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="alpha"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,bad", [("weights", float("nan")), ("biases", float("inf"))])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, bad):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=17), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][1][name][0] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"ckpt\.json: layer 1 "):
+        load_checkpoint(path)
