@@ -39,8 +39,6 @@ DEFAULT_Z_MULTIPLIERS = (1.0, 3.0, 5.0, 6.0)
 ANALYTIC_CONFIGS = ((1, 1), (2, 2), (4, 4), (8, 8))
 ANALYTIC_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
-DATASET_FILES = ("master", "train", "test", "test_accidental", "test_nefarious")
-
 
 @dataclass
 class RunConfig:
@@ -135,7 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -373,8 +376,8 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_help()
         return 2
-    cfg = resolve_config(args)
     try:
+        cfg = resolve_config(args)
         if args.func is cmd_fit_detector:
             return cmd_fit_detector(cfg, args.algo)
         return args.func(cfg)

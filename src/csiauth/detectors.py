@@ -595,10 +595,11 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Read a detector written by save_model; a malformed file raises
     ValueError naming it."""
-    doc = json.loads(Path(path).read_text())
     try:
-        return _model_from_doc(doc)
-    except ValueError as exc:
+        return _model_from_doc(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -3,8 +3,8 @@
 Supports exactly what the authenticator networks need: fully connected
 layers with leaky-ReLU / tanh / sigmoid / linear activations, inverted
 dropout, binary cross-entropy, and Adam with bias correction, applied in one
-update over each network's flat parameter buffer. Inputs may be single
-vectors or (batch, dim) arrays.
+update over each network's flat parameter buffer. Inputs are (n, dim) rows
+only; a single sample is a (1, dim) row.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class Tape:
 
     net_id: int
     version: int
-    single: bool
     inputs: list[np.ndarray]
     pres: list[np.ndarray]
     acts: list[np.ndarray]
@@ -116,33 +115,23 @@ def forward(
     net: Mlp,
     x: np.ndarray,
     mode: str = "infer",
-    rng: RngStream | np.random.Generator | None = None,
+    rng: np.random.Generator | None = None,
     masks: dict[int, np.ndarray] | None = None,
 ):
-    """Run the network; returns (output, tape).
+    """Run the network on (n, in_dim) rows; returns ((n, out_dim) output, tape).
 
-    In train mode, dropout masks are sampled per call with inverted 1/(1-rate)
-    scaling; infer mode applies no dropout. `rng` may be a stateful Generator
-    (successive calls draw fresh masks) or an RngStream. Pre-sampled `masks`
-    (as recorded on a tape) may be supplied to replay an identical stochastic
-    pass.
+    In train mode, dropout masks are drawn from the Generator `rng` per call
+    with inverted 1/(1-rate) scaling; infer mode applies no dropout.
+    Pre-sampled `masks` (as recorded on a tape) may be supplied to replay an
+    identical stochastic pass.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
     if x.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
-        raise ValueError(
-            f"input has {x.shape[-1] if x.ndim else 0} features, "
-            f"network expects {net.layers[0].in_dim}"
-        )
-    gen = None
-    if mode == "train" and net.dropout and masks is None:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout requires an rng")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        raise ValueError(f"input must be (n, {net.layers[0].in_dim}) rows, got shape {x.shape}")
+    if mode == "train" and net.dropout and masks is None and rng is None:
+        raise ValueError("train-mode forward with dropout requires an rng")
     inputs, pres, acts = [], [], []
     used_masks: dict[int, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
@@ -155,7 +144,7 @@ def forward(
                 mask = masks[i]
             else:
                 # (u >= rate) / (1 - rate), computed in the drawn buffer
-                mask = gen.random(act.shape)
+                mask = rng.random(act.shape)
                 np.greater_equal(mask, rate, out=mask)
                 mask *= 1.0 / (1.0 - rate)
             act = act * mask
@@ -164,10 +153,10 @@ def forward(
         acts.append(act)
         x = act
     tape = Tape(
-        net_id=id(net), version=net.version, single=single,
+        net_id=id(net), version=net.version,
         inputs=inputs, pres=pres, acts=acts, dropout_masks=used_masks,
     )
-    return (x[0] if single else x), tape
+    return x, tape
 
 
 def backward(
@@ -184,8 +173,6 @@ def backward(
     if tape.net_id != id(net) or tape.version != net.version:
         raise ValueError("stale tape: parameters changed since the forward pass")
     g = np.asarray(upstream_grad, dtype=float)
-    if tape.single:
-        g = g[np.newaxis, :]
     if g.shape != tape.acts[-1].shape:
         raise ValueError(f"upstream grad shape {g.shape} != output shape {tape.acts[-1].shape}")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
@@ -200,7 +187,7 @@ def backward(
         if i == 0 and not input_grad:
             return grads, None
         g = g @ layer.weights
-    return grads, (g[0] if tape.single else g)
+    return grads, g
 
 
 def _activate(pre: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -240,19 +227,17 @@ def _backprop_activation(g, pre, act, layer: DenseLayer, act_was_masked: bool) -
 
 
 def bce_loss(pred, target):
-    """Binary cross-entropy with saturation clipping.
+    """Binary cross-entropy with saturation clipping, over (n,) predictions
+    and (n,) targets.
 
-    Returns (mean loss, gradient of the mean w.r.t. each prediction). The
-    gradient is zero where the prediction was clipped, consistent with the
-    clipped loss surface.
+    Returns (mean loss, (n,) gradient of the mean w.r.t. each prediction).
+    The gradient is zero where the prediction was clipped, consistent with
+    the clipped loss surface.
     """
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
-    if p.ndim == 0:
-        loss, grad = bce_loss(p[np.newaxis], np.broadcast_to(t, (1,)))
-        return loss, float(grad[0])
-    if t.shape != p.shape:
-        t = np.broadcast_to(t, p.shape)
+    if p.ndim != 1 or t.shape != p.shape:
+        raise ValueError(f"need (n,) predictions and targets of one shape, got {p.shape}, {t.shape}")
     clipped = np.minimum(np.maximum(p, _CLIP), 1.0 - _CLIP)
     q = 1.0 - clipped
     # -sum / n rounds exactly as the mean of the negated terms
@@ -330,15 +315,22 @@ def save_checkpoint(net: Mlp, path) -> None:
 
 
 def load_checkpoint(path) -> Mlp:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')!r}")
-    layers = []
-    for i, spec in enumerate(doc["layers"]):
-        w = np.array(spec["weights"], dtype=float).reshape(spec["out_dim"], spec["in_dim"])
-        b = np.array(spec["biases"], dtype=float)
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"{path}: layer {i} has a non-finite weight or bias")
-        layers.append(DenseLayer(w, b, spec["activation"], spec.get("alpha", 0.3)))
-    dropout = {int(i): float(r) for i, r in doc.get("dropout", {}).items()}
-    return Mlp(layers, dropout)
+    """Read a network written by save_checkpoint; a malformed file raises
+    ValueError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')!r}")
+        layers = []
+        for i, spec in enumerate(doc["layers"]):
+            w = np.array(spec["weights"], dtype=float).reshape(spec["out_dim"], spec["in_dim"])
+            b = np.array(spec["biases"], dtype=float)
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} has a non-finite weight or bias")
+            layers.append(DenseLayer(w, b, spec["activation"], spec.get("alpha", 0.3)))
+        dropout = {int(i): float(r) for i, r in doc.get("dropout", {}).items()}
+        return Mlp(layers, dropout)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

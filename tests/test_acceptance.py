@@ -224,7 +224,7 @@ def _fd_check(net, loss_fn, in_dim, coords_per_layer, gen, h=1e-5):
     Dropout masks from the recorded tape are replayed for every evaluation.
     """
     while True:
-        x = gen.standard_normal(in_dim)
+        x = gen.standard_normal((1, in_dim))
         if net.dropout:
             out, tape = forward(net, x, "train", gen)
         else:
@@ -272,17 +272,17 @@ def test_criterion_03_gradient_correctness():
             net = build_discriminator(RngStream(1000 + draw))
             target = float(draw % 4 < 2)
 
-            def loss_fn(o, t=target):
-                loss, dpred = bce_loss(float(np.atleast_1d(o)[0]), t)
-                return loss, np.array([dpred])
+            def loss_fn(o, t=np.array([target])):
+                loss, dpred = bce_loss(o[:, 0], t)
+                return loss, dpred.reshape(-1, 1)
 
             worst = max(worst, _fd_check(net, loss_fn, 32, coords_per_layer=6, gen=gen))
         else:
             net = build_generator(RngStream(2000 + draw))
-            c = gen.standard_normal(32)
+            c = gen.standard_normal((1, 32))
 
             def loss_fn(o, c=c):
-                return float(np.dot(np.atleast_1d(o), c)), c
+                return float(np.dot(o[0], c[0])), c
 
             worst = max(worst, _fd_check(net, loss_fn, 5, coords_per_layer=6, gen=gen))
     elapsed = time.perf_counter() - t0

@@ -69,6 +69,22 @@ def test_config_precedence(tmp_path):
     assert resolve_config(args2).seed == cli.DEFAULT_SEED
 
 
+def test_missing_config_file_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("gen", "--config", missing, "--out", tmp_path / "run") == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ['{"seed": 3,', "[3]"], ids=["truncated", "not-an-object"])
+def test_malformed_config_file_errors(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli("gen", "--config", bad, "--out", tmp_path / "run") == 1
+    assert f"error: {bad}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CSIAUTH_OUT", str(tmp_path / "envout"))
     args = build_parser().parse_args(["analytic"])
@@ -139,6 +155,21 @@ def test_train_and_eval_pipeline(tmp_path, fast_config, capsys):
     before = (out / "reports" / "accidental" / "accuracy.csv").read_bytes()
     assert run_cli("report", "--config", fast_config, "--out", out) == 0
     assert (out / "reports" / "accidental" / "accuracy.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("name,key", [("lof_snr0", "payload"), ("gan_snr0", "layers")])
+def test_eval_with_malformed_model_file_errors(tmp_path, fast_config, capsys, name, key):
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("train", "--config", fast_config, "--out", out) == 0
+    assert run_cli("fit-detector", "--algo", "lof", "--config", fast_config, "--out", out) == 0
+    path = out / "models" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", fast_config, "--out", out) == 1
+    assert f"error: {path}: missing key '{key}'" in capsys.readouterr().err
 
 
 def test_train_pooled_single_checkpoint(tmp_path, fast_config):

@@ -510,6 +510,25 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         load_model(path)
 
 
+@pytest.mark.parametrize("case", ["missing-payload", "missing-k", "truncated"])
+def test_load_model_unreadable_document_raises_value_error_naming_file(tmp_path, case):
+    path = tmp_path / "lof.json"
+    save_model(lof_fit(gaussian_points(60, 4, seed=48), k=10), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    if case == "missing-payload":
+        del doc["payload"]
+        text, expected = json.dumps(doc), "missing key 'payload'"
+    elif case == "missing-k":
+        del doc["hyperparameters"]["k"]
+        text, expected = json.dumps(doc), "missing key 'k'"
+    else:
+        text, expected = text[: len(text) // 2], ""
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"lof\.json: {expected}"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("algo", ["lof", "ocsvm"])
 def test_lof_and_ocsvm_reject_non_finite_training_rows(algo, bad):

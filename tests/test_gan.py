@@ -57,9 +57,9 @@ def test_generator_architecture():
     assert g.layers[0].in_dim == 5
     assert [l.out_dim for l in g.layers] == [16, 32, 64, 32]
     assert [l.activation for l in g.layers] == ["leaky_relu", "leaky_relu", "tanh", "linear"]
-    z = RngStream(4).generator().standard_normal(5)
+    z = RngStream(4).generator().standard_normal((1, 5))
     out, _ = forward(g, z)
-    csi = (out[0::2] + 1j * out[1::2]).reshape(4, 4)
+    csi = (out[0, 0::2] + 1j * out[0, 1::2]).reshape(4, 4)
     assert csi.shape == (4, 4)
 
 

@@ -56,36 +56,38 @@ def test_forward_zero_weights_sigmoid_is_half():
     for layer in net.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    out, _ = forward(net, np.ones(5))
-    assert out[0] == pytest.approx(0.5)
+    out, _ = forward(net, np.ones((1, 5)))
+    assert out[0, 0] == pytest.approx(0.5)
 
 
 def test_leaky_relu_negative_slope():
     layer = DenseLayer(np.array([[1.0]]), np.zeros(1), "leaky_relu", alpha=0.3)
     net = Mlp([layer])
-    out, _ = forward(net, np.array([-1.0]))
-    assert out[0] == pytest.approx(-0.3)
+    out, _ = forward(net, np.array([[-1.0]]))
+    assert out[0, 0] == pytest.approx(-0.3)
 
 
 def test_dropout_rate_zero_is_noop():
     net = small_net(dropout={0: 0.0})
-    x = RngStream(1).generator().standard_normal(5)
-    train_out, _ = forward(net, x, "train", RngStream(2))
+    x = RngStream(1).generator().standard_normal((1, 5))
+    train_out, _ = forward(net, x, "train", RngStream(2).generator())
     infer_out, _ = forward(net, x, "infer")
     np.testing.assert_allclose(train_out, infer_out)
 
 
 def test_forward_rejects_bad_input():
     net = small_net()
+    with pytest.raises(ValueError, match=r"\(n, 5\) rows"):
+        forward(net, np.ones((1, 4)))
+    with pytest.raises(ValueError, match=r"\(n, 5\) rows, got shape \(5,\)"):
+        forward(net, np.ones(5))  # a single sample is a (1, 5) row
     with pytest.raises(ValueError):
-        forward(net, np.ones(4))
-    with pytest.raises(ValueError):
-        forward(net, np.ones(5), mode="banana")
+        forward(net, np.ones((1, 5)), mode="banana")
 
 
 def test_infer_mode_is_deterministic_without_rng():
     net = small_net(dropout={0: 0.5})
-    x = np.ones(5)
+    x = np.ones((1, 5))
     a, _ = forward(net, x, "infer")
     b, _ = forward(net, x, "infer")
     np.testing.assert_array_equal(a, b)
@@ -94,31 +96,31 @@ def test_infer_mode_is_deterministic_without_rng():
 def test_train_mode_dropout_requires_rng():
     net = small_net(dropout={0: 0.5})
     with pytest.raises(ValueError):
-        forward(net, np.ones(5), "train")
+        forward(net, np.ones((1, 5)), "train")
 
 
 def test_dropout_inverted_scaling_preserves_mean():
     net = small_net(seed=3, dims=(4, 50, 1), acts=("linear", "linear"), dropout={0: 0.2})
-    x = np.ones(4)
-    base, _ = forward(net, x, "infer")
+    x = np.ones((1, 4))
+    base = forward(net, x, "infer")[0][0, 0]
     gen = RngStream(4).generator()
-    outs = [forward(net, x, "train", gen)[0][0] for _ in range(3000)]
-    assert np.mean(outs) == pytest.approx(base[0], abs=0.05 * max(abs(base[0]), 1.0))
+    outs = [forward(net, x, "train", gen)[0][0, 0] for _ in range(3000)]
+    assert np.mean(outs) == pytest.approx(base, abs=0.05 * max(abs(base), 1.0))
 
 
 def test_backward_matches_finite_differences():
     net = small_net(seed=5)
     gen = RngStream(6).generator()
-    x = gen.standard_normal(5)
-    target = 1.0
+    x = gen.standard_normal((1, 5))
+    target = np.ones(1)
 
     def loss_fn():
         out, _ = forward(net, x)
-        return bce_loss(float(out[0]), target)[0]
+        return bce_loss(out[:, 0], target)[0]
 
     out, tape = forward(net, x)
-    loss, dpred = bce_loss(float(out[0]), target)
-    grads, _ = backward(net, tape, np.array([dpred]))
+    loss, dpred = bce_loss(out[:, 0], target)
+    grads, _ = backward(net, tape, dpred.reshape(-1, 1))
     params = net.parameters()
     flat_grads = []
     for dw, db in grads:
@@ -132,7 +134,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_zero_upstream_gives_zero_grads():
     net = small_net(seed=7)
-    out, tape = forward(net, np.ones(5))
+    out, tape = forward(net, np.ones((1, 5)))
     grads, dx = backward(net, tape, np.zeros_like(out))
     assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
     assert np.all(dx == 0)
@@ -141,12 +143,12 @@ def test_backward_zero_upstream_gives_zero_grads():
 def test_backward_linear_layer_closed_form():
     layer = dense_layer(3, 2, "linear", RngStream(8))
     net = Mlp([layer])
-    x = np.array([1.0, -2.0, 3.0])
-    up = np.array([0.5, -1.5])
+    x = np.array([[1.0, -2.0, 3.0]])
+    up = np.array([[0.5, -1.5]])
     _, tape = forward(net, x)
     grads, dx = backward(net, tape, up)
     np.testing.assert_allclose(grads[0][0], np.outer(up, x))
-    np.testing.assert_allclose(grads[0][1], up)
+    np.testing.assert_allclose(grads[0][1], up[0])
     np.testing.assert_allclose(dx, up @ layer.weights)
 
 
@@ -172,9 +174,9 @@ def test_backward_batch_matches_mean_of_singles():
     grads_batch, _ = backward(net, tape, dpred.reshape(-1, 1))
     acc = None
     for i in range(4):
-        o, t = forward(net, xs[i])
-        _, dp = bce_loss(float(o[0]), 1.0)
-        g, _ = backward(net, t, np.array([dp]))
+        o, t = forward(net, xs[i : i + 1])
+        _, dp = bce_loss(o[:, 0], np.ones(1))
+        g, _ = backward(net, t, dp.reshape(-1, 1))
         flat = [np.concatenate([dw.reshape(-1), db]) for dw, db in g]
         acc = flat if acc is None else [a + b for a, b in zip(acc, flat)]
     for (dw, db), mean_single in zip(grads_batch, acc):
@@ -184,37 +186,58 @@ def test_backward_batch_matches_mean_of_singles():
 
 def test_stale_tape_rejected():
     net = small_net(seed=11)
-    out, tape = forward(net, np.ones(5))
+    out, tape = forward(net, np.ones((1, 5)))
     grads, _ = backward(net, tape, np.ones_like(out))
     apply_gradients(net, AdamState(lr=0.01), grads)
     with pytest.raises(ValueError):
         backward(net, tape, np.ones_like(out))
     other = small_net(seed=11)
-    _, tape2 = forward(other, np.ones(5))
+    _, tape2 = forward(other, np.ones((1, 5)))
     with pytest.raises(ValueError):
         backward(net, tape2, np.ones_like(out))
 
 
+def bce1(pred, target):
+    """bce_loss of one prediction, as a (1,) row; returns (loss, scalar gradient)."""
+    loss, grad = bce_loss(np.array([pred]), np.array([target]))
+    return loss, grad[0]
+
+
 def test_bce_values():
-    loss, _ = bce_loss(0.5, 1.0)
+    loss, _ = bce1(0.5, 1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-12)
-    loss0, _ = bce_loss(0.5, 0.0)
+    loss0, _ = bce1(0.5, 0.0)
     assert loss0 == pytest.approx(np.log(2), abs=1e-12)
-    near_one, _ = bce_loss(1.0 - 1e-9, 1.0)
+    near_one, _ = bce1(1.0 - 1e-9, 1.0)
     assert near_one < 1e-6
 
 
 def test_bce_gradient_matches_finite_difference():
     h = 1e-7
-    _, grad = bce_loss(0.3, 1.0)
-    up = bce_loss(0.3 + h, 1.0)[0]
-    down = bce_loss(0.3 - h, 1.0)[0]
+    _, grad = bce1(0.3, 1.0)
+    up = bce1(0.3 + h, 1.0)[0]
+    down = bce1(0.3 - h, 1.0)[0]
     assert grad == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
 def test_bce_clipping_absorbs_saturation():
-    loss, grad = bce_loss(0.0, 1.0)
+    loss, grad = bce1(0.0, 1.0)
     assert np.isfinite(loss) and grad == 0.0
+
+
+@pytest.mark.parametrize(
+    "pred,target",
+    [
+        (np.array(0.5), np.array(1.0)),  # 0-d prediction
+        (np.full(3, 0.5), np.array(1.0)),  # 0-d target
+        (np.full(3, 0.5), np.ones(1)),  # target shorter than the predictions
+        (np.full((3, 1), 0.5), np.ones((3, 1))),  # a column, not (n,)
+    ],
+    ids=["0d-pred", "0d-target", "short-target", "column"],
+)
+def test_bce_rejects_anything_but_matching_rows(pred, target):
+    with pytest.raises(ValueError, match=r"\(n,\) predictions and targets of one shape"):
+        bce_loss(pred, target)
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -262,14 +285,14 @@ def test_single_step_decreases_loss():
     for trial in range(20):
         net = small_net(seed=100 + trial)
         gen = RngStream(200 + trial).generator()
-        x = gen.standard_normal(5)
-        target = float(gen.integers(0, 2))
+        x = gen.standard_normal((1, 5))
+        target = np.array([float(gen.integers(0, 2))])
         out, tape = forward(net, x)
-        loss, dpred = bce_loss(float(out[0]), target)
-        grads, _ = backward(net, tape, np.array([dpred]))
+        loss, dpred = bce_loss(out[:, 0], target)
+        grads, _ = backward(net, tape, dpred.reshape(-1, 1))
         apply_gradients(net, AdamState(lr=1e-4), grads)
         out2, _ = forward(net, x)
-        loss2, _ = bce_loss(float(out2[0]), target)
+        loss2, _ = bce_loss(out2[:, 0], target)
         assert loss2 < loss
 
 
@@ -281,7 +304,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert doc["format_version"] == 1
     back = load_checkpoint(path)
     assert back.dropout == net.dropout
-    x = np.linspace(-1, 1, 5)
+    x = np.linspace(-1, 1, 5).reshape(1, 5)
     np.testing.assert_array_equal(forward(net, x)[0], forward(back, x)[0])
 
 
@@ -350,7 +373,7 @@ def test_parameters_are_views_into_one_buffer():
 @pytest.mark.parametrize("name", ["weights", "biases"])
 def test_apply_gradients_refuses_rebound_parameters(name):
     net = small_net(seed=15)
-    out, tape = forward(net, np.ones(5))
+    out, tape = forward(net, np.ones((1, 5)))
     grads, _ = backward(net, tape, np.ones_like(out))
     layer = net.layers[1]
     setattr(layer, name, getattr(layer, name).copy())
@@ -381,4 +404,28 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, bad):
     doc["layers"][1][name][0] = bad
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"ckpt\.json: layer 1 "):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        (lambda doc: doc["layers"][0].pop("weights"), "missing key 'weights'"),
+        (lambda doc: doc["layers"][0].update(weights=[0.5]), "cannot reshape array of size 1"),
+        (None, "Expecting"),  # truncated JSON
+    ],
+    ids=["missing-weights", "one-weight", "truncated"],
+)
+def test_checkpoint_malformed_document_raises_value_error_naming_file(tmp_path, edit, expected):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=18), path)
+    text = path.read_text()
+    if edit is None:
+        text = text[:-2]  # drop the closing brace
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"ckpt\.json: {expected}"):
         load_checkpoint(path)
