@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analytic, datasets, detectors, gan, neuralnet
@@ -38,6 +38,10 @@ DEFAULT_OUT = "runs"
 DEFAULT_Z_MULTIPLIERS = (1.0, 3.0, 5.0, 6.0)
 ANALYTIC_CONFIGS = ((1, 1), (2, 2), (4, 4), (8, 8))
 ANALYTIC_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+DETECTOR_OVERRIDES = (
+    "lof_k", "lof_threshold", "iforest_trees", "iforest_subsample", "iforest_threshold",
+    "ocsvm_nu", "ocsvm_gamma",
+)
 
 
 @dataclass
@@ -159,11 +163,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         z_multipliers=tuple(float(m) for m in z_mult),
         jobs=max(1, int(pick(args.jobs, "jobs", 1))),
         pooled=bool(pick(args.pooled, "pooled", False)),
-        gan_overrides=dict(file_cfg.get("gan", {})),
-        detector_overrides=dict(file_cfg.get("detectors", {})),
+        gan_overrides=_overrides(file_cfg, "gan", [f.name for f in fields(gan.TrainConfig)], args.config),
+        detector_overrides=_overrides(file_cfg, "detectors", DETECTOR_OVERRIDES, args.config),
         analytic_trials=int(file_cfg.get("analytic_trials", 50)),
     )
     return cfg
+
+
+def _overrides(file_cfg: dict, section: str, known, path) -> dict:
+    """The config file's `section` object, every key of which must be in `known`."""
+    found = file_cfg.get(section, {})
+    if not isinstance(found, dict):
+        raise ValueError(f'{path}: "{section}" must be a JSON object')
+    unknown = sorted(set(found) - set(known))
+    if unknown:
+        raise ValueError(f'{path}: unknown key {unknown[0]!r} under "{section}"')
+    return dict(found)
 
 
 def _parallel(jobs: int, tasks: list):

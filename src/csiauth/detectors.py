@@ -9,10 +9,11 @@ in the dual by an SMO-style maximal-violating-pair loop.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ IFOREST_THRESHOLD = 0.5
 OCSVM_NU = 0.05
 OCSVM_TOL = 1e-4
 OCSVM_MAX_ITER = 400_000
+DETECTOR_FORMAT_VERSION = 2
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -96,7 +98,10 @@ def _reach_density(d, kdist_rows, kdist, lrd=None):
 # ---------------------------------------------------------------------------
 # Isolation forest
 
-_TREE_FIELDS = ("feature", "split", "left", "right", "size")
+# The node arrays a file stores: (name, packed dtype, padding fill).
+_SAVED_TREE_FIELDS = (
+    ("feature", "<i4", -1), ("split", "<f8", 0.0), ("right", "<i4", -1), ("size", "<i4", 0)
+)
 _ROW_BLOCK = 1024  # rows descended together; bounds the (n_trees, rows) working arrays
 
 
@@ -171,29 +176,37 @@ def _reject_trees(bad: np.ndarray, what: str) -> None:
         raise ValueError(f"iforest tree {int(np.nonzero(bad.any(axis=1))[0][0])}: {what}")
 
 
-def _forest(trees, n_trees, subsample, threshold, height_limit) -> IForestModel:
-    """Stack per-tree node lists (the saved payload layout) into an IForestModel."""
-    if len(trees) != n_trees or n_trees < 1:
-        raise ValueError(f"iforest payload has {len(trees)} trees, n_trees says {n_trees}")
-    for t, tree in enumerate(trees):
-        lengths = {len(tree[key]) for key in _TREE_FIELDS}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ValueError(
-                f"iforest tree {t}: node lists must be non-empty and of one length, got "
-                + ", ".join(f"{key} {len(tree[key])}" for key in _TREE_FIELDS)
-            )
-    n_nodes = np.array([len(tree["feature"]) for tree in trees])
+def _forest(payload, n_trees, subsample, threshold, height_limit) -> IForestModel:
+    """Pad the saved node arrays, every tree's nodes in preorder one tree
+    after another, into an IForestModel."""
+    n_nodes = _unpack(payload, "n_nodes", "<i4", 1).astype(np.int64)
+    if len(n_nodes) != n_trees or n_trees < 1:
+        raise ValueError(f"iforest payload has {len(n_nodes)} trees, n_trees says {n_trees}")
+    empty = np.flatnonzero(n_nodes < 1)
+    if empty.size:
+        raise ValueError(f"iforest tree {empty[0]}: n_nodes is {n_nodes[empty[0]]}, must be >= 1")
+    total = int(n_nodes.sum())
+    nodes = {key: _unpack(payload, key, dtype, 1) for key, dtype, _ in _SAVED_TREE_FIELDS}
+    for key, a in nodes.items():
+        if len(a) != total:
+            raise ValueError(f"iforest {key} holds {len(a)} nodes, n_nodes sums to {total}")
+    # Only now that it matches the stored node count may n_nodes size the padding.
     valid = np.arange(n_nodes.max()) < n_nodes[:, None]
     arrays = {}
-    for key, fill in zip(_TREE_FIELDS, (-1, 0.0, -1, -1, 0)):
-        a = np.full(valid.shape, fill, dtype=type(fill))
-        a[valid] = np.fromiter(chain.from_iterable(tree[key] for tree in trees), dtype=a.dtype)
-        arrays[key] = a
+    for key, _, fill in _SAVED_TREE_FIELDS:
+        arrays[key] = np.full(valid.shape, fill, dtype=type(fill))
+        arrays[key][valid] = nodes[key]
     _reject_trees(~np.isfinite(arrays["split"]), "a split value is not finite")
     return IForestModel(
-        n_trees=n_trees, subsample=subsample, threshold=threshold,
-        height_limit=height_limit, n_nodes=n_nodes, **arrays,
+        n_trees=n_trees, subsample=subsample, threshold=threshold, height_limit=height_limit,
+        n_nodes=n_nodes, left=_left_children(arrays["feature"]), **arrays,
     )
+
+
+def _left_children(feature: np.ndarray) -> np.ndarray:
+    """The left child of every inner node, -1 elsewhere: in preorder a left
+    child always follows its parent, so files store only `right`."""
+    return np.where(feature >= 0, np.arange(1, feature.shape[1] + 1), -1)
 
 
 def iforest_fit(
@@ -316,9 +329,9 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
         top[t] += 2
     used = int(n_nodes.max())
     feature, split, right, size = (a[:, :used].copy() for a in (feature, split, right, size))
-    # A left child always follows its parent in preorder.
-    left = np.where(feature >= 0, np.arange(1, used + 1), -1)
-    return n_nodes, dict(zip(_TREE_FIELDS, (feature, split, left, right, size)))
+    return n_nodes, dict(
+        feature=feature, split=split, left=_left_children(feature), right=right, size=size
+    )
 
 
 class _SplitDraws:
@@ -550,53 +563,57 @@ def ocsvm_decision_values(model: OcsvmModel, points) -> np.ndarray:
 # Serialization
 
 def save_model(model, path) -> None:
+    """Write a detector as one JSON object. Hyperparameters and scalars are
+    JSON numbers; every array is packed as {"dtype", "shape", "base64"}, the
+    base64 of its little-endian bytes: "<f8" for floats, "<i4" for integers.
+    A forest stores each node field as one array, the trees' preorder nodes
+    one tree after another, with n_nodes per tree and no left children."""
     if isinstance(model, LofModel):
-        doc = {
-            "algorithm": "lof",
-            "hyperparameters": {"k": model.k, "threshold": model.threshold},
-            "payload": {
-                "train_points": model.train_points.tolist(),
-                "kdist": model.kdist.tolist(),
-                "lrd": model.lrd.tolist(),
-            },
-        }
+        algorithm = "lof"
+        hp = {"k": model.k, "threshold": model.threshold}
+        payload = {key: _pack(getattr(model, key)) for key in ("train_points", "kdist", "lrd")}
     elif isinstance(model, IForestModel):
-        doc = {
-            "algorithm": "iforest",
-            "hyperparameters": {
-                "n_trees": model.n_trees,
-                "subsample": model.subsample,
-                "threshold": model.threshold,
-            },
-            "payload": {
-                "height_limit": model.height_limit,
-                "trees": [
-                    {key: getattr(model, key)[t, :n].tolist() for key in _TREE_FIELDS}
-                    for t, n in enumerate(model.n_nodes)
-                ],
-            },
+        algorithm = "iforest"
+        hp = {"n_trees": model.n_trees, "subsample": model.subsample, "threshold": model.threshold}
+        valid = np.arange(model.feature.shape[1]) < model.n_nodes[:, None]
+        payload = {
+            "height_limit": model.height_limit,
+            "n_nodes": _pack(model.n_nodes),
+            **{key: _pack(getattr(model, key)[valid]) for key, _, _ in _SAVED_TREE_FIELDS},
         }
     elif isinstance(model, OcsvmModel):
-        doc = {
-            "algorithm": "ocsvm",
-            "hyperparameters": {"nu": model.nu, "gamma": model.gamma},
-            "payload": {
-                "support_vectors": model.support_vectors.tolist(),
-                "alphas": model.alphas.tolist(),
-                "rho": model.rho,
-                "kkt_residual": model.kkt_residual,
-            },
+        algorithm = "ocsvm"
+        hp = {"nu": model.nu, "gamma": model.gamma}
+        payload = {
+            "support_vectors": _pack(model.support_vectors),
+            "alphas": _pack(model.alphas),
+            "rho": model.rho,
+            "kkt_residual": model.kkt_residual,
         }
     else:
         raise TypeError(f"not a detector model: {type(model).__name__}")
+    doc = {
+        "format_version": DETECTOR_FORMAT_VERSION,
+        "algorithm": algorithm,
+        "hyperparameters": hp,
+        "payload": payload,
+    }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path):
-    """Read a detector written by save_model; a malformed file raises
-    ValueError naming it."""
+    """Read a detector written by save_model; a malformed file, or one of
+    an older format, raises ValueError naming it."""
     try:
-        return _model_from_doc(json.loads(Path(path).read_text()))
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
+            raise ValueError(
+                f"detector file format {doc.get('format_version')!r} is not "
+                f"{DETECTOR_FORMAT_VERSION}; re-run `csiauth fit-detector` to rewrite it"
+            )
+        return _model_from_doc(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -610,9 +627,9 @@ def _model_from_doc(doc):
     if algo == "lof":
         model = LofModel(
             k=int(hp["k"]), threshold=_finite(hp, "threshold"),
-            train_points=_finite(payload, "train_points", ndim=2),
-            kdist=_finite(payload, "kdist", ndim=1),
-            lrd=_finite(payload, "lrd", ndim=1),
+            train_points=_finite_array(payload, "train_points", ndim=2),
+            kdist=_finite_array(payload, "kdist", ndim=1),
+            lrd=_finite_array(payload, "lrd", ndim=1),
         )
         n = len(model.train_points)
         if not 1 <= model.k < n:
@@ -625,14 +642,14 @@ def _model_from_doc(doc):
         return model
     if algo == "iforest":
         return _forest(
-            payload["trees"], n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
+            payload, n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
             threshold=_finite(hp, "threshold"), height_limit=int(payload["height_limit"]),
         )
     if algo == "ocsvm":
         model = OcsvmModel(
             nu=_finite(hp, "nu"), gamma=_finite(hp, "gamma"),
-            support_vectors=_finite(payload, "support_vectors", ndim=2),
-            alphas=_finite(payload, "alphas", ndim=1),
+            support_vectors=_finite_array(payload, "support_vectors", ndim=2),
+            alphas=_finite_array(payload, "alphas", ndim=1),
             rho=_finite(payload, "rho"), kkt_residual=_finite(payload, "kkt_residual"),
         )
         if not 0.0 < model.nu <= 1.0:
@@ -648,14 +665,50 @@ def _model_from_doc(doc):
     raise ValueError(f"unknown detector algorithm {algo!r}")
 
 
-def _finite(doc: dict, key: str, ndim: int = 0):
-    """doc[key] as a float (ndim 0) or a float array of `ndim` dimensions, all finite."""
-    a = np.array(doc[key], dtype=float)
-    if a.ndim != ndim:
-        raise ValueError(f"{key} must have {ndim} dimensions, got shape {a.shape}")
+def _pack(a: np.ndarray) -> dict:
+    dtype = "<f8" if a.dtype.kind == "f" else "<i4"
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {
+        "dtype": dtype, "shape": list(a.shape), "base64": base64.b64encode(data).decode("ascii")
+    }
+
+
+def _unpack(doc: dict, key: str, dtype: str, ndim: int) -> np.ndarray:
+    """The packed array doc[key], which must hold exactly `dtype` data of a
+    shape with `ndim` dimensions. The result is read-only."""
+    packed = doc[key]
+    if not isinstance(packed, dict):
+        raise ValueError(f"{key} must be a packed array object, got {type(packed).__name__}")
+    if packed["dtype"] != dtype:
+        raise ValueError(f"{key} has dtype {packed['dtype']!r}, expected {dtype!r}")
+    shape = packed["shape"]
+    if not (
+        isinstance(shape, list) and len(shape) == ndim
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ValueError(f"{key} must have a shape of {ndim} dimensions, got {shape!r}")
+    try:
+        data = base64.b64decode(packed["base64"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{key} is not valid base64: {exc}") from exc
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) != size:
+        raise ValueError(f"{key} holds {len(data)} bytes, shape {shape} needs {size}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+def _finite_array(doc: dict, key: str, ndim: int) -> np.ndarray:
+    a = _unpack(doc, key, "<f8", ndim)
     if not np.isfinite(a).all():
         raise ValueError(f"{key} holds a non-finite value")
-    return float(a) if ndim == 0 else a
+    return a
+
+
+def _finite(doc: dict, key: str) -> float:
+    value = float(doc[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} holds a non-finite value")
+    return value
 
 
 # ---------------------------------------------------------------------------

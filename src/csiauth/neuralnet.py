@@ -319,6 +319,8 @@ def load_checkpoint(path) -> Mlp:
     ValueError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')!r}")
         layers = []

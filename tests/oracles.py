@@ -79,13 +79,16 @@ def paper_disk_probability(region, std):
     return p
 
 
+IFOREST_TREE_FIELDS = ("feature", "split", "left", "right", "size")
+
+
 def iforest_fit_by_recursion(train, n_trees, subsample, rng, threshold=0.5):
-    """An isolation forest grown one tree at a time by recursion, as a saved
-    model document.
+    """An isolation forest grown one tree at a time by recursion, as a
+    format-1 model document (per-tree node lists).
 
     Tree t draws choice, then integers and uniform at each split in
-    preorder, from rng.substream("iforest-tree", t), so the document is
-    byte for byte what csiauth.detectors.iforest_fit must save.
+    preorder, from rng.substream("iforest-tree", t), so the trees are node
+    for node what csiauth.detectors.iforest_fit must grow.
     """
     x = np.asarray(train, dtype=float)
     n = x.shape[0]
@@ -117,7 +120,7 @@ def iforest_fit_by_recursion(train, n_trees, subsample, rng, threshold=0.5):
     trees = []
     for t in range(n_trees):
         g = rng.substream("iforest-tree", t).generator()
-        tree = {key: [] for key in ("feature", "split", "left", "right", "size")}
+        tree = {key: [] for key in IFOREST_TREE_FIELDS}
         grow(tree, g.choice(n, size=subsample, replace=False), 0, g)
         trees.append(tree)
     return {
@@ -127,8 +130,74 @@ def iforest_fit_by_recursion(train, n_trees, subsample, rng, threshold=0.5):
     }
 
 
+def format1_document(model):
+    """A detector as the document of detector file format 1, the layout
+    before packed arrays: every array as nested lists of decimal numbers,
+    and a forest as per-tree node lists with left children. Parsing its
+    JSON text gives the reference values a format-2 file must load to."""
+    from csiauth.detectors import IForestModel, LofModel, OcsvmModel
+
+    if isinstance(model, LofModel):
+        return {
+            "algorithm": "lof",
+            "hyperparameters": {"k": model.k, "threshold": model.threshold},
+            "payload": {
+                "train_points": model.train_points.tolist(),
+                "kdist": model.kdist.tolist(),
+                "lrd": model.lrd.tolist(),
+            },
+        }
+    if isinstance(model, IForestModel):
+        return {
+            "algorithm": "iforest",
+            "hyperparameters": {
+                "n_trees": model.n_trees,
+                "subsample": model.subsample,
+                "threshold": model.threshold,
+            },
+            "payload": {
+                "height_limit": model.height_limit,
+                "trees": [
+                    {key: getattr(model, key)[t, :n].tolist() for key in IFOREST_TREE_FIELDS}
+                    for t, n in enumerate(model.n_nodes)
+                ],
+            },
+        }
+    if isinstance(model, OcsvmModel):
+        return {
+            "algorithm": "ocsvm",
+            "hyperparameters": {"nu": model.nu, "gamma": model.gamma},
+            "payload": {
+                "support_vectors": model.support_vectors.tolist(),
+                "alphas": model.alphas.tolist(),
+                "rho": model.rho,
+                "kkt_residual": model.kkt_residual,
+            },
+        }
+    raise TypeError(f"not a detector model: {type(model).__name__}")
+
+
+def forest_from_trees(doc):
+    """The IForestModel of a format-1 iForest document: its per-tree node
+    lists padded into arrays, left children as the lists give them."""
+    from csiauth.detectors import IForestModel
+
+    trees = doc["payload"]["trees"]
+    n_nodes = np.array([len(tree["feature"]) for tree in trees])
+    arrays = {}
+    for key, fill in zip(IFOREST_TREE_FIELDS, (-1, 0.0, -1, -1, 0)):
+        arrays[key] = np.full((len(trees), n_nodes.max()), fill, dtype=type(fill))
+        for row, tree in zip(arrays[key], trees):
+            row[: len(tree[key])] = tree[key]
+    hp = doc["hyperparameters"]
+    return IForestModel(
+        n_trees=hp["n_trees"], subsample=hp["subsample"], threshold=hp["threshold"],
+        height_limit=doc["payload"]["height_limit"], n_nodes=n_nodes, **arrays,
+    )
+
+
 def iforest_scores_by_walk(model_json_doc, x):
-    """Isolation-forest scores from a saved model document, one tree at a time.
+    """Isolation-forest scores from a format-1 model document, one tree at a time.
 
     Each tree is walked with a stack of (node, rows, depth); a leaf adds
     depth + c(size) to its rows, and the per-tree paths are summed in tree

@@ -85,6 +85,19 @@ def test_malformed_config_file_errors(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "section,key,command",
+    [("gan", "epochs", ["train"]), ("detectors", "lof_kk", ["fit-detector", "--algo", "lof"])],
+    ids=["gan", "detectors"],
+)
+def test_unknown_config_key_errors(tmp_path, capsys, section, key, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: 2}}))
+    assert run_cli(*command, "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f'error: {path}: unknown key {key!r} under "{section}"\n'
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CSIAUTH_OUT", str(tmp_path / "envout"))
     args = build_parser().parse_args(["analytic"])
@@ -170,6 +183,22 @@ def test_eval_with_malformed_model_file_errors(tmp_path, fast_config, capsys, na
     capsys.readouterr()
     assert run_cli("eval", "--config", fast_config, "--out", out) == 1
     assert f"error: {path}: missing key '{key}'" in capsys.readouterr().err
+
+
+def test_eval_with_top_level_array_model_file_errors(tmp_path, fast_config, capsys):
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("train", "--config", fast_config, "--out", out) == 0
+    for algo in ("lof", "iforest", "ocsvm"):
+        assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 0
+    for name in ("gan_snr4", "lof_snr4"):
+        path = out / "models" / f"{name}.json"
+        text = path.read_text()
+        path.write_text("[1, 2]")
+        capsys.readouterr()
+        assert run_cli("eval", "--config", fast_config, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+        path.write_text(text)
 
 
 def test_train_pooled_single_checkpoint(tmp_path, fast_config):

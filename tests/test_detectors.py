@@ -1,12 +1,24 @@
+import base64
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
-from oracles import brute_force_lof, iforest_fit_by_recursion, iforest_scores_by_walk
+from oracles import (
+    brute_force_lof,
+    forest_from_trees,
+    format1_document,
+    iforest_fit_by_recursion,
+    iforest_scores_by_walk,
+)
 
 from csiauth.detectors import (
     _ROW_BLOCK,
     ConvergenceError,
+    IForestModel,
+    LofModel,
+    OcsvmModel,
     _SplitDraws,
     iforest_fit,
     iforest_scores,
@@ -255,17 +267,14 @@ def test_iforest_fit_matches_recursive_growth(tmp_path, case):
     elif case == "constant-columns":
         x[:, [1, 4]] = 2.5
     rng = RngStream(49)
-    fitted, grown, reference = (tmp_path / name for name in ("fit.json", "grown.json", "ref.json"))
-    save_model(iforest_fit(x, rng=rng, **kwargs), fitted)
-    grown.write_text(json.dumps(iforest_fit_by_recursion(x, rng=rng, **kwargs)))
-    save_model(load_model(grown), reference)
-    assert fitted.read_bytes() == reference.read_bytes()
-
-
-def _saved_doc(model, tmp_path):
-    path = tmp_path / "iforest.json"
-    save_model(model, path)
-    return json.loads(path.read_text())
+    fitted = iforest_fit(x, rng=rng, **kwargs)
+    grown = forest_from_trees(iforest_fit_by_recursion(x, rng=rng, **kwargs))
+    for key in ("n_nodes", "feature", "left", "right", "size"):
+        np.testing.assert_array_equal(getattr(fitted, key), getattr(grown, key))
+    fitted_path, grown_path = tmp_path / "fit.json", tmp_path / "grown.json"
+    save_model(fitted, fitted_path)
+    save_model(grown, grown_path)
+    assert fitted_path.read_bytes() == grown_path.read_bytes()
 
 
 def _split_queries(doc):
@@ -300,7 +309,7 @@ def test_iforest_scores_match_tree_walk(tmp_path, case):
     elif case == "beyond-row-block":
         q = gaussian_points(2 * _ROW_BLOCK + 17, 4, seed=40, scale=2.0)
     model = iforest_fit(x, rng=RngStream(41), **kwargs)
-    doc = _saved_doc(model, tmp_path)
+    doc = format1_document(model)
     if case == "identical-train":
         assert all(len(tree["feature"]) == 1 for tree in doc["payload"]["trees"])
     elif case == "query-on-split":
@@ -319,41 +328,93 @@ def _max_depth(tree):
     return max(depth.values())
 
 
+def _unpacked(packed):
+    """A writable copy of a packed array of a detector file."""
+    data = base64.b64decode(packed["base64"])
+    return np.frombuffer(data, dtype=packed["dtype"]).reshape(packed["shape"]).copy()
+
+
+def _packed(a, dtype):
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(np.shape(a)), "base64": base64.b64encode(data).decode()}
+
+
+def _edit(part, key, change):
+    """Replace the packed array part[key] by change(a copy of it)."""
+    part[key] = _packed(change(_unpacked(part[key])), part[key]["dtype"])
+
+
+def _set(index, value):
+    def change(a):
+        a[index] = value
+        return a
+    return change
+
+
+def _saved_doc(model, tmp_path):
+    path = tmp_path / "saved.json"
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _rejects(tmp_path, doc, expected):
+    """load_model of doc, written to edited.json, raises ValueError naming
+    the file with `expected` (a literal) in its message."""
+    path = tmp_path / "edited.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"edited\.json: .*{re.escape(expected)}"):
+        load_model(path)
+
+
 @pytest.mark.parametrize(
     "rule",
-    ["list-lengths", "tree-count", "child-outside-tree", "child-before-parent",
-     "leaf-with-children", "deeper-than-height-limit", "nan-split", "inf-threshold"],
+    ["list-lengths", "n-nodes-sum", "huge-n-nodes", "empty-tree", "tree-count",
+     "child-outside-tree", "child-before-parent", "leaf-with-children", "inner-node-at-end",
+     "deeper-than-height-limit", "nan-split", "inf-threshold"],
 )
 def test_load_model_rejects_malformed_iforest(tmp_path, rule):
     model = iforest_fit(gaussian_points(200, 4, seed=42), n_trees=5, subsample=32, rng=RngStream(43))
     doc = _saved_doc(model, tmp_path)
-    trees = doc["payload"]["trees"]
-    tree = trees[2]
+    payload = doc["payload"]
+    # Tree 2's nodes sit at [start, end) of each node array.
+    start = int(model.n_nodes[:2].sum())
+    end = start + int(model.n_nodes[2])
+    first_leaf = start + int(np.flatnonzero(model.feature[2] == -1)[0])
     expected = "tree 2"
     if rule == "list-lengths":
-        tree["split"].pop()
+        _edit(payload, "split", lambda a: a[:-1])
+        expected = f"split holds {model.n_nodes.sum() - 1} nodes, n_nodes sums to {model.n_nodes.sum()}"
+    elif rule == "n-nodes-sum":
+        _edit(payload, "n_nodes", _set(4, model.n_nodes[4] + 1))
+        expected = f"n_nodes sums to {model.n_nodes.sum() + 1}"
+    elif rule == "huge-n-nodes":
+        # Rejected before any (n_trees, max n_nodes) array is allocated.
+        _edit(payload, "n_nodes", _set(2, 2**31 - 1))
+        expected = f"n_nodes sums to {model.n_nodes.sum() - model.n_nodes[2] + 2**31 - 1}"
+    elif rule == "empty-tree":
+        _edit(payload, "n_nodes", lambda a: a + np.array([0, 0, -int(a[2]), int(a[2]), 0]))
     elif rule == "tree-count":
         doc["hyperparameters"]["n_trees"] = 6
         expected = "6"
     elif rule == "child-outside-tree":
-        tree["left"][0] = len(tree["feature"])
+        _edit(payload, "right", _set(start, end - start))
     elif rule == "child-before-parent":
-        tree["right"][0] = 0
+        _edit(payload, "right", _set(start, 0))
     elif rule == "leaf-with-children":
-        tree["left"][tree["feature"].index(-1)] = 1
+        _edit(payload, "right", _set(first_leaf, 1))
+    elif rule == "inner-node-at-end":
+        # Its implied left child, the next node, is outside the tree.
+        _edit(payload, "feature", _set(end - 1, 0))
     elif rule == "nan-split":
-        tree["split"][0] = float("nan")
+        _edit(payload, "split", _set(start, float("nan")))
     elif rule == "inf-threshold":
         doc["hyperparameters"]["threshold"] = float("inf")
         expected = "threshold holds a non-finite"
     else:
-        depths = [_max_depth(t) for t in trees]
-        doc["payload"]["height_limit"] = max(depths) - 1
+        depths = [_max_depth(t) for t in format1_document(model)["payload"]["trees"]]
+        payload["height_limit"] = max(depths) - 1
         expected = f"tree {depths.index(max(depths))}"
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=expected):
-        load_model(path)
+    _rejects(tmp_path, doc, expected)
 
 
 def test_iforest_rejects_points_too_narrow_for_model():
@@ -468,21 +529,19 @@ def test_load_model_rejects_unknown(tmp_path):
 def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
     x = gaussian_points(60, 4, seed=47)
     model = lof_fit(x, k=10) if case.startswith("lof") else ocsvm_fit(x, nu=0.2)
-    path = tmp_path / "edited.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text())
+    doc = _saved_doc(model, tmp_path)
     hp, payload = doc["hyperparameters"], doc["payload"]
     if case == "lof-nan-training-point":
-        payload["train_points"][3][1] = float("nan")
+        _edit(payload, "train_points", _set((3, 1), float("nan")))
         expected = "train_points holds a non-finite"
     elif case == "lof-inf-lrd":
-        payload["lrd"][5] = float("inf")
+        _edit(payload, "lrd", _set(5, float("inf")))
         expected = "lrd holds a non-finite"
     elif case == "lof-short-kdist":
-        payload["kdist"].pop()
+        _edit(payload, "kdist", lambda a: a[:-1])
         expected = "59 kdist"
     elif case == "lof-short-lrd":
-        payload["lrd"].pop()
+        _edit(payload, "lrd", lambda a: a[:-1])
         expected = "59 lrd"
     elif case == "lof-k-not-below-n":
         hp["k"] = 60
@@ -491,10 +550,10 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         hp["threshold"] = float("inf")
         expected = "threshold holds a non-finite"
     elif case == "ocsvm-short-alphas":
-        payload["alphas"].pop()
+        _edit(payload, "alphas", lambda a: a[:-1])
         expected = "alphas"
     elif case == "ocsvm-nan-support-vector":
-        payload["support_vectors"][0][0] = float("nan")
+        _edit(payload, "support_vectors", _set((0, 0), float("nan")))
         expected = "support_vectors holds a non-finite"
     elif case == "ocsvm-inf-rho":
         payload["rho"] = float("-inf")
@@ -505,9 +564,119 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
     else:
         hp["nu"] = 1.5
         expected = "nu must be in"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=rf"edited\.json: .*{expected}"):
-        load_model(path)
+    _rejects(tmp_path, doc, expected)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["format-1-document", "format-version-1", "missing-format-version", "top-level-array",
+     "float-dtype", "int-dtype", "short-bytes", "shape-too-large", "negative-shape",
+     "shape-dimensions", "non-base64-character", "not-packed", "inf-in-packed-floats"],
+)
+def test_load_model_rejects_bad_packed_layout(tmp_path, case):
+    x = gaussian_points(60, 4, seed=47)
+    lof = lof_fit(x, k=10)
+    doc = _saved_doc(lof, tmp_path)
+    payload = doc["payload"]
+    rerun = "re-run `csiauth fit-detector`"
+    if case == "format-1-document":
+        doc, expected = json.dumps(format1_document(lof)), f"format None is not 2; {rerun}"
+    elif case == "format-version-1":
+        doc["format_version"], expected = 1, f"format 1 is not 2; {rerun}"
+    elif case == "missing-format-version":
+        del doc["format_version"]
+        expected = rerun
+    elif case == "top-level-array":
+        doc, expected = "[1, 2]", "expected a JSON object"
+    elif case == "float-dtype":
+        payload["train_points"] = _packed(lof.train_points, "<f4")
+        expected = "train_points has dtype '<f4', expected '<f8'"
+    elif case == "int-dtype":
+        model = iforest_fit(x, n_trees=5, subsample=32, rng=RngStream(43))
+        doc = _saved_doc(model, tmp_path)
+        doc["payload"]["feature"]["dtype"] = "<i8"
+        expected = "feature has dtype '<i8', expected '<i4'"
+    elif case == "short-bytes":
+        _edit(payload, "train_points", lambda a: a[:-1])
+        payload["train_points"]["shape"] = [60, 4]
+        expected = "train_points holds 1888 bytes, shape [60, 4] needs 1920"
+    elif case == "shape-too-large":
+        payload["kdist"]["shape"] = [61]
+        expected = "kdist holds 480 bytes, shape [61] needs 488"
+    elif case == "negative-shape":
+        payload["train_points"]["shape"] = [-1, 4]
+        expected = "train_points must have a shape of 2 dimensions, got [-1, 4]"
+    elif case == "shape-dimensions":
+        payload["train_points"]["shape"] = [240]
+        expected = "train_points must have a shape of 2 dimensions, got [240]"
+    elif case == "non-base64-character":
+        text = payload["lrd"]["base64"]
+        payload["lrd"]["base64"] = text[:8] + "!" + text[9:]
+        expected = "lrd is not valid base64"
+    elif case == "not-packed":
+        payload["kdist"] = lof.kdist.tolist()
+        expected = "kdist must be a packed array object, got list"
+    else:
+        _edit(payload, "kdist", _set(7, float("-inf")))
+        expected = "kdist holds a non-finite"
+    _rejects(tmp_path, doc, expected)
+
+
+def _edge_model(algo):
+    """A model whose stored floats include -0.0, subnormals and values near
+    +-1e308, built directly (no fit would produce them)."""
+    edge = np.array([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+                     1e308, 0.1, -1.0 / 3.0])
+    rows = np.vstack([edge, edge[::-1], np.roll(edge, 3)]).reshape(-1, 4)
+    if algo == "lof":
+        return LofModel(k=3, train_points=rows, threshold=-0.0, kdist=edge[:6], lrd=edge[2:])
+    if algo == "ocsvm":
+        return OcsvmModel(nu=5e-324, gamma=1.7976931348623157e308, support_vectors=rows,
+                          alphas=edge[:6], rho=-0.0, kkt_residual=-2.5e-310)
+    model = iforest_fit(gaussian_points(200, 4, seed=42), n_trees=5, subsample=32, rng=RngStream(43))
+    inner = model.feature >= 0
+    split = model.split.copy()
+    split[inner] = np.resize(edge, int(inner.sum()))
+    return dataclasses.replace(model, split=split, threshold=5e-324)
+
+
+def _format1_values(doc):
+    """Every number of a parsed format-1 document, by model attribute: arrays
+    as float64 or int64 arrays (a forest's node lists concatenated), scalars
+    as float64."""
+    payload = doc["payload"]
+    if doc["algorithm"] == "iforest":
+        values = {
+            key: np.array([v for tree in payload["trees"] for v in tree[key]],
+                          dtype=float if key == "split" else np.int64)
+            for key in ("feature", "split", "left", "right", "size")
+        }
+        values["n_nodes"] = np.array([len(tree["feature"]) for tree in payload["trees"]])
+        values["threshold"] = np.float64(doc["hyperparameters"]["threshold"])
+        return values
+    values = {}
+    for key, v in {**doc["hyperparameters"], **payload}.items():
+        values[key] = np.array(v, dtype=np.int64 if key == "k" else float)
+    return values
+
+
+@pytest.mark.parametrize("algo", ["lof", "iforest", "ocsvm"])
+def test_load_model_matches_format1_text_bit_for_bit(tmp_path, algo):
+    model = _edge_model(algo)
+    path = tmp_path / f"{algo}.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    reference = json.loads(json.dumps(format1_document(model), sort_keys=True))
+    for key, want in _format1_values(reference).items():
+        got = getattr(loaded, key)
+        if isinstance(loaded, IForestModel) and key not in ("n_nodes", "threshold"):
+            got = got[np.arange(got.shape[1]) < loaded.n_nodes[:, None]]
+        got = np.asarray(got, dtype=want.dtype)
+        assert got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+    again = tmp_path / f"{algo}-again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("case", ["missing-payload", "missing-k", "truncated"])
