@@ -42,6 +42,9 @@ DETECTOR_OVERRIDES = (
     "lof_k", "lof_threshold", "iforest_trees", "iforest_subsample", "iforest_threshold",
     "ocsvm_nu", "ocsvm_gamma",
 )
+CONFIG_KEYS = (
+    "seed", "out", "snr_grid", "z_mult", "jobs", "pooled", "gan", "detectors", "analytic_trials",
+)
 
 
 @dataclass
@@ -143,6 +146,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
+    try:
+        return _run_config(args, file_cfg)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        if args.config is None:
+            raise
+        raise ValueError(f"{args.config}: {exc}") from exc
+
+
+def _run_config(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
+    _check_keys(file_cfg, CONFIG_KEYS, "")
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -156,29 +169,37 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(grid, str):
         grid = parse_snr_grid(grid)
     z_mult = pick(args.z_mult, "z_mult", DEFAULT_Z_MULTIPLIERS)
-    cfg = RunConfig(
+    pooled = pick(args.pooled, "pooled", False)
+    if not isinstance(pooled, bool):
+        raise ValueError(f'"pooled" must be true or false, got {pooled!r}')
+    return RunConfig(
         seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
         out_dir=Path(out),
         snr_grid=tuple(float(s) for s in grid),
         z_multipliers=tuple(float(m) for m in z_mult),
         jobs=max(1, int(pick(args.jobs, "jobs", 1))),
-        pooled=bool(pick(args.pooled, "pooled", False)),
-        gan_overrides=_overrides(file_cfg, "gan", [f.name for f in fields(gan.TrainConfig)], args.config),
-        detector_overrides=_overrides(file_cfg, "detectors", DETECTOR_OVERRIDES, args.config),
+        pooled=pooled,
+        gan_overrides=_overrides(file_cfg, "gan", [f.name for f in fields(gan.TrainConfig)]),
+        detector_overrides=_overrides(file_cfg, "detectors", DETECTOR_OVERRIDES),
         analytic_trials=int(file_cfg.get("analytic_trials", 50)),
     )
-    return cfg
 
 
-def _overrides(file_cfg: dict, section: str, known, path) -> dict:
+def _overrides(file_cfg: dict, section: str, known) -> dict:
     """The config file's `section` object, every key of which must be in `known`."""
     found = file_cfg.get(section, {})
     if not isinstance(found, dict):
-        raise ValueError(f'{path}: "{section}" must be a JSON object')
-    unknown = sorted(set(found) - set(known))
-    if unknown:
-        raise ValueError(f'{path}: unknown key {unknown[0]!r} under "{section}"')
+        raise ValueError(f'"{section}" must be a JSON object')
+    _check_keys(found, known, f' under "{section}"')
     return dict(found)
+
+
+def _check_keys(found: dict, known, where: str) -> None:
+    """Reject the first key of `found` that is not in `known`: a misspelt
+    key would otherwise do nothing."""
+    for key in found:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}{where}")
 
 
 def _parallel(jobs: int, tasks: list):

@@ -9,8 +9,6 @@ in the dual by an SMO-style maximal-violating-pair loop.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .packed import finite_array, pack, unpack
 from .rng import RngStream
 
 LOF_K = 20
@@ -179,14 +178,14 @@ def _reject_trees(bad: np.ndarray, what: str) -> None:
 def _forest(payload, n_trees, subsample, threshold, height_limit) -> IForestModel:
     """Pad the saved node arrays, every tree's nodes in preorder one tree
     after another, into an IForestModel."""
-    n_nodes = _unpack(payload, "n_nodes", "<i4", 1).astype(np.int64)
+    n_nodes = unpack(payload, "n_nodes", "<i4", 1).astype(np.int64)
     if len(n_nodes) != n_trees or n_trees < 1:
         raise ValueError(f"iforest payload has {len(n_nodes)} trees, n_trees says {n_trees}")
     empty = np.flatnonzero(n_nodes < 1)
     if empty.size:
         raise ValueError(f"iforest tree {empty[0]}: n_nodes is {n_nodes[empty[0]]}, must be >= 1")
     total = int(n_nodes.sum())
-    nodes = {key: _unpack(payload, key, dtype, 1) for key, dtype, _ in _SAVED_TREE_FIELDS}
+    nodes = {key: unpack(payload, key, dtype, 1) for key, dtype, _ in _SAVED_TREE_FIELDS}
     for key, a in nodes.items():
         if len(a) != total:
             raise ValueError(f"iforest {key} holds {len(a)} nodes, n_nodes sums to {total}")
@@ -564,29 +563,27 @@ def ocsvm_decision_values(model: OcsvmModel, points) -> np.ndarray:
 
 def save_model(model, path) -> None:
     """Write a detector as one JSON object. Hyperparameters and scalars are
-    JSON numbers; every array is packed as {"dtype", "shape", "base64"}, the
-    base64 of its little-endian bytes: "<f8" for floats, "<i4" for integers.
-    A forest stores each node field as one array, the trees' preorder nodes
+    JSON numbers; every array is packed exactly (csiauth.packed). A forest stores each node field as one array, the trees' preorder nodes
     one tree after another, with n_nodes per tree and no left children."""
     if isinstance(model, LofModel):
         algorithm = "lof"
         hp = {"k": model.k, "threshold": model.threshold}
-        payload = {key: _pack(getattr(model, key)) for key in ("train_points", "kdist", "lrd")}
+        payload = {key: pack(getattr(model, key)) for key in ("train_points", "kdist", "lrd")}
     elif isinstance(model, IForestModel):
         algorithm = "iforest"
         hp = {"n_trees": model.n_trees, "subsample": model.subsample, "threshold": model.threshold}
         valid = np.arange(model.feature.shape[1]) < model.n_nodes[:, None]
         payload = {
             "height_limit": model.height_limit,
-            "n_nodes": _pack(model.n_nodes),
-            **{key: _pack(getattr(model, key)[valid]) for key, _, _ in _SAVED_TREE_FIELDS},
+            "n_nodes": pack(model.n_nodes),
+            **{key: pack(getattr(model, key)[valid]) for key, _, _ in _SAVED_TREE_FIELDS},
         }
     elif isinstance(model, OcsvmModel):
         algorithm = "ocsvm"
         hp = {"nu": model.nu, "gamma": model.gamma}
         payload = {
-            "support_vectors": _pack(model.support_vectors),
-            "alphas": _pack(model.alphas),
+            "support_vectors": pack(model.support_vectors),
+            "alphas": pack(model.alphas),
             "rho": model.rho,
             "kkt_residual": model.kkt_residual,
         }
@@ -627,9 +624,9 @@ def _model_from_doc(doc):
     if algo == "lof":
         model = LofModel(
             k=int(hp["k"]), threshold=_finite(hp, "threshold"),
-            train_points=_finite_array(payload, "train_points", ndim=2),
-            kdist=_finite_array(payload, "kdist", ndim=1),
-            lrd=_finite_array(payload, "lrd", ndim=1),
+            train_points=finite_array(payload, "train_points", ndim=2),
+            kdist=finite_array(payload, "kdist", ndim=1),
+            lrd=finite_array(payload, "lrd", ndim=1),
         )
         n = len(model.train_points)
         if not 1 <= model.k < n:
@@ -648,8 +645,8 @@ def _model_from_doc(doc):
     if algo == "ocsvm":
         model = OcsvmModel(
             nu=_finite(hp, "nu"), gamma=_finite(hp, "gamma"),
-            support_vectors=_finite_array(payload, "support_vectors", ndim=2),
-            alphas=_finite_array(payload, "alphas", ndim=1),
+            support_vectors=finite_array(payload, "support_vectors", ndim=2),
+            alphas=finite_array(payload, "alphas", ndim=1),
             rho=_finite(payload, "rho"), kkt_residual=_finite(payload, "kkt_residual"),
         )
         if not 0.0 < model.nu <= 1.0:
@@ -663,45 +660,6 @@ def _model_from_doc(doc):
             )
         return model
     raise ValueError(f"unknown detector algorithm {algo!r}")
-
-
-def _pack(a: np.ndarray) -> dict:
-    dtype = "<f8" if a.dtype.kind == "f" else "<i4"
-    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {
-        "dtype": dtype, "shape": list(a.shape), "base64": base64.b64encode(data).decode("ascii")
-    }
-
-
-def _unpack(doc: dict, key: str, dtype: str, ndim: int) -> np.ndarray:
-    """The packed array doc[key], which must hold exactly `dtype` data of a
-    shape with `ndim` dimensions. The result is read-only."""
-    packed = doc[key]
-    if not isinstance(packed, dict):
-        raise ValueError(f"{key} must be a packed array object, got {type(packed).__name__}")
-    if packed["dtype"] != dtype:
-        raise ValueError(f"{key} has dtype {packed['dtype']!r}, expected {dtype!r}")
-    shape = packed["shape"]
-    if not (
-        isinstance(shape, list) and len(shape) == ndim
-        and all(type(n) is int and n >= 0 for n in shape)
-    ):
-        raise ValueError(f"{key} must have a shape of {ndim} dimensions, got {shape!r}")
-    try:
-        data = base64.b64decode(packed["base64"], validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"{key} is not valid base64: {exc}") from exc
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if len(data) != size:
-        raise ValueError(f"{key} holds {len(data)} bytes, shape {shape} needs {size}")
-    return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-
-def _finite_array(doc: dict, key: str, ndim: int) -> np.ndarray:
-    a = _unpack(doc, key, "<f8", ndim)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{key} holds a non-finite value")
-    return a
 
 
 def _finite(doc: dict, key: str) -> float:

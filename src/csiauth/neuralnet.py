@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .packed import finite_array, pack
 from .rng import RngStream
 
 ACTIVATIONS = ("leaky_relu", "tanh", "sigmoid", "linear")
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 _CLIP = 1e-7
 
 
@@ -58,6 +59,12 @@ class Mlp:
             # np.maximum(pre, alpha * pre) is leaky ReLU only for 0 <= alpha <= 1
             if layer.activation == "leaky_relu" and not 0.0 <= layer.alpha <= 1.0:
                 raise ValueError(f"leaky_relu alpha must be in [0, 1], got {layer.alpha}")
+            w_shape, b_shape = np.shape(layer.weights), np.shape(layer.biases)
+            if len(w_shape) != 2 or b_shape != w_shape[:1]:
+                raise ValueError(
+                    f"layer {i} has weights of shape {w_shape} and biases of shape "
+                    f"{b_shape}; need (out, in) and (out,)"
+                )
             if i and layer.in_dim != self.layers[i - 1].out_dim:
                 raise ValueError(
                     f"layer {i} expects {layer.in_dim} inputs, previous emits "
@@ -296,16 +303,21 @@ def apply_gradients(net: Mlp, state: AdamState, grads: list[tuple[np.ndarray, np
 # Checkpoints
 
 def save_checkpoint(net: Mlp, path) -> None:
+    """Write a network as one JSON object: per layer its activation, its
+    leaky-ReLU slope and its packed (out, in) weights and (out,) biases
+    (csiauth.packed), plus the dropout rates. A non-finite weight or bias
+    raises ValueError naming the layer, and nothing is written."""
+    for i, layer in enumerate(net.layers):
+        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
+            raise ValueError(f"{path}: layer {i} has a non-finite weight or bias; not saved")
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layers": [
             {
-                "in_dim": l.in_dim,
-                "out_dim": l.out_dim,
                 "activation": l.activation,
                 "alpha": l.alpha,
-                "weights": [float(v) for v in l.weights.reshape(-1)],
-                "biases": [float(v) for v in l.biases],
+                "weights": pack(l.weights),
+                "biases": pack(l.biases),
             }
             for l in net.layers
         ],
@@ -315,22 +327,28 @@ def save_checkpoint(net: Mlp, path) -> None:
 
 
 def load_checkpoint(path) -> Mlp:
-    """Read a network written by save_checkpoint; a malformed file raises
-    ValueError naming it."""
+    """Read a network written by save_checkpoint; a malformed file, or one
+    of an older format, raises ValueError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')!r}")
+            raise ValueError(
+                f"checkpoint format {doc.get('format_version')!r} is not "
+                f"{CHECKPOINT_FORMAT_VERSION}; re-run `csiauth train` to rewrite it"
+            )
         layers = []
         for i, spec in enumerate(doc["layers"]):
-            w = np.array(spec["weights"], dtype=float).reshape(spec["out_dim"], spec["in_dim"])
-            b = np.array(spec["biases"], dtype=float)
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has a non-finite weight or bias")
-            layers.append(DenseLayer(w, b, spec["activation"], spec.get("alpha", 0.3)))
-        dropout = {int(i): float(r) for i, r in doc.get("dropout", {}).items()}
+            try:
+                w = finite_array(spec, "weights", ndim=2)
+                b = finite_array(spec, "biases", ndim=1)
+            except ValueError as exc:
+                raise ValueError(f"layer {i} {exc}") from None
+            layers.append(DenseLayer(w, b, spec["activation"], spec["alpha"]))
+        if not isinstance(doc["dropout"], dict):
+            raise ValueError("dropout must be a JSON object")
+        dropout = {int(i): float(r) for i, r in doc["dropout"].items()}
         return Mlp(layers, dropout)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc

@@ -1,5 +1,6 @@
 """Independent reference implementations used as test oracles."""
 
+import base64
 import math
 from pathlib import Path
 
@@ -175,6 +176,53 @@ def format1_document(model):
             },
         }
     raise TypeError(f"not a detector model: {type(model).__name__}")
+
+
+def format1_checkpoint(net):
+    """A network as the document of checkpoint format 1, the layout before
+    packed arrays: every weight and bias as a decimal number, with the
+    layer's dims beside them."""
+    return {
+        "format_version": 1,
+        "layers": [
+            {
+                "in_dim": layer.in_dim,
+                "out_dim": layer.out_dim,
+                "activation": layer.activation,
+                "alpha": layer.alpha,
+                "weights": [float(v) for v in layer.weights.reshape(-1)],
+                "biases": [float(v) for v in layer.biases],
+            }
+            for layer in net.layers
+        ],
+        "dropout": {str(i): rate for i, rate in sorted(net.dropout.items())},
+    }
+
+
+def pack_array(a, dtype):
+    """{"dtype", "shape", "base64"} of `a` as `dtype` data, written without
+    csiauth.packed."""
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(np.shape(a)), "base64": base64.b64encode(data).decode()}
+
+
+def unpack_array(packed):
+    """A writable copy of a packed array of a model file."""
+    data = base64.b64decode(packed["base64"])
+    return np.frombuffer(data, dtype=packed["dtype"]).reshape(packed["shape"]).copy()
+
+
+def edit_packed(part, key, change):
+    """Replace the packed array part[key] by change(a copy of it)."""
+    part[key] = pack_array(change(unpack_array(part[key])), part[key]["dtype"])
+
+
+def set_at(index, value):
+    """An edit_packed change that sets one element."""
+    def change(a):
+        a[index] = value
+        return a
+    return change
 
 
 def forest_from_trees(doc):

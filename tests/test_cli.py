@@ -98,6 +98,33 @@ def test_unknown_config_key_errors(tmp_path, capsys, section, key, command):
     assert not (tmp_path / "run").exists()
 
 
+def test_unknown_top_level_config_key_errors(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"sed": 3, "analytc_trials": 2}))
+    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown key 'sed'\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,expected",
+    [
+        ({"analytic_trials": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+        ({"seed": None}, "int() argument must be"),
+        ({"snr_grid": "nope"}, "expected a:b:step, got 'nope'"),
+        ({"gan": [2]}, '"gan" must be a JSON object'),
+        ({"pooled": "no"}, '"pooled" must be true or false, got \'no\''),
+    ],
+    ids=["trials", "seed", "grid", "gan", "pooled"],
+)
+def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("analytic", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {expected}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CSIAUTH_OUT", str(tmp_path / "envout"))
     args = build_parser().parse_args(["analytic"])
@@ -201,12 +228,48 @@ def test_eval_with_top_level_array_model_file_errors(tmp_path, fast_config, caps
         path.write_text(text)
 
 
-def test_train_pooled_single_checkpoint(tmp_path, fast_config):
+def test_train_pooled_single_checkpoint(tmp_path, fast_config, capsys):
     out = tmp_path / "run"
     assert run_cli("gen", "--config", fast_config, "--out", out) == 0
     assert run_cli("train", "--pooled", "--config", fast_config, "--out", out) == 0
     assert (out / "models" / "gan_pooled.json").exists()
     assert len(list((out / "models").glob("gan_pooled*.json"))) == 1
+    assert not list((out / "models").glob("gan_snr*.json"))
+
+    for algo in ("lof", "iforest", "ocsvm"):
+        assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 0
+    assert run_cli("eval", "--pooled", "--config", fast_config, "--out", out) == 0
+    for ds in ("accidental", "nefarious"):
+        test_set = read_dataset(out / "datasets" / f"test_{ds}.csv")
+        for snr in (0, 4, 8):
+            doc = json.loads((out / "reports" / ds / f"confusion_gan_{snr}.json").read_text())
+            counts = [doc[k] for k in ("real_real", "real_fake", "fake_real", "fake_fake")]
+            assert sum(counts) == (test_set.snr == snr).sum() > 0
+
+    (out / "models" / "gan_pooled.json").unlink()
+    capsys.readouterr()
+    assert run_cli("eval", "--pooled", "--config", fast_config, "--out", out) == 1
+    assert "run `csiauth train --pooled` first" in capsys.readouterr().err
+
+
+def test_train_refuses_to_save_a_diverged_network(tmp_path, fast_config, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    train_gan = cli.gan.train_gan
+
+    def diverged(rows, tc, stream):
+        disc, report = train_gan(rows, tc, stream)
+        disc.params[7] = float("nan")
+        return disc, report
+
+    monkeypatch.setattr(cli.gan, "train_gan", diverged)
+    capsys.readouterr()
+    assert run_cli("train", "--pooled", "--config", fast_config, "--out", out) == 1
+    path = out / "models" / "gan_pooled.json"
+    assert capsys.readouterr().err == (
+        f"error: {path}: layer 0 has a non-finite weight or bias; not saved\n"
+    )
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("algo", ["lof", "iforest", "ocsvm"])

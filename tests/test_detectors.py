@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import re
@@ -7,10 +6,13 @@ import numpy as np
 import pytest
 from oracles import (
     brute_force_lof,
+    edit_packed,
     forest_from_trees,
     format1_document,
     iforest_fit_by_recursion,
     iforest_scores_by_walk,
+    pack_array,
+    set_at,
 )
 
 from csiauth.detectors import (
@@ -328,29 +330,6 @@ def _max_depth(tree):
     return max(depth.values())
 
 
-def _unpacked(packed):
-    """A writable copy of a packed array of a detector file."""
-    data = base64.b64decode(packed["base64"])
-    return np.frombuffer(data, dtype=packed["dtype"]).reshape(packed["shape"]).copy()
-
-
-def _packed(a, dtype):
-    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {"dtype": dtype, "shape": list(np.shape(a)), "base64": base64.b64encode(data).decode()}
-
-
-def _edit(part, key, change):
-    """Replace the packed array part[key] by change(a copy of it)."""
-    part[key] = _packed(change(_unpacked(part[key])), part[key]["dtype"])
-
-
-def _set(index, value):
-    def change(a):
-        a[index] = value
-        return a
-    return change
-
-
 def _saved_doc(model, tmp_path):
     path = tmp_path / "saved.json"
     save_model(model, path)
@@ -382,31 +361,31 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
     first_leaf = start + int(np.flatnonzero(model.feature[2] == -1)[0])
     expected = "tree 2"
     if rule == "list-lengths":
-        _edit(payload, "split", lambda a: a[:-1])
+        edit_packed(payload, "split", lambda a: a[:-1])
         expected = f"split holds {model.n_nodes.sum() - 1} nodes, n_nodes sums to {model.n_nodes.sum()}"
     elif rule == "n-nodes-sum":
-        _edit(payload, "n_nodes", _set(4, model.n_nodes[4] + 1))
+        edit_packed(payload, "n_nodes", set_at(4, model.n_nodes[4] + 1))
         expected = f"n_nodes sums to {model.n_nodes.sum() + 1}"
     elif rule == "huge-n-nodes":
         # Rejected before any (n_trees, max n_nodes) array is allocated.
-        _edit(payload, "n_nodes", _set(2, 2**31 - 1))
+        edit_packed(payload, "n_nodes", set_at(2, 2**31 - 1))
         expected = f"n_nodes sums to {model.n_nodes.sum() - model.n_nodes[2] + 2**31 - 1}"
     elif rule == "empty-tree":
-        _edit(payload, "n_nodes", lambda a: a + np.array([0, 0, -int(a[2]), int(a[2]), 0]))
+        edit_packed(payload, "n_nodes", lambda a: a + np.array([0, 0, -int(a[2]), int(a[2]), 0]))
     elif rule == "tree-count":
         doc["hyperparameters"]["n_trees"] = 6
         expected = "6"
     elif rule == "child-outside-tree":
-        _edit(payload, "right", _set(start, end - start))
+        edit_packed(payload, "right", set_at(start, end - start))
     elif rule == "child-before-parent":
-        _edit(payload, "right", _set(start, 0))
+        edit_packed(payload, "right", set_at(start, 0))
     elif rule == "leaf-with-children":
-        _edit(payload, "right", _set(first_leaf, 1))
+        edit_packed(payload, "right", set_at(first_leaf, 1))
     elif rule == "inner-node-at-end":
         # Its implied left child, the next node, is outside the tree.
-        _edit(payload, "feature", _set(end - 1, 0))
+        edit_packed(payload, "feature", set_at(end - 1, 0))
     elif rule == "nan-split":
-        _edit(payload, "split", _set(start, float("nan")))
+        edit_packed(payload, "split", set_at(start, float("nan")))
     elif rule == "inf-threshold":
         doc["hyperparameters"]["threshold"] = float("inf")
         expected = "threshold holds a non-finite"
@@ -532,16 +511,16 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
     doc = _saved_doc(model, tmp_path)
     hp, payload = doc["hyperparameters"], doc["payload"]
     if case == "lof-nan-training-point":
-        _edit(payload, "train_points", _set((3, 1), float("nan")))
+        edit_packed(payload, "train_points", set_at((3, 1), float("nan")))
         expected = "train_points holds a non-finite"
     elif case == "lof-inf-lrd":
-        _edit(payload, "lrd", _set(5, float("inf")))
+        edit_packed(payload, "lrd", set_at(5, float("inf")))
         expected = "lrd holds a non-finite"
     elif case == "lof-short-kdist":
-        _edit(payload, "kdist", lambda a: a[:-1])
+        edit_packed(payload, "kdist", lambda a: a[:-1])
         expected = "59 kdist"
     elif case == "lof-short-lrd":
-        _edit(payload, "lrd", lambda a: a[:-1])
+        edit_packed(payload, "lrd", lambda a: a[:-1])
         expected = "59 lrd"
     elif case == "lof-k-not-below-n":
         hp["k"] = 60
@@ -550,10 +529,10 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         hp["threshold"] = float("inf")
         expected = "threshold holds a non-finite"
     elif case == "ocsvm-short-alphas":
-        _edit(payload, "alphas", lambda a: a[:-1])
+        edit_packed(payload, "alphas", lambda a: a[:-1])
         expected = "alphas"
     elif case == "ocsvm-nan-support-vector":
-        _edit(payload, "support_vectors", _set((0, 0), float("nan")))
+        edit_packed(payload, "support_vectors", set_at((0, 0), float("nan")))
         expected = "support_vectors holds a non-finite"
     elif case == "ocsvm-inf-rho":
         payload["rho"] = float("-inf")
@@ -589,7 +568,7 @@ def test_load_model_rejects_bad_packed_layout(tmp_path, case):
     elif case == "top-level-array":
         doc, expected = "[1, 2]", "expected a JSON object"
     elif case == "float-dtype":
-        payload["train_points"] = _packed(lof.train_points, "<f4")
+        payload["train_points"] = pack_array(lof.train_points, "<f4")
         expected = "train_points has dtype '<f4', expected '<f8'"
     elif case == "int-dtype":
         model = iforest_fit(x, n_trees=5, subsample=32, rng=RngStream(43))
@@ -597,7 +576,7 @@ def test_load_model_rejects_bad_packed_layout(tmp_path, case):
         doc["payload"]["feature"]["dtype"] = "<i8"
         expected = "feature has dtype '<i8', expected '<i4'"
     elif case == "short-bytes":
-        _edit(payload, "train_points", lambda a: a[:-1])
+        edit_packed(payload, "train_points", lambda a: a[:-1])
         payload["train_points"]["shape"] = [60, 4]
         expected = "train_points holds 1888 bytes, shape [60, 4] needs 1920"
     elif case == "shape-too-large":
@@ -617,7 +596,7 @@ def test_load_model_rejects_bad_packed_layout(tmp_path, case):
         payload["kdist"] = lof.kdist.tolist()
         expected = "kdist must be a packed array object, got list"
     else:
-        _edit(payload, "kdist", _set(7, float("-inf")))
+        edit_packed(payload, "kdist", set_at(7, float("-inf")))
         expected = "kdist holds a non-finite"
     _rejects(tmp_path, doc, expected)
 

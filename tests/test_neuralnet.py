@@ -1,9 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import activation_slope, two_branch_sigmoid, where_leaky_relu
+from oracles import (
+    activation_slope,
+    edit_packed,
+    format1_checkpoint,
+    pack_array,
+    set_at,
+    two_branch_sigmoid,
+    where_leaky_relu,
+)
 
 from csiauth.neuralnet import (
     AdamState,
@@ -301,17 +310,26 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
+    assert [sorted(layer) for layer in doc["layers"]] == [
+        ["activation", "alpha", "biases", "weights"]
+    ] * 2
+    assert doc["layers"][0]["weights"]["shape"] == [3, 5]
+    assert doc["layers"][0]["biases"]["shape"] == [3]
     back = load_checkpoint(path)
     assert back.dropout == net.dropout
+    assert back.params.tobytes() == net.params.tobytes()
     x = np.linspace(-1, 1, 5).reshape(1, 5)
     np.testing.assert_array_equal(forward(net, x)[0], forward(back, x)[0])
+    again = tmp_path / "again.json"
+    save_checkpoint(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format_version": 99, "layers": []}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad\.json: checkpoint format 99 is not 2"):
         load_checkpoint(path)
 
 
@@ -401,20 +419,37 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, bad):
     path = tmp_path / "ckpt.json"
     save_checkpoint(small_net(seed=17), path)
     doc = json.loads(path.read_text())
-    doc["layers"][1][name][0] = bad
+    edit_packed(doc["layers"][1], name, set_at(0, bad))
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"ckpt\.json: layer 1 "):
+    with pytest.raises(ValueError, match=rf"ckpt\.json: layer 1 {name} holds a non-finite value"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,bad", [("weights", float("nan")), ("biases", float("-inf"))])
+def test_save_checkpoint_refuses_non_finite_parameters(tmp_path, name, bad):
+    net = small_net(seed=19)
+    getattr(net.layers[1], name).flat[0] = bad
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match=r"ckpt\.json: layer 1 has a non-finite weight or bias"):
+        save_checkpoint(net, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
     "edit,expected",
     [
         (lambda doc: doc["layers"][0].pop("weights"), "missing key 'weights'"),
-        (lambda doc: doc["layers"][0].update(weights=[0.5]), "cannot reshape array of size 1"),
+        (lambda doc: edit_packed(doc["layers"][0], "weights", lambda a: a.reshape(-1)[:1]),
+         "layer 0 weights must have a shape of 2 dimensions, got [1]"),
+        (lambda doc: doc["layers"][0]["weights"].update(shape=[3, 1]),
+         "layer 0 weights holds 120 bytes, shape [3, 1] needs 24"),
+        (lambda doc: doc["layers"][1].pop("alpha"), "missing key 'alpha'"),
+        (lambda doc: doc.pop("dropout"), "missing key 'dropout'"),
+        (lambda doc: doc.update(dropout=[0.2]), "dropout must be a JSON object"),
         (None, "Expecting"),  # truncated JSON
     ],
-    ids=["missing-weights", "one-weight", "truncated"],
+    ids=["missing-weights", "one-weight", "short-shape", "missing-alpha", "missing-dropout",
+         "dropout-list", "truncated"],
 )
 def test_checkpoint_malformed_document_raises_value_error_naming_file(tmp_path, edit, expected):
     path = tmp_path / "ckpt.json"
@@ -427,5 +462,90 @@ def test_checkpoint_malformed_document_raises_value_error_naming_file(tmp_path, 
         edit(doc)
         text = json.dumps(doc)
     path.write_text(text)
+    with pytest.raises(ValueError, match=rf"ckpt\.json: {re.escape(expected)}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "shape,expected",
+    [((1,), r"layer 0 has weights of shape \(3, 5\) and biases of shape \(1,\)"),
+     ((4,), r"layer 0 has weights of shape \(3, 5\) and biases of shape \(4,\)"),
+     ((3, 1), r"layer 0 biases must have a shape of 1 dimensions, got \[3, 1\]")],
+    ids=["one", "four", "column"],
+)
+def test_mlp_rejects_biases_not_of_out_dim(tmp_path, shape, expected):
+    with pytest.raises(ValueError, match=r"layer 0 has weights of shape \(3, 5\) and biases"):
+        Mlp([DenseLayer(np.ones((3, 5)), np.full(shape, 0.25), "leaky_relu")])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=20), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["biases"] = pack_array(np.full(shape, 0.25), "<f8")
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=rf"ckpt\.json: {expected}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["format-1-document", "missing-format-version", "top-level-array", "float32-weights",
+     "int-biases", "short-bytes", "nan-in-packed-weights", "not-packed"],
+)
+def test_checkpoint_rejects_bad_packed_layout(tmp_path, case):
+    net = small_net(seed=21, dropout={0: 0.2})
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    layer = doc["layers"][0]
+    rerun = "; re-run `csiauth train` to rewrite it"
+    if case == "format-1-document":
+        doc, expected = format1_checkpoint(net), f"checkpoint format 1 is not 2{rerun}"
+    elif case == "missing-format-version":
+        del doc["format_version"]
+        expected = f"checkpoint format None is not 2{rerun}"
+    elif case == "top-level-array":
+        doc, expected = [doc], "expected a JSON object"
+    elif case == "float32-weights":
+        layer["weights"] = pack_array(net.layers[0].weights, "<f4")
+        expected = "layer 0 weights has dtype '<f4', expected '<f8'"
+    elif case == "int-biases":
+        layer["biases"] = pack_array(np.zeros(3), "<i4")
+        expected = "layer 0 biases has dtype '<i4', expected '<f8'"
+    elif case == "short-bytes":
+        edit_packed(layer, "weights", lambda a: a.reshape(-1)[:-1])
+        layer["weights"]["shape"] = [3, 5]
+        expected = "layer 0 weights holds 112 bytes, shape [3, 5] needs 120"
+    elif case == "nan-in-packed-weights":
+        edit_packed(layer, "weights", set_at((2, 4), float("nan")))
+        expected = "layer 0 weights holds a non-finite value"
+    else:
+        layer["biases"] = net.layers[0].biases.tolist()
+        expected = "layer 0 biases must be a packed array object, got list"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"ckpt\.json: {re.escape(expected)}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_matches_format1_text_bit_for_bit(tmp_path):
+    """-0.0, subnormals and the largest doubles load with the bits that
+    parsing the decimal text of checkpoint format 1 gives."""
+    edge = np.array([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e308, 0.1, -1.0 / 3.0, 2.0**-1074 * 3])
+    net = Mlp([
+        DenseLayer(np.resize(edge, (3, 5)), edge[:3], "leaky_relu", 0.3),
+        DenseLayer(np.resize(edge[::-1], (2, 3)), edge[-2:], "tanh"),
+        DenseLayer(np.resize(np.roll(edge, 4), (1, 2)), edge[4:5], "sigmoid"),
+    ], {1: 0.2})
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    loaded = load_checkpoint(path)
+    reference = json.loads(json.dumps(format1_checkpoint(net), sort_keys=True))
+    want = np.array([v for layer in reference["layers"] for key in ("weights", "biases")
+                     for v in layer[key]], dtype=float)
+    assert loaded.params.tobytes() == want.tobytes()
+    assert [(l.activation, l.alpha) for l in loaded.layers] == [
+        (layer["activation"], layer["alpha"]) for layer in reference["layers"]
+    ]
+    assert loaded.dropout == {1: 0.2}
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
