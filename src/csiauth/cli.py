@@ -169,6 +169,8 @@ def _run_config(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
     if isinstance(grid, str):
         grid = parse_snr_grid(grid)
     z_mult = pick(args.z_mult, "z_mult", DEFAULT_Z_MULTIPLIERS)
+    if isinstance(z_mult, str):
+        z_mult = parse_multipliers(z_mult)
     pooled = pick(args.pooled, "pooled", False)
     if not isinstance(pooled, bool):
         raise ValueError(f'"pooled" must be true or false, got {pooled!r}')

@@ -457,3 +457,55 @@ def read_dataset_by_lines(path, n_cells):
     if bad.size:
         raise DatasetFormatError(f"{path}:{bad[0] + 2}: non-finite feature value")
     return x, np.array(snr, dtype=float), np.array(legit, dtype=bool), np.array(source, dtype=str)
+
+
+def _whole_sq_dists(a, b):
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def _whole_reach_density(d, kdist_rows, kdist, lrd=None):
+    neigh = d <= kdist_rows[:, np.newaxis]
+    count = neigh.sum(axis=1)
+    np.maximum(d, kdist, out=d)  # reach-distances
+    np.copyto(d, 0.0, where=~neigh)
+    lrd_rows = count / d.sum(axis=1)
+    if lrd is None:
+        return lrd_rows, None
+    np.copyto(d, lrd, where=neigh)
+    return lrd_rows, d.sum(axis=1) / count
+
+
+def whole_matrix_lof_fit(x, k, threshold=1.5):
+    """LOF fit over the whole (n, n) distance matrix at once, in fresh
+    temporaries; the blocked csiauth.detectors.lof_fit must match it bit
+    for bit. x is the finite (n, d) float array itself: the a @ a.T of the
+    distances must see one array twice, as lof_fit's does."""
+    from csiauth.detectors import LofModel
+
+    d = np.sqrt(_whole_sq_dists(x, x))
+    np.fill_diagonal(d, np.inf)
+    kdist = np.partition(d, k - 1, axis=1)[:, k - 1]
+    lrd, _ = _whole_reach_density(d, kdist, kdist)
+    return LofModel(k=k, train_points=x, threshold=threshold, kdist=kdist, lrd=lrd)
+
+
+def whole_matrix_lof_scores(model, q):
+    """LOF of the query rows q over the whole (len(q), n) distance matrix."""
+    d = np.sqrt(_whole_sq_dists(q, model.train_points))
+    kdist_q = np.partition(d, model.k - 1, axis=1)[:, model.k - 1]
+    lrd_q, mean_neighbor_lrd = _whole_reach_density(d, kdist_q, model.kdist, model.lrd)
+    return mean_neighbor_lrd / lrd_q
+
+
+def whole_matrix_lof_train_scores(model):
+    """LOF of the training rows themselves over the whole (n, n) matrix."""
+    d = np.sqrt(_whole_sq_dists(model.train_points, model.train_points))
+    np.fill_diagonal(d, np.inf)
+    _, mean_neighbor_lrd = _whole_reach_density(d, model.kdist, model.kdist, model.lrd)
+    return mean_neighbor_lrd / model.lrd
+
+
+def whole_matrix_rbf(a, b, gamma):
+    """The RBF kernel matrix exp(-gamma |a - b|^2) in one expression."""
+    return np.exp(-gamma * _whole_sq_dists(a, b))

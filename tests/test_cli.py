@@ -114,8 +114,9 @@ def test_unknown_top_level_config_key_errors(tmp_path, capsys):
         ({"snr_grid": "nope"}, "expected a:b:step, got 'nope'"),
         ({"gan": [2]}, '"gan" must be a JSON object'),
         ({"pooled": "no"}, '"pooled" must be true or false, got \'no\''),
+        ({"z_mult": "1,x"}, "expected a comma list of reals, got '1,x'"),
     ],
-    ids=["trials", "seed", "grid", "gan", "pooled"],
+    ids=["trials", "seed", "grid", "gan", "pooled", "z_mult"],
 )
 def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
     path = tmp_path / "c.json"
@@ -123,6 +124,13 @@ def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
     assert run_cli("analytic", "--config", path, "--out", tmp_path / "run") == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {expected}")
     assert not (tmp_path / "run").exists()
+
+
+def test_config_z_mult_string_is_a_comma_list(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"z_mult": "1,3"}))
+    args = build_parser().parse_args(["analytic", "--config", str(path)])
+    assert resolve_config(args).z_multipliers == (1.0, 3.0)
 
 
 def test_out_dir_from_env(tmp_path, monkeypatch):

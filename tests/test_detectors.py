@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_lof,
     edit_packed,
@@ -13,8 +17,13 @@ from oracles import (
     iforest_scores_by_walk,
     pack_array,
     set_at,
+    whole_matrix_lof_fit,
+    whole_matrix_lof_scores,
+    whole_matrix_lof_train_scores,
+    whole_matrix_rbf,
 )
 
+from csiauth import datasets, detectors
 from csiauth.detectors import (
     _ROW_BLOCK,
     ConvergenceError,
@@ -22,6 +31,7 @@ from csiauth.detectors import (
     LofModel,
     OcsvmModel,
     _SplitDraws,
+    _rbf,
     iforest_fit,
     iforest_scores,
     lof_fit,
@@ -97,6 +107,103 @@ def test_lof_k_validation():
         lof_fit(x, k=10)
     with pytest.raises(ValueError):
         lof_fit(x, k=0)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=st.sampled_from([1, 3, 64]),
+    mapped=st.booleans(),
+    n=st.integers(2, 90),
+    distinct=st.integers(1, 90),
+    k_frac=st.floats(0.0, 1.0),
+    grid=st.booleans(),
+    # Query counts 1, block - 1, block, block + 1 and 3 * block + 5.
+    count=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_lof_and_rbf_match_whole_matrix_bit_for_bit(
+    block, mapped, n, distinct, k_frac, grid, count, seed
+):
+    """Row blocks and the buffer's memory change only the working set:
+    kdist, lrd, the scores and the RBF kernel keep every bit of the
+    whole-matrix computation, also with duplicated training rows and queries
+    equal to training rows (ties at the k-distance, zero distances)."""
+    g = np.random.default_rng(seed)
+
+    def draw(rows):
+        if grid:
+            return g.integers(-2, 3, size=(rows, 3)).astype(float)
+        return g.standard_normal((rows, 3))
+
+    x = draw(distinct)[g.integers(0, distinct, size=n)]
+    k = 1 + int(k_frac * (n - 2))
+    m = max(1, count[0] * block + count[1])
+    q = np.where(g.random((m, 1)) < 0.5, x[g.integers(0, n, size=m)], draw(m))
+    gamma = float(g.uniform(0.05, 2.0))
+    # Every distance matrix here is against the n rows of x: block rows each.
+    with mock.patch.object(detectors, "_DIST_BLOCK_ITEMS", block * n), \
+            mock.patch.object(detectors, "_MAPPED_BYTES", 0 if mapped else detectors._MAPPED_BYTES), \
+            np.errstate(divide="ignore", invalid="ignore"):
+        model, oracle = lof_fit(x, k=k), whole_matrix_lof_fit(x, k)
+        assert _same_bits(model.kdist, oracle.kdist)
+        assert _same_bits(model.lrd, oracle.lrd)
+        assert _same_bits(lof_train_scores(model), whole_matrix_lof_train_scores(oracle))
+        assert _same_bits(lof_scores(model, q), whole_matrix_lof_scores(oracle, q))
+        assert _same_bits(_rbf(q, x, gamma), whole_matrix_rbf(q, x, gamma))
+        assert _same_bits(_rbf(x, x, gamma), whole_matrix_rbf(x, x, gamma))
+
+
+def test_lof_and_ocsvm_match_whole_matrix_on_seed7_benchmark_data():
+    """The seed-7 data at the benchmark's scale (SNRs 0 and 30 dB): the LOF
+    fit, the training-row scores and the four query scorings an eval runs,
+    the OC-SVM fit (its kernel matrix) and its decision values, each
+    bit-identical to the whole-matrix computation."""
+    rng = RngStream(7)
+    master = datasets.build_master(rng, snr_grid=(0.0, 30.0))
+    train, test = datasets.split_train_test(master)
+    tests = [
+        datasets.build_accidental(test, rng),
+        datasets.build_nefarious(test, datasets.default_nefarious_offsets(), rng),
+    ]
+    for snr in (0.0, 30.0):
+        x = train.x[train.snr == snr]
+        model, oracle = lof_fit(x), whole_matrix_lof_fit(x, detectors.LOF_K)
+        assert _same_bits(model.kdist, oracle.kdist) and _same_bits(model.lrd, oracle.lrd)
+        assert _same_bits(lof_train_scores(model), whole_matrix_lof_train_scores(oracle))
+        svm = ocsvm_fit(x)
+        with mock.patch.object(detectors, "_rbf", whole_matrix_rbf):
+            svm_oracle = ocsvm_fit(x)
+        for field in dataclasses.fields(OcsvmModel):
+            a, b = getattr(svm, field.name), getattr(svm_oracle, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        for ds in tests:
+            q = ds.x[ds.snr == snr]
+            assert len(q) > detectors._DIST_BLOCK_ITEMS // len(x)  # several row blocks
+            assert _same_bits(lof_scores(model, q), whole_matrix_lof_scores(oracle, q))
+            with mock.patch.object(detectors, "_rbf", whole_matrix_rbf):
+                expected = ocsvm_decision_values(svm, q)
+            assert _same_bits(ocsvm_decision_values(svm, q), expected)
+
+
+def test_lof_scores_peak_memory_is_one_distance_matrix():
+    """One (queries, train) float64 buffer plus row-block scratch, not a
+    fresh whole-matrix temporary per step. A buffer in its own memory
+    mapping is outside tracemalloc's view, so the heap is used here."""
+    x = gaussian_points(700, 32, seed=13)
+    q = gaussian_points(2100, 32, seed=14)
+    model = lof_fit(x)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(detectors, "_MAPPED_BYTES", math.inf):
+            lof_scores(model, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * len(q) * len(x)
 
 
 # ---------------------------------------------------------------------------
