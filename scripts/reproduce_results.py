@@ -4,6 +4,8 @@
 Equivalent to the CLI stages
     csiauth gen / train / fit-detector x3 / eval / report / analytic
 executed in order with one seed, leaving every artifact under --out.
+Ends with a table of each stage's wall and CPU seconds (process time, so
+time spent waiting for the machine's other tenants does not count).
 """
 
 import argparse
@@ -13,11 +15,14 @@ import time
 from csiauth.cli import main as cli_main
 
 
-def run(stage_args):
+def run(stage_args, label, times):
+    """Run one stage in process; append (label, wall s, CPU s) to `times`."""
     print(f"$ csiauth {' '.join(stage_args)}")
+    wall, cpu = time.perf_counter(), time.process_time()
     code = cli_main(stage_args)
     if code != 0:
         sys.exit(code)
+    times.append((label, time.perf_counter() - wall, time.process_time() - cpu))
 
 
 def main():
@@ -30,15 +35,20 @@ def main():
 
     common = ["--seed", str(args.seed), "--out", args.out]
     pooled = ["--pooled"] if args.pooled else []
-    t0 = time.perf_counter()
-    run(["gen", *common])
-    run(["train", *common, *pooled])
+    times = []
+    run(["gen", *common], "gen", times)
+    run(["train", *common, *pooled], "train", times)
     for algo in ("lof", "iforest", "ocsvm"):
-        run(["fit-detector", "--algo", algo, *common])
-    run(["eval", *common, *pooled])
-    run(["report", *common])
-    run(["analytic", *common])
-    print(f"done in {time.perf_counter() - t0:.0f}s; reports under {args.out}/reports")
+        run(["fit-detector", "--algo", algo, *common], f"fit-detector {algo}", times)
+    run(["eval", *common, *pooled], "eval", times)
+    run(["report", *common], "report", times)
+    run(["analytic", *common], "analytic", times)
+
+    print(f"\n{'stage':<22}{'wall s':>9}{'cpu s':>9}")
+    for label, wall, cpu in times:
+        print(f"{label:<22}{wall:>9.2f}{cpu:>9.2f}")
+    print(f"{'total':<22}{sum(t[1] for t in times):>9.2f}{sum(t[2] for t in times):>9.2f}")
+    print(f"reports under {args.out}/reports")
 
 
 if __name__ == "__main__":

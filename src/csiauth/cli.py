@@ -45,6 +45,12 @@ DETECTOR_OVERRIDES = (
 CONFIG_KEYS = (
     "seed", "out", "snr_grid", "z_mult", "jobs", "pooled", "gan", "detectors", "analytic_trials",
 )
+# Keys whose values must be JSON integers: int() would take 7.9 as 7 and true as 1.
+INTEGER_KEYS = {
+    "": ("seed", "jobs", "analytic_trials"),
+    "gan": ("max_epochs", "batch", "latent_dim"),
+    "detectors": ("lof_k", "iforest_trees", "iforest_subsample"),
+}
 
 
 @dataclass
@@ -156,6 +162,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _run_config(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
     _check_keys(file_cfg, CONFIG_KEYS, "")
+    _check_integers(file_cfg, INTEGER_KEYS[""], "")
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -193,6 +200,7 @@ def _overrides(file_cfg: dict, section: str, known) -> dict:
     if not isinstance(found, dict):
         raise ValueError(f'"{section}" must be a JSON object')
     _check_keys(found, known, f' under "{section}"')
+    _check_integers(found, INTEGER_KEYS[section], f' under "{section}"')
     return dict(found)
 
 
@@ -202,6 +210,14 @@ def _check_keys(found: dict, known, where: str) -> None:
     for key in found:
         if key not in known:
             raise ValueError(f"unknown key {key!r}{where}")
+
+
+def _check_integers(found: dict, keys, where: str) -> None:
+    """Reject the first of `keys` in `found` whose value is not a JSON integer."""
+    for key in keys:
+        value = found.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f'"{key}"{where} must be an integer, got {json.dumps(value)}')
 
 
 def _parallel(jobs: int, tasks: list):
@@ -286,32 +302,33 @@ def cmd_fit_detector(cfg: RunConfig, algo: str) -> int:
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
     ov = cfg.detector_overrides
     rng = RngStream(cfg.seed)
+    grid = train_ds.manifest.snr_grid
+    slices = [train_ds.x[train_ds.snr == snr] for snr in grid]
 
-    def job(snr: float):
-        x = train_ds.x[train_ds.snr == snr]
+    def job(x):
         if algo == "lof":
-            model = detectors.lof_fit(
+            return detectors.lof_fit(
                 x, k=int(ov.get("lof_k", detectors.LOF_K)),
                 threshold=float(ov.get("lof_threshold", detectors.LOF_THRESHOLD)),
             )
-        elif algo == "iforest":
-            model = detectors.iforest_fit(
-                x,
-                n_trees=int(ov.get("iforest_trees", detectors.IFOREST_TREES)),
-                subsample=min(int(ov.get("iforest_subsample", detectors.IFOREST_SUBSAMPLE)), x.shape[0]),
-                rng=rng.substream("iforest", snr),
-                threshold=float(ov.get("iforest_threshold", detectors.IFOREST_THRESHOLD)),
-            )
-        else:
-            gamma = ov.get("ocsvm_gamma")
-            model = detectors.ocsvm_fit(
-                x, nu=float(ov.get("ocsvm_nu", detectors.OCSVM_NU)),
-                gamma=float(gamma) if gamma is not None else None,
-            )
-        return snr, model
+        gamma = ov.get("ocsvm_gamma")
+        return detectors.ocsvm_fit(
+            x, nu=float(ov.get("ocsvm_nu", detectors.OCSVM_NU)),
+            gamma=float(gamma) if gamma is not None else None,
+        )
 
-    results = _parallel(cfg.jobs, [lambda s=s: job(s) for s in train_ds.manifest.snr_grid])
-    for snr, model in results:
+    if algo == "iforest":
+        # Every slice's trees grow in one lockstep, so there is nothing to thread.
+        subsample = int(ov.get("iforest_subsample", detectors.IFOREST_SUBSAMPLE))
+        models = detectors.iforest_fit_slices(
+            [(x, min(subsample, x.shape[0]), rng.substream("iforest", snr))
+             for snr, x in zip(grid, slices)],
+            n_trees=int(ov.get("iforest_trees", detectors.IFOREST_TREES)),
+            threshold=float(ov.get("iforest_threshold", detectors.IFOREST_THRESHOLD)),
+        )
+    else:
+        models = _parallel(cfg.jobs, [lambda x=x: job(x) for x in slices])
+    for snr, model in zip(grid, models):
         path = cfg.model_dir / f"{algo}_snr{_snr_tag(snr)}.json"
         detectors.save_model(model, path)
         print(f"wrote {path}")

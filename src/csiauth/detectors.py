@@ -274,72 +274,107 @@ def iforest_fit(
     k = integers(n_usable) to take the k-th varying feature f in column
     order, then s = uniform(lo, hi) over f's range at the node, and rows
     with x[f] < s go left. Trees never read each other's generators, so all
-    of them grow together here: each step takes the next preorder node of
-    every unfinished tree.
+    of them grow together (iforest_fit_slices): each step takes the next
+    preorder node of every unfinished tree.
     """
-    x = _as_train_points(train, "iforest")
-    n = x.shape[0]
+    return iforest_fit_slices([(train, subsample, rng)], n_trees, threshold)[0]
+
+
+def iforest_fit_slices(
+    slices, n_trees: int = IFOREST_TREES, threshold: float = IFOREST_THRESHOLD
+) -> list[IForestModel]:
+    """One forest per (train, subsample, rng) of `slices`, each bit for bit
+    the model iforest_fit(train, n_trees, subsample, rng, threshold) gives.
+    The trees of every slice grow in one lockstep, so a step's fixed cost is
+    paid once for all of them."""
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    if not 2 <= subsample <= n:
-        raise ValueError(f"subsample must be in [2, train size], got {subsample} (n={n})")
-    if rng is None:
-        raise ValueError("iforest_fit requires an RngStream")
-    # A split draws uniform(lo, hi) over a node's range of one column, which
-    # is finite only if the column's range over all the rows is.
-    with np.errstate(over="ignore"):
-        wide = np.flatnonzero(~np.isfinite(x.max(axis=0) - x.min(axis=0)))
-    if wide.size:
-        raise ValueError(f"iforest training column {wide[0]}: max - min is not finite")
-    height_limit = math.ceil(math.log2(subsample))
-    gens = [rng.substream("iforest-tree", t).generator() for t in range(n_trees)]
-    n_nodes, arrays = _grow_together(x, gens, subsample, height_limit)
-    return IForestModel(
-        n_trees=n_trees, subsample=subsample, threshold=threshold,
-        height_limit=height_limit, n_nodes=n_nodes, **arrays,
-    )
+    grown = []
+    for train, subsample, rng in slices:
+        x = _as_train_points(train, "iforest")
+        n = x.shape[0]
+        if not 2 <= subsample <= n:
+            raise ValueError(f"subsample must be in [2, train size], got {subsample} (n={n})")
+        if rng is None:
+            raise ValueError("iforest_fit requires an RngStream")
+        # A split draws uniform(lo, hi) over a node's range of one column,
+        # which is finite only if the column's range over all the rows is.
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(x.max(axis=0) - x.min(axis=0)))
+        if wide.size:
+            raise ValueError(f"iforest training column {wide[0]}: max - min is not finite")
+        gens = [rng.substream("iforest-tree", t).generator() for t in range(n_trees)]
+        grown.append((x, gens, subsample, math.ceil(math.log2(subsample))))
+    return [
+        IForestModel(
+            n_trees=n_trees, subsample=subsample, threshold=threshold,
+            height_limit=height_limit, n_nodes=n_nodes, **arrays,
+        )
+        for (_, _, subsample, height_limit), (n_nodes, arrays) in zip(grown, _grow_together(grown))
+    ]
 
 
-def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
-    """Grow one tree per generator on the finite rows x, as iforest_fit
-    describes. Returns each tree's node count and the node arrays by field,
-    copied at the width of the largest tree so that the working buffers,
-    sized for a full tree, are freed on return."""
-    n_trees, (n, d) = len(gens), x.shape
-    # A node's rows are a range buf[start:end], tree t's root the t-th block of
-    # subsample entries; each split partitions its node's range in place.
-    buf = np.concatenate([g.choice(n, size=subsample, replace=False) for g in gens])
+def _grow_together(slices) -> list[tuple[np.ndarray, dict]]:
+    """Grow one tree per generator of every (x, gens, subsample,
+    height_limit) of `slices`, on that slice's finite rows x, as iforest_fit
+    describes. Returns, per slice, its trees' node counts and node arrays by
+    field, copied at the width of its largest tree so that the working
+    buffers, sized for a full tree of the highest limit, are freed on
+    return."""
+    xs, gen_lists, subsamples, limits = zip(*slices)
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    d = x.shape[1]
+    cells = x.ravel()  # x[r, f] is cells[r * d + f], a cheaper gather
+    gens = [g for slice_gens in gen_lists for g in slice_gens]
+    trees = [len(slice_gens) for slice_gens in gen_lists]
+    sub, limit = np.repeat(subsamples, trees), np.repeat(limits, trees)
+    height_limit = int(limit.max())
+    n_trees = len(gens)
+    # A node's rows are a range buf[start:end] of indices into x, tree t's
+    # root the t-th block of its slice's subsample entries; each split
+    # partitions its node's range in place.
+    first_row = np.cumsum([0] + [len(a) for a in xs])
+    buf = np.concatenate([
+        g.choice(len(a), size=subsample, replace=False) + row0
+        for a, row0, slice_gens, subsample in zip(xs, first_row, gen_lists, subsamples)
+        for g in slice_gens
+    ])
     # A tree of height_limit has at most 2**height_limit - 1 splits, each
     # taking at most one word for k and one for s unless k is rejected.
     draws = _SplitDraws(gens, 2 * (2**height_limit - 1))
-    # The rows of a node are distinct training rows, so a column whose values
-    # are all distinct varies over every node of two or more rows; only the
-    # columns with repeated values need a min/max per node.
-    tied = np.flatnonzero((np.diff(np.sort(x, axis=0), axis=0) == 0).any(axis=0))
+    # The rows of a node are distinct training rows of one slice, so a column
+    # whose values are all distinct within a slice varies over every node of
+    # two or more of its rows; only the columns with repeated values in some
+    # slice need a min/max per node, and taking it where a column has none
+    # changes nothing.
+    tied = np.flatnonzero(np.any(
+        [(np.diff(np.sort(a, axis=0), axis=0) == 0).any(axis=0) for a in xs], axis=0
+    ))
 
     width = 2 ** (height_limit + 1) - 1
-    feature = np.full((n_trees, width), -1)
+    feature = np.full((n_trees, width), -1, dtype=np.int32)
     split = np.zeros((n_trees, width))
-    right = np.full((n_trees, width), -1)
-    size = np.zeros((n_trees, width), dtype=np.int64)
+    right = np.full((n_trees, width), -1, dtype=np.int32)
+    size = np.zeros((n_trees, width), dtype=np.int32)
     n_nodes = np.zeros(n_trees, dtype=np.int64)
     # Pending nodes per tree as (start, end, depth, parent if a right child
     # else -1). Popping a node at depth d leaves at most d below it and a
     # split pushes two, so height_limit + 1 slots suffice.
     stack = np.empty((n_trees, height_limit + 1, 4), dtype=np.int64)
-    roots = np.arange(n_trees) * subsample
-    stack[:, 0, 0], stack[:, 0, 1], stack[:, 0, 2], stack[:, 0, 3] = roots, roots + subsample, 0, -1
+    roots = np.cumsum(sub) - sub
+    stack[:, 0, 0], stack[:, 0, 1], stack[:, 0, 2], stack[:, 0, 3] = roots, roots + sub, 0, -1
     top = np.ones(n_trees, dtype=np.int64)
     while (t := np.flatnonzero(top)).size:
-        top[t] -= 1
-        start, end, depth, parent = stack[t, top[t]].T
+        slot = top[t] - 1
+        top[t] = slot
+        start, end, depth, parent = stack[t, slot].T
         node = n_nodes[t]
-        n_nodes[t] += 1
+        n_nodes[t] = node + 1
         size[t, node] = end - start
         is_right = parent >= 0
         right[t[is_right], parent[is_right]] = node[is_right]
-        grows = (depth < height_limit) & (end - start > 1)
-        t, start, end, depth, node = (a[grows] for a in (t, start, end, depth, node))
+        grows = (depth < limit[t]) & (end - start > 1)
+        t, start, end, depth, node, slot = (a[grows] for a in (t, start, end, depth, node, slot))
         n_usable, usable = np.full(t.size, d), None
         if tied.size and t.size:
             _, offsets, pos = _segments(start, end)
@@ -347,8 +382,8 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
             usable = np.ones((t.size, d), dtype=bool)
             usable[:, tied] = np.maximum.reduceat(vals, offsets) > np.minimum.reduceat(vals, offsets)
             keep = usable.any(axis=1)
-            t, start, end, depth, node, usable = (
-                a[keep] for a in (t, start, end, depth, node, usable)
+            t, start, end, depth, node, slot, usable = (
+                a[keep] for a in (t, start, end, depth, node, slot, usable)
             )
             n_usable = usable.sum(axis=1)
         if not t.size:
@@ -358,7 +393,7 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
         f = k if usable is None else (usable.cumsum(axis=1) <= k[:, None]).sum(axis=1)
         lengths, offsets, pos = _segments(start, end)
         rows = buf[pos]
-        vals = x[rows, np.repeat(f, lengths)]
+        vals = cells[rows * d + np.repeat(f, lengths)]
         s = draws.uniform(
             t, np.minimum.reduceat(vals, offsets), np.maximum.reduceat(vals, offsets)
         )
@@ -370,14 +405,18 @@ def _grow_together(x, gens, subsample, height_limit) -> tuple[np.ndarray, dict]:
         feature[t, node] = f
         split[t, node] = s
         children = depth + 1
-        stack[t, top[t]] = np.stack([start + n_left, end, children, node], axis=1)
-        stack[t, top[t] + 1] = np.stack([start, start + n_left, children, np.full(t.size, -1)], axis=1)
-        top[t] += 2
-    used = int(n_nodes.max())
-    feature, split, right, size = (a[:, :used].copy() for a in (feature, split, right, size))
-    return n_nodes, dict(
-        feature=feature, split=split, left=_left_children(feature), right=right, size=size
-    )
+        stack[t, slot] = np.array([start + n_left, end, children, node]).T
+        stack[t, slot + 1] = np.array([start, start + n_left, children, np.full(t.size, -1)]).T
+        top[t] = slot + 2
+    out, first_tree = [], np.cumsum([0] + trees)
+    for lo, hi in zip(first_tree[:-1], first_tree[1:]):
+        used = int(n_nodes[lo:hi].max())
+        arrays = {key: a[lo:hi, :used].astype(np.int64) for key, a in
+                  (("feature", feature), ("right", right), ("size", size))}
+        out.append((n_nodes[lo:hi].copy(), dict(
+            arrays, split=split[lo:hi, :used].copy(), left=_left_children(arrays["feature"])
+        )))
+    return out
 
 
 class _SplitDraws:
@@ -413,21 +452,21 @@ class _SplitDraws:
 
     def _take(self, t: np.ndarray) -> np.ndarray:
         """The next word of each generator t (distinct indices)."""
-        if t.size and self._pos[t].max() >= self._words.shape[1]:
+        pos = self._pos[t]
+        if t.size and pos.max() >= self._words.shape[1]:
             # Only a run of rejected k draws gets past the first block.
             self._words = np.concatenate([self._words, self._draw()], axis=1)
-        w = self._words[t, self._pos[t]]
-        self._pos[t] += 1
-        return w
+        self._pos[t] = pos + 1
+        return self._words[t, pos]
 
     def _next32(self, t: np.ndarray) -> np.ndarray:
-        has = self._has32[t]
+        empty = ~self._has32[t]
         v = self._upper[t]
-        fresh = t[~has]
+        fresh = t[empty]
         w = self._take(fresh)
-        v[~has] = w & 0xFFFFFFFF
+        v[empty] = w & 0xFFFFFFFF
         self._upper[fresh] = w >> 32
-        self._has32[t] = ~has
+        self._has32[t] = empty
         return v
 
     def integers(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -527,6 +566,13 @@ def ocsvm_fit(
     SMO on the maximal violating pair; stops when the KKT violation drops
     below `tol`. Raises ConvergenceError (with the residual) at the
     iteration cap.
+
+    The loop keeps ng = -grad, updated as ng -= step * (q[i] - q[j]): IEEE
+    negation is exact and commutes with rounding, so ng is bit for bit the
+    negation of grad += step * (q[:, i] - q[:, j]). The contiguous rows
+    q[i], q[j] equal those columns because _rbf(x, x) is exactly symmetric.
+    The pair is picked from two copies of ng masked by infinities, which
+    the same subtraction keeps equal to ng wherever they are finite.
     """
     x = _as_train_points(train, "ocsvm")
     n = x.shape[0]
@@ -541,24 +587,35 @@ def ocsvm_fit(
     cap = 1.0 / (nu * n)
     q = _rbf(x, x, gamma)
     alpha = np.full(n, 1.0 / n)
-    grad = q @ alpha
+    ng = q @ alpha
+    np.negative(ng, out=ng)
+    # ng where alpha may rise (else -inf) and where it may fall (else +inf),
+    # updated with ng: infinities stay put under a finite change.
+    rising = np.where(alpha < cap - 1e-15, ng, -np.inf)
+    falling = np.where(alpha > 1e-15, ng, np.inf)
+    change = np.empty(n)
 
     for _ in range(max_iter):
-        up = alpha < cap - 1e-15
-        low = alpha > 1e-15
-        i = int(np.argmax(np.where(up, -grad, -np.inf)))
-        j = int(np.argmin(np.where(low, -grad, np.inf)))
-        violation = (-grad[i]) - (-grad[j])
+        i = int(np.argmax(rising))
+        j = int(np.argmin(falling))
+        violation = ng[i] - ng[j]
         if violation <= tol:
             break
-        a = q[i, i] + q[j, j] - 2.0 * q[i, j]
+        qi, qj = q[i], q[j]
+        a = qi[i] + qj[j] - 2.0 * qi[j]
         if a <= 0:
             a = 1e-12
-        step = (grad[j] - grad[i]) / a
-        step = min(step, cap - alpha[i], alpha[j])
+        step = min(violation / a, cap - alpha[i], alpha[j])
         alpha[i] += step
         alpha[j] -= step
-        grad += step * (q[:, i] - q[:, j])
+        for k in (i, j):
+            rising[k] = ng[k] if alpha[k] < cap - 1e-15 else -np.inf
+            falling[k] = ng[k] if alpha[k] > 1e-15 else np.inf
+        np.subtract(qi, qj, out=change)
+        change *= step
+        ng -= change
+        rising -= change
+        falling -= change
     else:
         raise ConvergenceError(
             f"one-class SVM did not converge within {max_iter} iterations "
@@ -566,6 +623,7 @@ def ocsvm_fit(
             residual=float(violation),
         )
 
+    grad = -ng
     free = (alpha > 1e-8 * cap) & (alpha < cap * (1.0 - 1e-8))
     if np.any(free):
         rho = float(np.mean(grad[free]))

@@ -10,6 +10,7 @@ the authentication decision function.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,9 +19,14 @@ import numpy as np
 from .neuralnet import (
     AdamState,
     Mlp,
-    apply_gradients,
-    backward,
-    bce_loss,
+    _apply,
+    _Backprop,
+    _backward,
+    _bce,
+    _bce_scratch,
+    _dropout_mask,
+    _forward,
+    _tape,
     dense_layer,
     forward,
 )
@@ -42,6 +48,10 @@ class TrainConfig:
     latent_dim: int = LATENT_DIM
 
     def __post_init__(self):
+        for name in ("max_epochs", "batch", "latent_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.max_epochs <= MAX_EPOCHS:
             raise ValueError(f"max_epochs must be in [1, {MAX_EPOCHS}], got {self.max_epochs}")
         if self.batch < 1:
@@ -113,19 +123,19 @@ def train_gan(
 
     report = TrainReport()
     n = x_real.shape[0]
+    batches: dict[int, _Batch] = {}  # by batch size: a full one and a last, shorter one
     # per batch of an epoch: d_loss, g_loss, acc_real, acc_fake
     stats = np.empty((4, -(-n // cfg.batch)))
     for _epoch in range(cfg.max_epochs):
         perm = order_gen.permutation(n)
         for k, start in enumerate(range(0, n, cfg.batch)):
             idx = perm[start : start + cfg.batch]
-            real = x_real[idx]
-            stats[0, k], stats[2, k], stats[3, k] = _discriminator_step(
-                disc, gen, state_d, real, cfg, latent_gen, dropout_gen
-            )
-            stats[1, k] = _generator_step(
-                disc, gen, state_g, len(idx), cfg, latent_gen, dropout_gen
-            )
+            if len(idx) not in batches:
+                batches[len(idx)] = _Batch(disc, gen, len(idx), cfg.latent_dim)
+            batch = batches[len(idx)]
+            batch.draw(x_real, idx, latent_gen, dropout_gen)
+            stats[0, k], stats[2, k], stats[3, k] = _discriminator_step(disc, gen, state_d, batch)
+            stats[1, k] = _generator_step(disc, gen, state_g, batch)
         d_loss, g_loss, acc_real, acc_fake = (float(row.mean()) for row in stats)
         report.d_loss.append(d_loss)
         report.g_loss.append(g_loss)
@@ -137,30 +147,75 @@ def train_gan(
     return disc, report
 
 
-def _discriminator_step(disc, gen, state_d, real, cfg, latent_gen, dropout_gen):
-    b = real.shape[0]
-    z = latent_gen.standard_normal((b, cfg.latent_dim))
-    fake, _ = forward(gen, z, "infer")
-    batch = np.vstack([real, fake])
-    targets = np.concatenate([np.ones(b), np.zeros(b)])
-    pred, tape = forward(disc, batch, "train", dropout_gen)
-    scores = pred[:, 0]
-    loss, dscores = bce_loss(scores, targets)
-    grads, _ = backward(disc, tape, dscores.reshape(-1, 1), input_grad=False)
-    apply_gradients(disc, state_d, grads)
+class _Batch:
+    """Every array a D/G step pair over b real rows writes, allocated once
+    per batch size. draw() takes the batch's random draws in the streams'
+    order: one standard_normal((2b, latent)) whose first b rows feed the
+    discriminator step and last b the generator step, and one random() for
+    the four dropout masks, those of the discriminator step's 2b rows and
+    then of the generator step's b rows, each pass layer by layer."""
+
+    def __init__(self, disc: Mlp, gen: Mlp, b: int, latent_dim: int):
+        self.b = b
+        self.z = np.empty((2 * b, latent_dim))
+        self.rows = np.empty((2 * b, CSI_FEATURES))  # real rows, then generated
+        self.targets = np.concatenate([np.ones(b), np.zeros(b)])
+        dropped = [i for i in sorted(disc.dropout) if disc.dropout[i]]
+        width = sum(disc.layers[i].out_dim for i in dropped)
+        self.uniforms = np.empty(3 * b * width)
+        # Masks follow each other in the buffer; neighbours of one rate are
+        # scaled as one span.
+        masks, spans, offset = [], [], 0
+        for rows in (2 * b, b):
+            masks.append({})
+            for i in dropped:
+                end = offset + rows * disc.layers[i].out_dim
+                masks[-1][i] = self.uniforms[offset:end].reshape(rows, -1)
+                if spans and spans[-1][2] == disc.dropout[i]:
+                    spans[-1][1] = end
+                else:
+                    spans.append([offset, end, disc.dropout[i]])
+                offset = end
+        self.spans = [(self.uniforms[start:end], rate) for start, end, rate in spans]
+        self.d_tape, self.d_work = _tape(disc, 2 * b, masks[0]), _Backprop(disc, 2 * b, dropped)
+        self.d_bce = _bce_scratch(2 * b)
+        self.gd_tape, self.gd_work = _tape(disc, b, masks[1]), _Backprop(disc, b, dropped)
+        self.g_bce = _bce_scratch(b)
+        self.g_tape, self.g_work = _tape(gen, b, {}), _Backprop(gen, b, ())
+
+    def draw(self, x_real, idx, latent_gen, dropout_gen):
+        np.take(x_real, idx, axis=0, out=self.rows[: self.b], mode="clip")  # idx is in range
+        latent_gen.standard_normal(out=self.z)
+        dropout_gen.random(out=self.uniforms)
+        for span, rate in self.spans:
+            _dropout_mask(span, rate)
+
+
+def _discriminator_step(disc, gen, state_d, batch: _Batch):
+    """One discriminator step on the batch's real rows labeled 1.0 stacked
+    with generated rows labeled 0.0; returns (loss, acc_real, acc_fake)."""
+    b = batch.b
+    batch.rows[b:] = _forward(gen, batch.z[:b], batch.g_tape)
+    scores = _forward(disc, batch.rows, batch.d_tape)[:, 0]
+    loss, dscores = _bce(scores, batch.targets, batch.d_bce)
+    _backward(disc, batch.d_tape, dscores.reshape(-1, 1), batch.d_work,
+              param_grads=True, input_grad=False)
+    _apply(disc, state_d, batch.d_work.flat)
     acc_real = np.count_nonzero(scores[:b] >= 0.5) / b
     acc_fake = np.count_nonzero(scores[b:] < 0.5) / b
     return loss, acc_real, acc_fake
 
 
-def _generator_step(disc, gen, state_g, b, cfg, latent_gen, dropout_gen):
-    z = latent_gen.standard_normal((b, cfg.latent_dim))
-    fake, tape_g = forward(gen, z, "train")
-    pred, tape_d = forward(disc, fake, "train", dropout_gen)
-    loss, dscores = bce_loss(pred[:, 0], np.ones(b))
-    _, dfake = backward(disc, tape_d, dscores.reshape(-1, 1), param_grads=False)
-    grads_g, _ = backward(gen, tape_g, dfake, input_grad=False)
-    apply_gradients(gen, state_g, grads_g)
+def _generator_step(disc, gen, state_g, batch: _Batch):
+    """One generator step toward the frozen discriminator scoring its rows
+    1.0; returns the loss."""
+    fake = _forward(gen, batch.z[batch.b :], batch.g_tape)
+    pred = _forward(disc, fake, batch.gd_tape)
+    loss, dscores = _bce(pred[:, 0], batch.targets[: batch.b], batch.g_bce)
+    dfake = _backward(disc, batch.gd_tape, dscores.reshape(-1, 1), batch.gd_work,
+                      param_grads=False, input_grad=True)
+    _backward(gen, batch.g_tape, dfake, batch.g_work, param_grads=True, input_grad=False)
+    _apply(gen, state_g, batch.g_work.flat)
     return loss
 
 

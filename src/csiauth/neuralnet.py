@@ -118,6 +118,42 @@ class Tape:
     dropout_masks: dict[int, np.ndarray]
 
 
+def _tape(net: Mlp, rows: int, masks: dict[int, np.ndarray]) -> Tape:
+    """A tape whose pre-activation and activation buffers fit `rows` rows,
+    applying `masks` (the dropout masks by layer) when it is run. A linear
+    layer's activation is its pre-activation unless it is masked."""
+    pres = [np.empty((rows, layer.out_dim)) for layer in net.layers]
+    acts = [
+        pre if layer.activation == "linear" and i not in masks else np.empty_like(pre)
+        for i, (layer, pre) in enumerate(zip(net.layers, pres))
+    ]
+    return Tape(id(net), net.version, [None] * len(net.layers), pres, acts, masks)
+
+
+def _forward(net: Mlp, x: np.ndarray, tape: Tape) -> np.ndarray:
+    """Run net on the checked rows x into the buffers of `tape`, applying
+    its dropout masks; returns the output, the tape's last activation."""
+    for i, layer in enumerate(net.layers):
+        tape.inputs[i] = x
+        pre = np.matmul(x, layer.weights.T, out=tape.pres[i])
+        pre += layer.biases
+        act = _activate(pre, layer, tape.acts[i])
+        mask = tape.dropout_masks.get(i)
+        if mask is not None:
+            act = np.multiply(act, mask, out=tape.acts[i])
+        x = act
+    tape.net_id, tape.version = id(net), net.version
+    return x
+
+
+def _dropout_mask(u: np.ndarray, rate: float) -> np.ndarray:
+    """The inverted-dropout mask (u >= rate) / (1 - rate) of uniform draws
+    u, computed in u's buffer."""
+    np.greater_equal(u, rate, out=u)
+    u *= 1.0 / (1.0 - rate)
+    return u
+
+
 def forward(
     net: Mlp,
     x: np.ndarray,
@@ -127,10 +163,11 @@ def forward(
 ):
     """Run the network on (n, in_dim) rows; returns ((n, out_dim) output, tape).
 
-    In train mode, dropout masks are drawn from the Generator `rng` per call
-    with inverted 1/(1-rate) scaling; infer mode applies no dropout.
-    Pre-sampled `masks` (as recorded on a tape) may be supplied to replay an
-    identical stochastic pass.
+    In train mode, dropout masks are drawn from the Generator `rng` per call,
+    one random((n, out_dim)) per dropout layer in layer order, with inverted
+    1/(1-rate) scaling; infer mode applies no dropout. Pre-sampled `masks`
+    (as recorded on a tape) may be supplied to replay an identical
+    stochastic pass.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -139,31 +176,59 @@ def forward(
         raise ValueError(f"input must be (n, {net.layers[0].in_dim}) rows, got shape {x.shape}")
     if mode == "train" and net.dropout and masks is None and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng")
-    inputs, pres, acts = [], [], []
-    used_masks: dict[int, np.ndarray] = {}
+    used: dict[int, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
-        inputs.append(x)
-        pre = x @ layer.weights.T + layer.biases
-        act = _activate(pre, layer)
         rate = net.dropout.get(i)
         if rate and mode == "train":
             if masks is not None:
-                mask = masks[i]
+                used[i] = masks[i]
             else:
-                # (u >= rate) / (1 - rate), computed in the drawn buffer
-                mask = rng.random(act.shape)
-                np.greater_equal(mask, rate, out=mask)
-                mask *= 1.0 / (1.0 - rate)
-            act = act * mask
-            used_masks[i] = mask
-        pres.append(pre)
-        acts.append(act)
-        x = act
-    tape = Tape(
-        net_id=id(net), version=net.version,
-        inputs=inputs, pres=pres, acts=acts, dropout_masks=used_masks,
-    )
-    return x, tape
+                used[i] = _dropout_mask(rng.random((len(x), layer.out_dim)), rate)
+    tape = _tape(net, len(x), used)
+    return _forward(net, x, tape), tape
+
+
+class _Backprop:
+    """The scratch of reverse passes of `net` over `rows` rows with the
+    dropout layers `masked`, and the flat parameter gradient they write:
+    `grads` holds its (dW, db) views in layer order, `flat` the whole, in
+    the order of net.params."""
+
+    def __init__(self, net: Mlp, rows: int, masked):
+        self.masked = {i: np.empty((rows, net.layers[i].out_dim)) for i in masked}
+        self.deltas = [np.empty((rows, layer.out_dim)) for layer in net.layers]
+        self.dinputs = [np.empty((rows, layer.in_dim)) for layer in net.layers]
+        self.flat = np.empty(net.param_count())
+        self.grads, offset = [], 0
+        for layer in net.layers:
+            w_end = offset + layer.weights.size
+            b_end = w_end + layer.out_dim
+            self.grads.append(
+                (self.flat[offset:w_end].reshape(layer.weights.shape), self.flat[w_end:b_end])
+            )
+            offset = b_end
+
+
+def _backward(net: Mlp, tape: Tape, g: np.ndarray, work: _Backprop, param_grads: bool,
+              input_grad: bool):
+    """backward of a current tape into the buffers of `work`: the parameter
+    gradients into work.grads if param_grads; returns dinput, or None
+    without input_grad."""
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        mask = tape.dropout_masks.get(i)
+        if mask is not None:
+            g = np.multiply(g, mask, out=work.masked[i])
+        g = _backprop_activation(g, tape.pres[i], tape.acts[i], layer, mask is not None,
+                                 work.deltas[i])
+        if param_grads:
+            dw, db = work.grads[i]
+            np.matmul(g.T, tape.inputs[i], out=dw)
+            np.add.reduce(g, axis=0, out=db)
+        if i == 0 and not input_grad:
+            return None
+        g = np.matmul(g, layer.weights, out=work.dinputs[i])
+    return g
 
 
 def backward(
@@ -182,55 +247,84 @@ def backward(
     g = np.asarray(upstream_grad, dtype=float)
     if g.shape != tape.acts[-1].shape:
         raise ValueError(f"upstream grad shape {g.shape} != output shape {tape.acts[-1].shape}")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        masked = i in tape.dropout_masks
-        if masked:
-            g = g * tape.dropout_masks[i]
-        g = _backprop_activation(g, tape.pres[i], tape.acts[i], layer, masked)
-        if param_grads:
-            grads[i] = (g.T @ tape.inputs[i], g.sum(axis=0))
-        if i == 0 and not input_grad:
-            return grads, None
-        g = g @ layer.weights
-    return grads, g
+    work = _Backprop(net, len(g), tape.dropout_masks)
+    dinput = _backward(net, tape, g, work, param_grads, input_grad)
+    return (work.grads if param_grads else [None] * len(net.layers)), dinput
 
 
-def _activate(pre: np.ndarray, layer: DenseLayer) -> np.ndarray:
+def _activate(pre: np.ndarray, layer: DenseLayer, out: np.ndarray | None = None) -> np.ndarray:
+    """The layer's activation of `pre`, into `out` if given; a linear
+    layer returns `pre` itself."""
     if layer.activation == "leaky_relu":
         # exact, signed zeros and NaN included, except that alpha 0 maps +inf
         # to NaN
-        return np.maximum(pre, layer.alpha * pre)
+        out = np.multiply(pre, layer.alpha, out=out)
+        return np.maximum(pre, out, out=out)
     if layer.activation == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=out)
     if layer.activation == "sigmoid":
-        return _sigmoid(pre)
+        return _sigmoid(pre, out)
     return pre
 
 
-def _sigmoid(pre: np.ndarray) -> np.ndarray:
+def _sigmoid(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # overflow-free in both tails: exp only sees -|pre|, written as a minimum
     # so that a NaN keeps its sign bit through exp
-    e = np.exp(np.minimum(pre, -pre))
+    e = np.negative(pre, out=out)
+    np.minimum(pre, e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
-    return np.where(pre >= 0, 1.0 / d, e / d)
+    np.divide(e, d, out=e)  # e / d where pre < 0 (and where it is NaN)
+    np.copyto(e, np.divide(1.0, d, out=d), where=pre >= 0)
+    return e
 
 
-def _backprop_activation(g, pre, act, layer: DenseLayer, act_was_masked: bool) -> np.ndarray:
-    """`g` times the activation's derivative at `pre`."""
+def _backprop_activation(g, pre, act, layer: DenseLayer, act_was_masked: bool, out=None):
+    """`g` times the activation's derivative at `pre`, into `out` (which
+    must not be `g`) if given."""
     if layer.activation == "leaky_relu":
-        slope = np.greater(pre, 0.0, out=np.empty_like(pre))
+        slope = np.greater(pre, 0.0, out=np.empty_like(pre) if out is None else out)
         np.maximum(slope, layer.alpha, out=slope)  # 1.0 where pre > 0, else alpha
         slope *= g
         return slope
     if layer.activation == "tanh":
-        t = np.tanh(pre) if act_was_masked else act
-        return g * (1.0 - t * t)
+        t = np.tanh(pre, out=out) if act_was_masked else act
+        d = np.multiply(t, t, out=out)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=d)
     if layer.activation == "sigmoid":
         s = _sigmoid(pre) if act_was_masked else act
-        return g * (s * (1.0 - s))
+        d = np.subtract(1.0, s, out=out)
+        np.multiply(s, d, out=d)
+        return np.multiply(g, d, out=d)
     return g
+
+
+def _bce_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float and bool scratch for _bce over n predictions."""
+    return np.empty((5, n)), np.empty((2, n), dtype=bool)
+
+
+def _bce(p: np.ndarray, t: np.ndarray, scratch) -> tuple[float, np.ndarray]:
+    """bce_loss of checked (n,) arrays, in the buffers of _bce_scratch(n);
+    the gradient returned is one of them."""
+    (clipped, q, u, v, grad), (ok, below) = scratch
+    np.maximum(p, _CLIP, out=clipped)
+    np.minimum(clipped, 1.0 - _CLIP, out=clipped)
+    np.subtract(1.0, clipped, out=q)
+    np.multiply(t, np.log(clipped, out=u), out=u)
+    np.subtract(1.0, t, out=v)
+    np.multiply(v, np.log(q, out=grad), out=v)
+    # -sum / n rounds exactly as the mean of the negated terms
+    loss = -float(np.add.reduce(np.add(u, v, out=u))) / p.size
+    np.subtract(clipped, t, out=u)
+    np.divide(u, np.multiply(clipped, q, out=v), out=u)
+    u /= p.size
+    np.greater(p, _CLIP, out=ok)
+    np.logical_and(ok, np.less(p, 1.0 - _CLIP, out=below), out=ok)
+    grad.fill(0.0)
+    np.copyto(grad, u, where=ok)
+    return loss, grad
 
 
 def bce_loss(pred, target):
@@ -245,12 +339,7 @@ def bce_loss(pred, target):
     t = np.asarray(target, dtype=float)
     if p.ndim != 1 or t.shape != p.shape:
         raise ValueError(f"need (n,) predictions and targets of one shape, got {p.shape}, {t.shape}")
-    clipped = np.minimum(np.maximum(p, _CLIP), 1.0 - _CLIP)
-    q = 1.0 - clipped
-    # -sum / n rounds exactly as the mean of the negated terms
-    loss = -float((t * np.log(clipped) + (1.0 - t) * np.log(q)).sum()) / p.size
-    grad = (clipped - t) / (clipped * q) / p.size
-    return loss, np.where((p > _CLIP) & (p < 1.0 - _CLIP), grad, 0.0)
+    return _bce(p, t, _bce_scratch(p.size))
 
 
 @dataclass
@@ -262,41 +351,60 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    # two arrays of the parameters' shape that each update works in
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """One bias-corrected Adam update of the array `params`, in place; returns (params, state)."""
+def _adam(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """adam_step on checked arrays of one shape."""
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    if not params.shape == np.shape(grads) == state.m.shape:
-        raise ValueError(
-            f"shapes differ: parameters {params.shape}, gradients {np.shape(grads)}, "
-            f"Adam state {state.m.shape}"
-        )
+    if state.scratch is None or state.scratch.shape[1:] != params.shape:
+        state.scratch = np.empty((2, *params.shape))
+    s, r = state.scratch
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     state.m *= b1
-    state.m += (1.0 - b1) * grads
+    state.m += np.multiply(1.0 - b1, grads, out=s)
     state.v *= b2
-    state.v += (1.0 - b2) * np.square(grads)
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    state.v += np.multiply(1.0 - b2, np.square(grads, out=s), out=s)
+    # lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.multiply(state.lr, np.divide(state.m, c1, out=s), out=s)
+    np.sqrt(np.divide(state.v, c2, out=r), out=r)
+    r += state.eps
+    params -= np.divide(s, r, out=s)
+
+
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
+    """One bias-corrected Adam update of the array `params`, in place; returns (params, state)."""
+    moments = params.shape if state.m is None else state.m.shape
+    if not params.shape == np.shape(grads) == moments:
+        raise ValueError(
+            f"shapes differ: parameters {params.shape}, gradients {np.shape(grads)}, "
+            f"Adam state {moments}"
+        )
+    _adam(state, params, np.asarray(grads))
     return params, state
+
+
+def _apply(net: Mlp, state: AdamState, flat: np.ndarray) -> None:
+    """apply_gradients with the gradients already in net.params order."""
+    if any(p.base is not net.params for p in net.parameters()):
+        raise ValueError("a layer's weights or biases were rebound after the network was built")
+    _adam(state, net.params, flat)
+    net.version += 1
 
 
 def apply_gradients(net: Mlp, state: AdamState, grads: list[tuple[np.ndarray, np.ndarray]]):
     """One Adam update over `net.params`; invalidates outstanding tapes."""
-    if any(p.base is not net.params for p in net.parameters()):
-        raise ValueError("a layer's weights or biases were rebound after the network was built")
-    flat = np.concatenate([g.ravel() for pair in grads for g in pair])
-    adam_step(state, net.params, flat)
-    net.version += 1
+    _apply(net, state, np.concatenate([g.ravel() for pair in grads for g in pair]))
 
 
 # ---------------------------------------------------------------------------

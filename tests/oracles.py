@@ -509,3 +509,50 @@ def whole_matrix_lof_train_scores(model):
 def whole_matrix_rbf(a, b, gamma):
     """The RBF kernel matrix exp(-gamma |a - b|^2) in one expression."""
     return np.exp(-gamma * _whole_sq_dists(a, b))
+
+
+
+def column_smo_ocsvm_fit(x, nu, gamma, tol, max_iter):
+    """ocsvm_fit with its SMO loop in the first form: the gradient itself,
+    both masks and -grad rebuilt every iteration, and the update read from
+    two strided kernel columns. csiauth.detectors.ocsvm_fit must reproduce
+    it bit for bit, ConvergenceError residual included."""
+    from csiauth.detectors import ConvergenceError, OcsvmModel, _kkt_residual, _rbf
+
+    n = x.shape[0]
+    cap = 1.0 / (nu * n)
+    q = _rbf(x, x, gamma)
+    alpha = np.full(n, 1.0 / n)
+    grad = q @ alpha
+    for _ in range(max_iter):
+        up = alpha < cap - 1e-15
+        low = alpha > 1e-15
+        i = int(np.argmax(np.where(up, -grad, -np.inf)))
+        j = int(np.argmin(np.where(low, -grad, np.inf)))
+        violation = (-grad[i]) - (-grad[j])
+        if violation <= tol:
+            break
+        a = q[i, i] + q[j, j] - 2.0 * q[i, j]
+        if a <= 0:
+            a = 1e-12
+        step = (grad[j] - grad[i]) / a
+        step = min(step, cap - alpha[i], alpha[j])
+        alpha[i] += step
+        alpha[j] -= step
+        grad += step * (q[:, i] - q[:, j])
+    else:
+        raise ConvergenceError("no convergence", residual=float(violation))
+    free = (alpha > 1e-8 * cap) & (alpha < cap * (1.0 - 1e-8))
+    if np.any(free):
+        rho = float(np.mean(grad[free]))
+    else:
+        upper = grad[alpha >= cap * (1.0 - 1e-8)]
+        lower = grad[alpha <= 1e-8 * cap]
+        hi = upper.max() if upper.size else -np.inf
+        lo = lower.min() if lower.size else np.inf
+        rho = float((hi + lo) / 2.0)
+    sv = alpha > 1e-12
+    return OcsvmModel(
+        nu=nu, gamma=gamma, support_vectors=x[sv], alphas=alpha[sv],
+        rho=rho, kkt_residual=_kkt_residual(alpha, grad, rho, cap),
+    )

@@ -109,8 +109,8 @@ def test_unknown_top_level_config_key_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "cfg,expected",
     [
-        ({"analytic_trials": "abc"}, "invalid literal for int() with base 10: 'abc'"),
-        ({"seed": None}, "int() argument must be"),
+        ({"analytic_trials": "abc"}, '"analytic_trials" must be an integer, got "abc"'),
+        ({"seed": None}, '"seed" must be an integer, got null'),
         ({"snr_grid": "nope"}, "expected a:b:step, got 'nope'"),
         ({"gan": [2]}, '"gan" must be a JSON object'),
         ({"pooled": "no"}, '"pooled" must be true or false, got \'no\''),
@@ -124,6 +124,49 @@ def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
     assert run_cli("analytic", "--config", path, "--out", tmp_path / "run") == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {expected}")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,key",
+    [
+        ({"gan": {"max_epochs": 2.5}}, '"max_epochs" under "gan"'),
+        ({"gan": {"batch": 64.0}}, '"batch" under "gan"'),
+        ({"gan": {"latent_dim": True}}, '"latent_dim" under "gan"'),
+        ({"seed": 7.9}, '"seed"'),
+        ({"seed": "7"}, '"seed"'),
+        ({"jobs": True}, '"jobs"'),
+        ({"analytic_trials": 1.5}, '"analytic_trials"'),
+        ({"detectors": {"lof_k": 20.7}}, '"lof_k" under "detectors"'),
+        ({"detectors": {"iforest_trees": "100"}}, '"iforest_trees" under "detectors"'),
+        ({"detectors": {"iforest_subsample": False}}, '"iforest_subsample" under "detectors"'),
+    ],
+)
+def test_config_integer_key_must_be_a_json_integer(tmp_path, capsys, cfg, key):
+    # int() would run seed 7.9 as 7, trials 1.5 as 1 and true as 1, and
+    # range() would crash on a float epoch count
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    value = next(iter(cfg.values()))
+    if isinstance(value, dict):
+        value = next(iter(value.values()))
+    assert run_cli("train", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: {key} must be an integer, got {json.dumps(value)}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_integer_keys_accept_json_integers(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "seed": 3, "jobs": 2, "analytic_trials": 4,
+        "gan": {"max_epochs": 2, "batch": 32, "latent_dim": 5},
+        "detectors": {"lof_k": 10, "iforest_trees": 20, "iforest_subsample": 64},
+    }))
+    rc = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
+    assert (rc.seed, rc.jobs, rc.analytic_trials) == (3, 2, 4)
+    assert rc.gan_overrides == {"max_epochs": 2, "batch": 32, "latent_dim": 5}
+    assert rc.detector_overrides["lof_k"] == 10
 
 
 def test_config_z_mult_string_is_a_comma_list(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_lof,
+    column_smo_ocsvm_fit,
     edit_packed,
     forest_from_trees,
     format1_document,
@@ -33,6 +34,7 @@ from csiauth.detectors import (
     _SplitDraws,
     _rbf,
     iforest_fit,
+    iforest_fit_slices,
     iforest_scores,
     lof_fit,
     lof_scores,
@@ -386,6 +388,46 @@ def test_iforest_fit_matches_recursive_growth(tmp_path, case):
     assert fitted_path.read_bytes() == grown_path.read_bytes()
 
 
+def test_iforest_fit_slices_matches_per_slice_growth(tmp_path):
+    """One lockstep over several slices saves, slice by slice, the bytes of
+    each slice grown alone: a slice with tied columns beside slices with
+    none (the tied columns are then the union, checked at every node), a
+    slice under the subsample (a lower height limit) and a smaller
+    subsample."""
+    tied = np.round(gaussian_points(300, 6, seed=60), 1)
+    distinct = gaussian_points(400, 6, seed=61)
+    assert not (np.diff(np.sort(distinct, axis=0), axis=0) == 0).any()
+    slices = [
+        (distinct, 256, RngStream(62, 0)),
+        (tied, 256, RngStream(62, 1)),
+        (gaussian_points(90, 6, seed=63), 90, RngStream(62, 2)),
+        (gaussian_points(200, 6, seed=64, scale=3.0), 32, RngStream(62, 3)),
+    ]
+    models = iforest_fit_slices(slices, n_trees=40, threshold=0.6)
+    assert [m.height_limit for m in models] == [8, 8, 7, 5]
+    for s, ((x, subsample, rng), model) in enumerate(zip(slices, models)):
+        alone = forest_from_trees(
+            iforest_fit_by_recursion(x, 40, subsample, rng, threshold=0.6)
+        )
+        for key in ("n_nodes", "feature", "left", "right", "size"):
+            np.testing.assert_array_equal(getattr(model, key), getattr(alone, key))
+        paths = [tmp_path / f"{s}_{name}.json" for name in ("lockstep", "alone", "fit")]
+        save_model(model, paths[0])
+        save_model(alone, paths[1])
+        save_model(iforest_fit(x, 40, subsample, rng, threshold=0.6), paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def test_iforest_fit_slices_validates_every_slice():
+    good = (gaussian_points(50, 3, seed=65), 32, RngStream(66))
+    with pytest.raises(ValueError, match="subsample"):
+        iforest_fit_slices([good, (gaussian_points(20, 3, seed=67), 32, RngStream(66))])
+    with pytest.raises(ValueError, match="requires an RngStream"):
+        iforest_fit_slices([good, (gaussian_points(50, 3, seed=67), 32, None)])
+    with pytest.raises(ValueError, match="n_trees"):
+        iforest_fit_slices([good], n_trees=0)
+
+
 def _split_queries(doc):
     """Rows that each hit one stored split value exactly on its feature."""
     rows = []
@@ -560,6 +602,56 @@ def test_ocsvm_order_invariant_decisions():
     d2 = ocsvm_decision_values(ocsvm_fit(x[perm], nu=0.1), q)
     np.testing.assert_allclose(d1, d2, atol=1e-3)
     assert np.array_equal(np.sign(d1), np.sign(d2))
+
+
+def _same_model(a, b):
+    for field in dataclasses.fields(OcsvmModel):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+
+
+@pytest.mark.parametrize("case", ["gaussian", "wide", "tight-nu", "duplicated", "seed7-0dB", "seed7-30dB"])
+def test_ocsvm_fit_matches_column_smo(case):
+    """The SMO that keeps -grad and reads kernel rows gives the bits of the
+    first-form loop: support vectors, alphas, rho and KKT residual."""
+    nu, gamma = 0.05, None
+    if case.startswith("seed7"):
+        rng = RngStream(7)
+        train, _ = datasets.split_train_test(datasets.build_master(rng, snr_grid=(0.0, 30.0)))
+        x = train.x[train.snr == (0.0 if case == "seed7-0dB" else 30.0)]
+    elif case == "wide":
+        x = gaussian_points(300, 32, seed=70, scale=4.0)
+    elif case == "tight-nu":
+        x, nu, gamma = gaussian_points(250, 5, seed=71), 0.5, 0.3
+    elif case == "duplicated":
+        x = np.repeat(gaussian_points(50, 4, seed=72), 4, axis=0)
+    else:
+        x = gaussian_points(400, 4, seed=73)
+    gamma = detectors.default_gamma(x) if gamma is None else gamma
+    model = ocsvm_fit(x, nu=nu, gamma=gamma)
+    _same_model(model, column_smo_ocsvm_fit(x, nu, gamma, detectors.OCSVM_TOL, detectors.OCSVM_MAX_ITER))
+
+
+@pytest.mark.parametrize("nu,max_iter", [(0.05, 1), (0.05, 2), (0.05, 17), (1.0, 5)])
+def test_ocsvm_convergence_error_matches_column_smo(nu, max_iter):
+    # nu = 1 puts every alpha at its cap from the start: no alpha may rise
+    x = gaussian_points(200, 4, seed=30)
+    gamma = detectors.default_gamma(x)
+    with pytest.raises(ConvergenceError) as got:
+        ocsvm_fit(x, nu=nu, max_iter=max_iter)
+    with pytest.raises(ConvergenceError) as want:
+        column_smo_ocsvm_fit(x, nu, gamma, detectors.OCSVM_TOL, max_iter)
+    assert np.float64(got.value.residual).tobytes() == np.float64(want.value.residual).tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (7, 4), (64, 32), (65, 32), (700, 32), (701, 5)])
+def test_rbf_of_a_matrix_with_itself_is_exactly_symmetric(n, d):
+    """ocsvm_fit reads kernel rows in place of columns: _rbf(x, x) must be
+    symmetric bit for bit (a @ a.T goes through one symmetric product)."""
+    x = gaussian_points(n, d, seed=74)
+    for gamma in (1e-3, detectors.default_gamma(x) if n > 1 else 0.5, 10.0):
+        k = _rbf(x, x, gamma)
+        assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
 
 
 def test_ocsvm_validation():

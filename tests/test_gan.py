@@ -8,6 +8,7 @@ from csiauth.channel import flatten_csi, sample_csi
 from csiauth.evaluate import gan_decider
 from csiauth.gan import (
     TrainConfig,
+    _Batch,
     _discriminator_step,
     _generator_step,
     build_discriminator,
@@ -98,6 +99,10 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_d=0.0)
+    for bad in ({"max_epochs": 2.5}, {"batch": 64.0}, {"latent_dim": True}, {"batch": "64"}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            TrainConfig(**bad)
+    assert TrainConfig(max_epochs=np.int64(3)).max_epochs == 3
 
 
 def test_training_is_deterministic():
@@ -142,14 +147,13 @@ def test_steps_freeze_the_other_network():
     d = build_discriminator(RngStream(14))
     g = build_generator(RngStream(15))
     sd, sg = AdamState(lr=3e-4), AdamState(lr=9e-4)
-    latent = RngStream(16).generator()
-    dropout = RngStream(17).generator()
-    cfg = TrainConfig()
+    batch = _Batch(d, g, 64, TrainConfig().latent_dim)
+    batch.draw(x, np.arange(64), RngStream(16).generator(), RngStream(17).generator())
     g_before = params_digest(g)
-    _discriminator_step(d, g, sd, x, cfg, latent, dropout)
+    _discriminator_step(d, g, sd, batch)
     assert params_digest(g) == g_before
     d_before = params_digest(d)
-    _generator_step(d, g, sg, 64, cfg, latent, dropout)
+    _generator_step(d, g, sg, batch)
     assert params_digest(d) == d_before
     assert params_digest(g) != g_before
 
