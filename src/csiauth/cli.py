@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from . import analytic, datasets, detectors, gan, neuralnet
 from .channel import NoiseModel
+from .packed import number, typed_fields
 from .evaluate import (
     accuracy_curve,
     curves_from_confusions,
@@ -38,19 +40,7 @@ DEFAULT_OUT = "runs"
 DEFAULT_Z_MULTIPLIERS = (1.0, 3.0, 5.0, 6.0)
 ANALYTIC_CONFIGS = ((1, 1), (2, 2), (4, 4), (8, 8))
 ANALYTIC_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-DETECTOR_OVERRIDES = (
-    "lof_k", "lof_threshold", "iforest_trees", "iforest_subsample", "iforest_threshold",
-    "ocsvm_nu", "ocsvm_gamma",
-)
-CONFIG_KEYS = (
-    "seed", "out", "snr_grid", "z_mult", "jobs", "pooled", "gan", "detectors", "analytic_trials",
-)
-# Keys whose values must be JSON integers: int() would take 7.9 as 7 and true as 1.
-INTEGER_KEYS = {
-    "": ("seed", "jobs", "analytic_trials"),
-    "gan": ("max_epochs", "batch", "latent_dim"),
-    "detectors": ("lof_k", "iforest_trees", "iforest_subsample"),
-}
+MAX_GRID_POINTS = 1000
 
 
 @dataclass
@@ -61,8 +51,8 @@ class RunConfig:
     z_multipliers: tuple[float, ...] = DEFAULT_Z_MULTIPLIERS
     jobs: int = 1
     pooled: bool = False
-    gan_overrides: dict = field(default_factory=dict)
-    detector_overrides: dict = field(default_factory=dict)
+    gan_config: gan.TrainConfig = field(default_factory=gan.TrainConfig)
+    detector_config: detectors.DetectorConfig = field(default_factory=detectors.DetectorConfig)
     analytic_trials: int = 50
 
     @property
@@ -79,26 +69,30 @@ class RunConfig:
 
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Parse 'a:b:step' into an inclusive grid."""
+    """Parse 'a:b:step' of finite reals into the inclusive grid a + i*step,
+    i = 0, 1, ... up to b (1e-9 of slack), of at most MAX_GRID_POINTS points."""
     try:
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"bad grid bounds in {text!r}")
-    grid = []
-    v = a
-    while v <= b + 1e-9:
-        grid.append(round(v, 9))
-        v += step
-    return tuple(grid)
+    last = (b + 1e-9 - a) / step  # the last point's index, before flooring
+    if not last < MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(round(a + i * step, 9) for i in range(math.floor(last) + 1))
 
 
 def parse_multipliers(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        mults = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma list of reals, got {text!r}") from exc
+    if not all(map(math.isfinite, mults)):
+        raise argparse.ArgumentTypeError(f"multipliers must be finite, got {text!r}")
+    return mults
 
 
 def _global_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,81 +137,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each key of a config file and its kind: an integer, a bool, a string, a parser's
+# string or a list of numbers, or an object of the fields of a dataclass.
+CONFIG_KEYS = {
+    "seed": int, "out": str, "snr_grid": parse_snr_grid, "z_mult": parse_multipliers,
+    "jobs": int, "pooled": bool, "gan": gan.TrainConfig, "detectors": detectors.DetectorConfig,
+    "analytic_trials": int,
+}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = {}
-    if args.config is not None:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"{args.config}: expected a JSON object")
+    """CLI flags over the --config file over the defaults; an error in the
+    file raises ValueError naming it."""
     try:
-        return _run_config(args, file_cfg)
+        file_cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise ValueError("expected a JSON object")
+        file_cfg = {key: _config_value(key, value) for key, value in file_cfg.items()}
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        if args.config is None:
-            raise
         raise ValueError(f"{args.config}: {exc}") from exc
 
-
-def _run_config(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
-    _check_keys(file_cfg, CONFIG_KEYS, "")
-    _check_integers(file_cfg, INTEGER_KEYS[""], "")
-
     def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return fallback
+        return file_cfg.get(key, fallback) if flag_value is None else flag_value
 
-    out = pick(args.out, "out", os.environ.get("CSIAUTH_OUT", DEFAULT_OUT))
-    grid = pick(args.snr_grid, "snr_grid", datasets.DEFAULT_SNR_GRID)
-    if isinstance(grid, str):
-        grid = parse_snr_grid(grid)
-    z_mult = pick(args.z_mult, "z_mult", DEFAULT_Z_MULTIPLIERS)
-    if isinstance(z_mult, str):
-        z_mult = parse_multipliers(z_mult)
-    pooled = pick(args.pooled, "pooled", False)
-    if not isinstance(pooled, bool):
-        raise ValueError(f'"pooled" must be true or false, got {pooled!r}')
     return RunConfig(
-        seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
-        out_dir=Path(out),
-        snr_grid=tuple(float(s) for s in grid),
-        z_multipliers=tuple(float(m) for m in z_mult),
-        jobs=max(1, int(pick(args.jobs, "jobs", 1))),
-        pooled=pooled,
-        gan_overrides=_overrides(file_cfg, "gan", [f.name for f in fields(gan.TrainConfig)]),
-        detector_overrides=_overrides(file_cfg, "detectors", DETECTOR_OVERRIDES),
-        analytic_trials=int(file_cfg.get("analytic_trials", 50)),
+        seed=pick(args.seed, "seed", DEFAULT_SEED),
+        out_dir=Path(pick(args.out, "out", os.environ.get("CSIAUTH_OUT", DEFAULT_OUT))),
+        snr_grid=pick(args.snr_grid, "snr_grid", datasets.DEFAULT_SNR_GRID),
+        z_multipliers=pick(args.z_mult, "z_mult", DEFAULT_Z_MULTIPLIERS),
+        jobs=max(1, pick(args.jobs, "jobs", 1)),
+        pooled=pick(args.pooled, "pooled", False),
+        gan_config=file_cfg.get("gan", gan.TrainConfig()),
+        detector_config=file_cfg.get("detectors", detectors.DetectorConfig()),
+        analytic_trials=file_cfg.get("analytic_trials", 50),
     )
 
 
-def _overrides(file_cfg: dict, section: str, known) -> dict:
-    """The config file's `section` object, every key of which must be in `known`."""
-    found = file_cfg.get(section, {})
-    if not isinstance(found, dict):
-        raise ValueError(f'"{section}" must be a JSON object')
-    _check_keys(found, known, f' under "{section}"')
-    _check_integers(found, INTEGER_KEYS[section], f' under "{section}"')
-    return dict(found)
-
-
-def _check_keys(found: dict, known, where: str) -> None:
-    """Reject the first key of `found` that is not in `known`: a misspelt
-    key would otherwise do nothing."""
-    for key in found:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r}{where}")
-
-
-def _check_integers(found: dict, keys, where: str) -> None:
-    """Reject the first of `keys` in `found` whose value is not a JSON integer."""
-    for key in keys:
-        value = found.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f'"{key}"{where} must be an integer, got {json.dumps(value)}')
+def _config_value(key: str, value):
+    """A config file's value of `key`, checked against its kind in CONFIG_KEYS;
+    an unknown key is an error, as a misspelt one would otherwise do nothing."""
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}")
+    kind = CONFIG_KEYS[key]
+    if kind is int:
+        return number(value, int, f'"{key}"')
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            what = "true or false" if kind is bool else "a string"
+            raise ValueError(f'"{key}" must be {what}, got {value!r}')
+        return value
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f'"{key}" must be a JSON object')
+        return kind(**typed_fields(kind, value, f' under "{key}"'))
+    if isinstance(value, str):
+        return kind(value)
+    return tuple(number(v, float, f'"{key}"') for v in value)
 
 
 def _parallel(jobs: int, tasks: list):
@@ -260,9 +235,7 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def _load_train(cfg: RunConfig) -> datasets.Dataset:
-    path = cfg.data_dir / "train.csv"
-    if not path.exists():
-        raise FileNotFoundError(f"missing {path}; run `csiauth gen` first")
+    path = _require(cfg.data_dir / "train.csv", "csiauth gen")
     train = datasets.read_dataset(path)
     if not train.legit.all():
         raise ValueError(f"{path}: training data must contain only legitimate samples")
@@ -272,7 +245,6 @@ def _load_train(cfg: RunConfig) -> datasets.Dataset:
 def cmd_train(cfg: RunConfig) -> int:
     train_ds = _load_train(cfg)
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
-    tc = gan.TrainConfig(**cfg.gan_overrides)
     rng = RngStream(cfg.seed)
 
     def job(snr: float | None):
@@ -284,7 +256,7 @@ def cmd_train(cfg: RunConfig) -> int:
             rows = train_ds.x[train_ds.snr == snr]
             stream = rng.substream("gan-train", snr)
             name = f"gan_snr{_snr_tag(snr)}"
-        disc, report = gan.train_gan(rows, tc, stream)
+        disc, report = gan.train_gan(rows, cfg.gan_config, stream)
         return name, disc, report
 
     keys = [None] if cfg.pooled else list(train_ds.manifest.snr_grid)
@@ -300,31 +272,22 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_fit_detector(cfg: RunConfig, algo: str) -> int:
     train_ds = _load_train(cfg)
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
-    ov = cfg.detector_overrides
+    dc = cfg.detector_config
     rng = RngStream(cfg.seed)
     grid = train_ds.manifest.snr_grid
     slices = [train_ds.x[train_ds.snr == snr] for snr in grid]
 
     def job(x):
         if algo == "lof":
-            return detectors.lof_fit(
-                x, k=int(ov.get("lof_k", detectors.LOF_K)),
-                threshold=float(ov.get("lof_threshold", detectors.LOF_THRESHOLD)),
-            )
-        gamma = ov.get("ocsvm_gamma")
-        return detectors.ocsvm_fit(
-            x, nu=float(ov.get("ocsvm_nu", detectors.OCSVM_NU)),
-            gamma=float(gamma) if gamma is not None else None,
-        )
+            return detectors.lof_fit(x, k=dc.lof_k, threshold=dc.lof_threshold)
+        return detectors.ocsvm_fit(x, nu=dc.ocsvm_nu, gamma=dc.ocsvm_gamma)
 
     if algo == "iforest":
         # Every slice's trees grow in one lockstep, so there is nothing to thread.
-        subsample = int(ov.get("iforest_subsample", detectors.IFOREST_SUBSAMPLE))
         models = detectors.iforest_fit_slices(
-            [(x, min(subsample, x.shape[0]), rng.substream("iforest", snr))
+            [(x, min(dc.iforest_subsample, x.shape[0]), rng.substream("iforest", snr))
              for snr, x in zip(grid, slices)],
-            n_trees=int(ov.get("iforest_trees", detectors.IFOREST_TREES)),
-            threshold=float(ov.get("iforest_threshold", detectors.IFOREST_THRESHOLD)),
+            n_trees=dc.iforest_trees, threshold=dc.iforest_threshold,
         )
     else:
         models = _parallel(cfg.jobs, [lambda x=x: job(x) for x in slices])
@@ -436,7 +399,7 @@ def main(argv=None) -> int:
         if args.func is cmd_fit_detector:
             return cmd_fit_detector(cfg, args.algo)
         return args.func(cfg)
-    except (FileNotFoundError, ValueError, datasets.DatasetFormatError) as exc:
+    except (OSError, ValueError) as exc:  # FileNotFoundError and DatasetFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

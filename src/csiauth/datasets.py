@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import NoiseModel, flatten_csi, measurement_batch, sample_csi, unflatten_csi
+from .packed import number, scalar
 from .rng import RngStream
 
 LEGITIMATE = "legitimate"
@@ -279,7 +280,7 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"missing manifest sidecar: {mpath}")
     try:
         manifest = _manifest_from_json(mpath.read_text())
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
     n_rx, m_tx = manifest.h_true.shape
     expected_header = _csv_header(n_rx, m_tx)
@@ -396,18 +397,21 @@ def _manifest_from_json(text: str) -> DatasetManifest:
     doc = json.loads(text)
     kind = doc["kind"]
     if kind not in _KINDS:
-        raise DatasetFormatError(f"unknown dataset kind {kind!r}")
-    n_rx, m_tx = int(doc["n_rx"]), int(doc["m_tx"])
-    h_true = unflatten_csi(np.array(doc["h_true"], dtype=float), n_rx, m_tx)
-    snr_grid = [float(s) for s in doc["snr_grid"]]
+        raise ValueError(f"unknown dataset kind {kind!r}")
+
+    def reals(key, values):
+        return [number(v, float, f'"{key}"') for v in values]
+
+    n_rx, m_tx = scalar(doc, "n_rx", int), scalar(doc, "m_tx", int)
+    h_true = unflatten_csi(np.array(reals("h_true", doc["h_true"])), n_rx, m_tx)
     counts = {}
     for snr_key, by_label in doc["counts"].items():
         for label, count in by_label.items():
-            counts[(float(snr_key), label)] = int(count)
+            counts[(float(snr_key), label)] = number(count, int, '"counts"')
     offsets = None
     if "offsets" in doc:
-        offsets = [complex(re, im) for re, im in doc["offsets"]]
+        offsets = [complex(re, im) for re, im in (reals("offsets", p) for p in doc["offsets"])]
     return DatasetManifest(
-        seed=int(doc["seed"]), kind=kind, snr_grid=snr_grid, counts=counts,
-        h_true=h_true, offsets=offsets,
+        seed=scalar(doc, "seed", int), kind=kind, snr_grid=reals("snr_grid", doc["snr_grid"]),
+        counts=counts, h_true=h_true, offsets=offsets,
     )

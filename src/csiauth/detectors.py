@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .packed import finite_array, pack, unpack
+from .packed import NumberFields, finite_array, pack, read_document, scalar, unpack
 from .rng import RngStream
 
 LOF_K = 20
@@ -41,6 +41,19 @@ _DIST_BLOCK_ITEMS = 64 * 700
 # (_whole_buffer); for smaller ones mapping costs more time than a heap
 # block that stays resident costs memory.
 _MAPPED_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class DetectorConfig(NumberFields):
+    """The "detectors" section of a config file; gamma None is default_gamma."""
+
+    lof_k: int = LOF_K
+    lof_threshold: float = LOF_THRESHOLD
+    iforest_trees: int = IFOREST_TREES
+    iforest_subsample: int = IFOREST_SUBSAMPLE
+    iforest_threshold: float = IFOREST_THRESHOLD
+    ocsvm_nu: float = OCSVM_NU
+    ocsvm_gamma: float | None = None
 
 
 class ConvergenceError(RuntimeError):
@@ -706,20 +719,9 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Read a detector written by save_model; a malformed file, or one of
     an older format, raises ValueError naming it."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError("expected a JSON object")
-        if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
-            raise ValueError(
-                f"detector file format {doc.get('format_version')!r} is not "
-                f"{DETECTOR_FORMAT_VERSION}; re-run `csiauth fit-detector` to rewrite it"
-            )
-        return _model_from_doc(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_document(
+        path, _model_from_doc, DETECTOR_FORMAT_VERSION, "detector file", "csiauth fit-detector"
+    )
 
 
 def _model_from_doc(doc):
@@ -728,7 +730,7 @@ def _model_from_doc(doc):
     payload = doc["payload"]
     if algo == "lof":
         model = LofModel(
-            k=int(hp["k"]), threshold=_finite(hp, "threshold"),
+            k=scalar(hp, "k", int), threshold=scalar(hp, "threshold", float),
             train_points=finite_array(payload, "train_points", ndim=2),
             kdist=finite_array(payload, "kdist", ndim=1),
             lrd=finite_array(payload, "lrd", ndim=1),
@@ -744,15 +746,17 @@ def _model_from_doc(doc):
         return model
     if algo == "iforest":
         return _forest(
-            payload, n_trees=int(hp["n_trees"]), subsample=int(hp["subsample"]),
-            threshold=_finite(hp, "threshold"), height_limit=int(payload["height_limit"]),
+            payload, n_trees=scalar(hp, "n_trees", int), subsample=scalar(hp, "subsample", int),
+            threshold=scalar(hp, "threshold", float),
+            height_limit=scalar(payload, "height_limit", int),
         )
     if algo == "ocsvm":
         model = OcsvmModel(
-            nu=_finite(hp, "nu"), gamma=_finite(hp, "gamma"),
+            nu=scalar(hp, "nu", float), gamma=scalar(hp, "gamma", float),
             support_vectors=finite_array(payload, "support_vectors", ndim=2),
             alphas=finite_array(payload, "alphas", ndim=1),
-            rho=_finite(payload, "rho"), kkt_residual=_finite(payload, "kkt_residual"),
+            rho=scalar(payload, "rho", float),
+            kkt_residual=scalar(payload, "kkt_residual", float),
         )
         if not 0.0 < model.nu <= 1.0:
             raise ValueError(f"ocsvm nu must be in (0, 1], got {model.nu}")
@@ -765,13 +769,6 @@ def _model_from_doc(doc):
             )
         return model
     raise ValueError(f"unknown detector algorithm {algo!r}")
-
-
-def _finite(doc: dict, key: str) -> float:
-    value = float(doc[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key} holds a non-finite value")
-    return value
 
 
 # ---------------------------------------------------------------------------

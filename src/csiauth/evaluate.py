@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -29,6 +29,7 @@ from .detectors import (
 )
 from .gan import scores_batch
 from .neuralnet import Mlp
+from .packed import read_document, scalar
 from .threshold import Threshold, accept_rows
 
 DecisionFn = Callable[[np.ndarray], np.ndarray]
@@ -134,15 +135,7 @@ def emit_report(curves: list[AccuracyCurve], matrices: list[ConfusionMatrix], ou
 
     for m in sorted(matrices, key=lambda m: (m.method, m.snr_db)):
         path = out / f"confusion_{m.method}_{format(m.snr_db, 'g')}.json"
-        doc = {
-            "method": m.method,
-            "snr_db": m.snr_db,
-            "real_real": m.real_real,
-            "real_fake": m.real_fake,
-            "fake_real": m.fake_real,
-            "fake_fake": m.fake_fake,
-            "accuracy": m.accuracy,
-        }
+        doc = {**asdict(m), "accuracy": m.accuracy}
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         written.append(path)
 
@@ -153,18 +146,17 @@ def emit_report(curves: list[AccuracyCurve], matrices: list[ConfusionMatrix], ou
 
 
 def load_confusions(report_dir) -> list[ConfusionMatrix]:
-    """Read back the confusion JSON files emitted by emit_report."""
-    out = []
-    for path in sorted(Path(report_dir).glob("confusion_*.json")):
-        doc = json.loads(path.read_text())
-        out.append(
-            ConfusionMatrix(
-                method=doc["method"], snr_db=float(doc["snr_db"]),
-                real_real=int(doc["real_real"]), real_fake=int(doc["real_fake"]),
-                fake_real=int(doc["fake_real"]), fake_fake=int(doc["fake_fake"]),
-            )
-        )
-    return out
+    """Read back the confusion JSON files emitted by emit_report; a malformed
+    one raises ValueError naming it."""
+    paths = sorted(Path(report_dir).glob("confusion_*.json"))
+    return [read_document(path, _confusion) for path in paths]
+
+
+def _confusion(doc: dict) -> ConfusionMatrix:
+    counts = ("real_real", "real_fake", "fake_real", "fake_fake")
+    return ConfusionMatrix(
+        doc["method"], scalar(doc, "snr_db", float), *(scalar(doc, key, int) for key in counts)
+    )
 
 
 def spearman_vs_snr(curve: AccuracyCurve) -> float:

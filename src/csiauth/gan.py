@@ -10,7 +10,6 @@ the authentication decision function.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .neuralnet import (
     dense_layer,
     forward,
 )
+from .packed import NumberFields
 from .rng import RngStream
 
 CSI_FEATURES = 32  # 16 complex elements, (re, im) each
@@ -40,7 +40,7 @@ MAX_EPOCHS = 50
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NumberFields):
     max_epochs: int = MAX_EPOCHS
     batch: int = 64
     lr_d: float = 0.0003
@@ -48,10 +48,7 @@ class TrainConfig:
     latent_dim: int = LATENT_DIM
 
     def __post_init__(self):
-        for name in ("max_epochs", "batch", "latent_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        super().__post_init__()
         if not 1 <= self.max_epochs <= MAX_EPOCHS:
             raise ValueError(f"max_epochs must be in [1, {MAX_EPOCHS}], got {self.max_epochs}")
         if self.batch < 1:
@@ -229,13 +226,7 @@ def write_report_csv(report: TrainReport, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "d_loss", "g_loss", "acc_real", "acc_fake"])
-        for e in range(report.epochs_run):
-            writer.writerow(
-                [
-                    e + 1,
-                    format(report.d_loss[e], ".17g"),
-                    format(report.g_loss[e], ".17g"),
-                    format(report.d_accuracy_on_real[e], ".17g"),
-                    format(report.d_accuracy_on_fake[e], ".17g"),
-                ]
-            )
+        columns = (report.d_loss, report.g_loss, report.d_accuracy_on_real,
+                   report.d_accuracy_on_fake)
+        for e, row in enumerate(zip(*columns), start=1):
+            writer.writerow([e, *(format(v, ".17g") for v in row)])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .packed import finite_array, pack
+from .packed import finite_array, number, pack, read_document
 from .rng import RngStream
 
 ACTIVATIONS = ("leaky_relu", "tanh", "sigmoid", "linear")
@@ -44,7 +44,7 @@ class Mlp:
     """Dense layers whose weights and biases are views into one buffer, `params`.
 
     Construction copies them in, in `parameters()` order. Rebinding one later
-    detaches it from the buffer, and `apply_gradients` refuses the network.
+    detaches it from the buffer, and an Adam update (`_apply`) refuses it.
     """
 
     layers: list[DenseLayer]
@@ -395,16 +395,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
 
 
 def _apply(net: Mlp, state: AdamState, flat: np.ndarray) -> None:
-    """apply_gradients with the gradients already in net.params order."""
+    """One Adam update of net.params by the gradient `flat`; invalidates tapes."""
     if any(p.base is not net.params for p in net.parameters()):
         raise ValueError("a layer's weights or biases were rebound after the network was built")
     _adam(state, net.params, flat)
     net.version += 1
-
-
-def apply_gradients(net: Mlp, state: AdamState, grads: list[tuple[np.ndarray, np.ndarray]]):
-    """One Adam update over `net.params`; invalidates outstanding tapes."""
-    _apply(net, state, np.concatenate([g.ravel() for pair in grads for g in pair]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +432,22 @@ def save_checkpoint(net: Mlp, path) -> None:
 def load_checkpoint(path) -> Mlp:
     """Read a network written by save_checkpoint; a malformed file, or one
     of an older format, raises ValueError naming it."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError("expected a JSON object")
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format {doc.get('format_version')!r} is not "
-                f"{CHECKPOINT_FORMAT_VERSION}; re-run `csiauth train` to rewrite it"
-            )
-        layers = []
-        for i, spec in enumerate(doc["layers"]):
-            try:
-                w = finite_array(spec, "weights", ndim=2)
-                b = finite_array(spec, "biases", ndim=1)
-            except ValueError as exc:
-                raise ValueError(f"layer {i} {exc}") from None
-            layers.append(DenseLayer(w, b, spec["activation"], spec["alpha"]))
-        if not isinstance(doc["dropout"], dict):
-            raise ValueError("dropout must be a JSON object")
-        dropout = {int(i): float(r) for i, r in doc["dropout"].items()}
-        return Mlp(layers, dropout)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_document(
+        path, _mlp_from_doc, CHECKPOINT_FORMAT_VERSION, "checkpoint", "csiauth train"
+    )
+
+
+def _mlp_from_doc(doc: dict) -> Mlp:
+    layers = []
+    for i, spec in enumerate(doc["layers"]):
+        try:
+            w = finite_array(spec, "weights", ndim=2)
+            b = finite_array(spec, "biases", ndim=1)
+        except ValueError as exc:
+            raise ValueError(f"layer {i} {exc}") from None
+        alpha = number(spec["alpha"], float, f'layer {i} "alpha"')
+        layers.append(DenseLayer(w, b, spec["activation"], alpha))
+    if not isinstance(doc["dropout"], dict):
+        raise ValueError("dropout must be a JSON object")
+    dropout = {int(i): number(r, float, f'dropout "{i}"') for i, r in doc["dropout"].items()}
+    return Mlp(layers, dropout)

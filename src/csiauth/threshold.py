@@ -24,9 +24,9 @@ class Threshold:
     lambda_ave: float
 
     def __post_init__(self):
-        if self.multiplier < 0:
+        if not self.multiplier >= 0:
             raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
-        if self.lambda_ave <= 0:
+        if not self.lambda_ave > 0:
             raise ValueError(f"lambda_ave must be > 0, got {self.lambda_ave}")
 
     @property

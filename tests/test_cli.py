@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,8 @@ import pytest
 from csiauth import cli
 from csiauth.cli import build_parser, main, parse_snr_grid, resolve_config
 from csiauth.datasets import read_dataset, write_dataset
+from csiauth.detectors import DetectorConfig
+from csiauth.gan import TrainConfig
 
 
 def run_cli(*args):
@@ -36,6 +42,81 @@ def test_parse_snr_grid():
         parse_snr_grid("5:1:2")
     with pytest.raises(Exception):
         parse_snr_grid("nope")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time, so that
+    a parse that loops forever fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def accumulated_grid(a, b, step):
+    """The grid as it was once built, by adding step to a running value."""
+    grid, v = [], a
+    while v <= b + 1e-9:
+        grid.append(round(v, 9))
+        v += step
+    return tuple(grid)
+
+
+@pytest.mark.parametrize(
+    "text", ["0:30:2", "0:30:30", "0:8:4", "0:1:0.1", "-3.5:7:0.25", "2:2:1", "0:999:1"]
+)
+def test_snr_grid_points_are_those_of_the_running_sum(text):
+    with deadline(5):
+        grid = parse_snr_grid(text)
+    assert grid == accumulated_grid(*map(float, text.split(":")))
+    assert parse_snr_grid("0:30:30") == (0.0, 30.0)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0:inf:2", "must be finite"), ("0:nan:2", "must be finite"),
+        ("nan:30:2", "must be finite"), ("0:30:inf", "must be finite"),
+        ("-inf:0:1", "must be finite"), ("1e20:1e20:1", None),
+        ("0:1000:1", "more than 1000 points"), ("0:1e308:1e-300", "more than 1000 points"),
+        ("-1e308:1e308:1", "more than 1000 points"), ("5:5:5e-324", "more than 1000 points"),
+        ("0:30:0", "bad grid bounds"), ("0:30:-2", "bad grid bounds"),
+    ],
+)
+def test_snr_grid_rejects_what_cannot_be_a_finite_grid(text, message):
+    # the grid used to be built by `v += step` until v > b: unbounded for
+    # b = inf, stuck where step is below v's spacing, and empty for NaN
+    with deadline(5):
+        if message is None:
+            assert parse_snr_grid(text) == (1e20,)
+            return
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            parse_snr_grid(text)
+
+
+@pytest.mark.parametrize("flag,value", [("--snr-grid", "0:inf:2"), ("--z-mult", "nan,inf"),
+                                        ("--z-mult", "1,inf")])
+def test_non_finite_flags_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gen", flag, value])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli("gen", "--snr-grid", "0:0:1", "--out", blocker) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err
 
 
 def test_help_documents_global_flags(capsys):
@@ -165,8 +246,71 @@ def test_config_integer_keys_accept_json_integers(tmp_path):
     }))
     rc = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
     assert (rc.seed, rc.jobs, rc.analytic_trials) == (3, 2, 4)
-    assert rc.gan_overrides == {"max_epochs": 2, "batch": 32, "latent_dim": 5}
-    assert rc.detector_overrides["lof_k"] == 10
+    gc, dc = rc.gan_config, rc.detector_config
+    assert (gc.max_epochs, gc.batch, gc.latent_dim) == (2, 32, 5)
+    assert (dc.lof_k, dc.iforest_trees, dc.iforest_subsample) == (10, 20, 64)
+
+
+# Every number a config file may hold: (section, key, kind), the kind as the
+# annotation text. Each section's keys are the fields of its dataclass.
+CONFIG_NUMBERS = [
+    ("", "seed", "int"), ("", "jobs", "int"), ("", "analytic_trials", "int"),
+    *(("gan", f.name, f.type) for f in fields(TrainConfig)),
+    *(("detectors", f.name, f.type) for f in fields(DetectorConfig)),
+]
+NOT_INTEGERS = {"string": "20", "bool": True, "nan": float("nan"), "inf": float("inf"),
+                "fraction": 20.7}
+NOT_REALS = {"string": "0.5", "bool": False, "nan": float("nan"), "-inf": float("-inf")}
+
+
+@pytest.mark.parametrize(
+    "section,key,what,value",
+    [
+        pytest.param(section, key, what, value, id=f"{key}-{case}")
+        for section, key, kind in CONFIG_NUMBERS
+        for what, bad in [("an integer", NOT_INTEGERS) if kind == "int"
+                          else ("a finite number", NOT_REALS)]
+        for case, value in bad.items()
+    ],
+)
+def test_config_number_keys_reject_what_is_not_that_number(
+    tmp_path, capsys, section, key, what, value
+):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    assert run_cli("train", "--config", path, "--out", tmp_path / "run") == 1
+    where = f' under "{section}"' if section else ""
+    assert capsys.readouterr().err == (
+        f'error: {path}: "{key}"{where} must be {what}, got {json.dumps(value)}\n'
+    )
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["snr_grid", "z_mult"])
+@pytest.mark.parametrize("value", ["3", True, float("nan"), float("inf")], ids=str)
+def test_config_number_lists_take_finite_numbers(tmp_path, capsys, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: [0, value]}))
+    assert run_cli("analytic", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == (
+        f'error: {path}: "{key}" must be a finite number, got {json.dumps(value)}\n'
+    )
+
+
+def test_config_sections_are_typed_objects(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "gan": {"lr_d": 1, "lr_g": 0.002}, "z_mult": [1, 2.5],
+        "detectors": {"lof_threshold": 2, "ocsvm_nu": 0.1, "ocsvm_gamma": None},
+    }))
+    rc = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
+    assert rc.gan_config == TrainConfig(lr_d=1.0, lr_g=0.002)
+    assert rc.detector_config == DetectorConfig(lof_threshold=2.0, ocsvm_nu=0.1)
+    # a JSON integer given for a real key is stored as the float fits and files use
+    assert type(rc.gan_config.lr_d) is type(rc.detector_config.lof_threshold) is float
+    assert rc.z_multipliers == (1.0, 2.5)
+    defaults = resolve_config(build_parser().parse_args(["train"]))
+    assert defaults.gan_config == TrainConfig() and defaults.detector_config == DetectorConfig()
 
 
 def test_config_z_mult_string_is_a_comma_list(tmp_path):
@@ -261,6 +405,21 @@ def test_eval_with_malformed_model_file_errors(tmp_path, fast_config, capsys, na
     capsys.readouterr()
     assert run_cli("eval", "--config", fast_config, "--out", out) == 1
     assert f"error: {path}: missing key '{key}'" in capsys.readouterr().err
+
+
+def test_eval_with_infinite_lof_k_is_one_error_line(tmp_path, fast_config, capsys):
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("train", "--config", fast_config, "--out", out) == 0
+    for algo in ("lof", "iforest", "ocsvm"):
+        assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 0
+    path = out / "models" / "lof_snr4.json"
+    doc = json.loads(path.read_text())
+    doc["hyperparameters"]["k"] = float("inf")  # int() would raise OverflowError
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", fast_config, "--out", out) == 1
+    assert capsys.readouterr().err == f'error: {path}: "k" must be an integer, got Infinity\n'
 
 
 def test_eval_with_top_level_array_model_file_errors(tmp_path, fast_config, capsys):

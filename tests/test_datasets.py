@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -250,6 +251,42 @@ def test_count_mismatch_detected(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one sample row
     with pytest.raises(DatasetFormatError):
+        read_dataset(path)
+
+
+# Every number a manifest holds, by where it sits in the document.
+MANIFEST_INTEGERS = {
+    "seed": lambda doc: (doc, "seed"), "n_rx": lambda doc: (doc, "n_rx"),
+    "m_tx": lambda doc: (doc, "m_tx"), "counts": lambda doc: (doc["counts"]["0"], "legitimate"),
+}
+MANIFEST_REALS = {
+    "snr_grid": lambda doc: (doc["snr_grid"], 0), "h_true": lambda doc: (doc["h_true"], 5),
+    "offsets": lambda doc: (doc["offsets"][2], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [(key, value) for key in MANIFEST_INTEGERS for value in ("3", True, 2.5, "NaN", "Infinity")]
+    + [(key, value) for key in MANIFEST_REALS for value in ("0.5", False, "NaN", "-Infinity")],
+)
+def test_manifest_numbers_must_be_json_numbers_of_their_kind(tmp_path, key, value):
+    # int() took seed 7.9 as 7 and "7" as 7, and raised OverflowError for Infinity
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    small.manifest.offsets = list(default_nefarious_offsets().offsets)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    read_dataset(path)
+    manifest = tmp_path / "m.manifest.json"
+    doc = json.loads(manifest.read_text())
+    holder, at = {**MANIFEST_INTEGERS, **MANIFEST_REALS}[key](doc)
+    holder[at] = value
+    text = json.dumps(doc)
+    if value in ("NaN", "Infinity", "-Infinity"):  # the JSON literals, not strings
+        text = text.replace(f'"{value}"', value)
+    manifest.write_text(text)
+    what = "an integer" if key in MANIFEST_INTEGERS else "a finite number"
+    with pytest.raises(DatasetFormatError, match=rf'm\.manifest\.json: "{key}" must be {what}'):
         read_dataset(path)
 
 

@@ -27,7 +27,9 @@ from oracles import (
 from csiauth import datasets, detectors
 from csiauth.detectors import (
     _ROW_BLOCK,
+    LOF_K,
     ConvergenceError,
+    DetectorConfig,
     IForestModel,
     LofModel,
     OcsvmModel,
@@ -537,7 +539,7 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
         edit_packed(payload, "split", set_at(start, float("nan")))
     elif rule == "inf-threshold":
         doc["hyperparameters"]["threshold"] = float("inf")
-        expected = "threshold holds a non-finite"
+        expected = '"threshold" must be a finite number, got Infinity'
     else:
         depths = [_max_depth(t) for t in format1_document(model)["payload"]["trees"]]
         payload["height_limit"] = max(depths) - 1
@@ -726,7 +728,7 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         expected = "k must satisfy"
     elif case == "lof-inf-threshold":
         hp["threshold"] = float("inf")
-        expected = "threshold holds a non-finite"
+        expected = '"threshold" must be a finite number, got Infinity'
     elif case == "ocsvm-short-alphas":
         edit_packed(payload, "alphas", lambda a: a[:-1])
         expected = "alphas"
@@ -735,7 +737,7 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         expected = "support_vectors holds a non-finite"
     elif case == "ocsvm-inf-rho":
         payload["rho"] = float("-inf")
-        expected = "rho holds a non-finite"
+        expected = '"rho" must be a finite number, got -Infinity'
     elif case == "ocsvm-zero-gamma":
         hp["gamma"] = 0.0
         expected = "gamma must be > 0"
@@ -743,6 +745,62 @@ def test_load_model_rejects_malformed_lof_and_ocsvm(tmp_path, case):
         hp["nu"] = 1.5
         expected = "nu must be in"
     _rejects(tmp_path, doc, expected)
+
+
+def test_detector_config_checks_each_field_by_its_kind():
+    assert DetectorConfig() == DetectorConfig(
+        lof_k=LOF_K, lof_threshold=1.5, iforest_trees=100, iforest_subsample=256,
+        iforest_threshold=0.5, ocsvm_nu=0.05, ocsvm_gamma=None,
+    )
+    config = DetectorConfig(lof_threshold=2, ocsvm_gamma=3, lof_k=np.int64(7))
+    assert (config.lof_threshold, config.ocsvm_gamma, config.lof_k) == (2.0, 3.0, 7)
+    assert [type(v) for v in (config.lof_threshold, config.ocsvm_gamma, config.lof_k)] == [
+        float, float, int
+    ]
+    for bad in ({"lof_k": 20.7}, {"iforest_trees": "100"}, {"iforest_subsample": True}):
+        with pytest.raises(ValueError, match=f'"{next(iter(bad))}" must be an integer'):
+            DetectorConfig(**bad)
+    for bad in ({"lof_threshold": True}, {"ocsvm_nu": "0.1"}, {"ocsvm_gamma": float("nan")},
+                {"iforest_threshold": float("inf")}):
+        with pytest.raises(ValueError, match=f'"{next(iter(bad))}" must be a finite number'):
+            DetectorConfig(**bad)
+
+
+# Every number a detector file holds outside its packed arrays.
+DETECTOR_NUMBERS = {
+    "lof": [("hyperparameters", "k", int), ("hyperparameters", "threshold", float)],
+    "iforest": [("hyperparameters", "n_trees", int), ("hyperparameters", "subsample", int),
+                ("hyperparameters", "threshold", float), ("payload", "height_limit", int)],
+    "ocsvm": [("hyperparameters", "nu", float), ("hyperparameters", "gamma", float),
+              ("payload", "rho", float), ("payload", "kkt_residual", float)],
+}
+
+
+def _small_model(algo):
+    if algo == "iforest":
+        return iforest_fit(gaussian_points(200, 4, seed=42), n_trees=5, subsample=32,
+                           rng=RngStream(43))
+    x = gaussian_points(60, 4, seed=47)
+    return lof_fit(x, k=10) if algo == "lof" else ocsvm_fit(x, nu=0.2)
+
+
+@pytest.mark.parametrize(
+    "algo,part,key,kind,value",
+    [
+        (algo, part, key, kind, value)
+        for algo, numbers in DETECTOR_NUMBERS.items()
+        for part, key, kind in numbers
+        for value in (["20", True, 20.7] if kind is int else ["0.5", True])
+        + [float("nan"), float("inf")]
+    ],
+)
+def test_load_model_takes_only_json_numbers_of_each_kind(tmp_path, algo, part, key, kind, value):
+    # int() read "k": 20.7 as 20, true as 1 and "20" as 20, and raised
+    # OverflowError for Infinity; float() read "nu": true as 1.0
+    doc = _saved_doc(_small_model(algo), tmp_path)
+    doc[part][key] = value
+    what = "an integer" if kind is int else "a finite number"
+    _rejects(tmp_path, doc, f'"{key}" must be {what}, got {json.dumps(value)}')
 
 
 @pytest.mark.parametrize(

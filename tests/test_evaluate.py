@@ -18,6 +18,7 @@ from csiauth.detectors import (
 )
 from csiauth.evaluate import (
     AccuracyCurve,
+    ConfusionMatrix,
     accuracy_curve,
     curves_from_confusions,
     emit_report,
@@ -198,6 +199,28 @@ def test_load_confusions_round_trip(tmp_path, acc_dataset):
     )
     curves = curves_from_confusions(back)
     assert curves[0].points == curve.points
+
+
+@pytest.mark.parametrize(
+    "key,value,what",
+    [("real_real", 3.5, "an integer"), ("fake_fake", "7", "an integer"),
+     ("real_fake", True, "an integer"), ("snr_db", float("nan"), "a finite number"),
+     ("snr_db", "0", "a finite number")],
+)
+def test_load_confusions_takes_only_json_numbers(tmp_path, key, value, what):
+    # int() read a count of 3.5 as 3 and "7" as 7; a missing key was a KeyError
+    m = ConfusionMatrix("always", 0.0, 300, 0, 400, 0)
+    emit_report([AccuracyCurve("always", [(0.0, m.accuracy)])], [m], tmp_path)
+    path = tmp_path / "confusion_always_0.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf'always_0\.json: "{key}" must be {what}'):
+        load_confusions(tmp_path)
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"always_0\.json: missing key '{key}'"):
+        load_confusions(tmp_path)
 
 
 def test_emit_report_rejects_empty(tmp_path):

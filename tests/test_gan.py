@@ -100,9 +100,18 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr_d=0.0)
     for bad in ({"max_epochs": 2.5}, {"batch": 64.0}, {"latent_dim": True}, {"batch": "64"}):
-        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+        with pytest.raises(ValueError, match=f'"{next(iter(bad))}" must be an integer'):
             TrainConfig(**bad)
     assert TrainConfig(max_epochs=np.int64(3)).max_epochs == 3
+
+
+@pytest.mark.parametrize("value", ["0.001", True, float("nan"), float("inf")], ids=str)
+def test_train_config_learning_rates_are_finite_numbers(value):
+    # "0.001" used to get through to a TypeError from `<=`, and NaN past `<= 0`
+    for name in ("lr_d", "lr_g"):
+        with pytest.raises(ValueError, match=f'"{name}" must be a finite number'):
+            TrainConfig(**{name: value})
+    assert type(TrainConfig(lr_d=1).lr_d) is float
 
 
 def test_training_is_deterministic():

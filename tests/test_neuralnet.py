@@ -19,13 +19,13 @@ from csiauth.neuralnet import (
     DenseLayer,
     Mlp,
     adam_step,
-    apply_gradients,
     backward,
     bce_loss,
     dense_layer,
     forward,
     load_checkpoint,
     _activate,
+    _apply,
     _backprop_activation,
     _sigmoid,
     save_checkpoint,
@@ -44,6 +44,11 @@ def small_net(seed=0, dims=(5, 3, 1), acts=("leaky_relu", "sigmoid"), dropout=No
         for i in range(len(dims) - 1)
     ]
     return Mlp(layers, dropout or {})
+
+
+def flat(grads):
+    """The (dW, db) pairs of backward as one gradient in net.params order."""
+    return np.concatenate([g.ravel() for pair in grads for g in pair])
 
 
 def fd_param_grads(loss_fn, params, coords, h=1e-5):
@@ -197,7 +202,7 @@ def test_stale_tape_rejected():
     net = small_net(seed=11)
     out, tape = forward(net, np.ones((1, 5)))
     grads, _ = backward(net, tape, np.ones_like(out))
-    apply_gradients(net, AdamState(lr=0.01), grads)
+    _apply(net, AdamState(lr=0.01), flat(grads))
     with pytest.raises(ValueError):
         backward(net, tape, np.ones_like(out))
     other = small_net(seed=11)
@@ -299,7 +304,7 @@ def test_single_step_decreases_loss():
         out, tape = forward(net, x)
         loss, dpred = bce_loss(out[:, 0], target)
         grads, _ = backward(net, tape, dpred.reshape(-1, 1))
-        apply_gradients(net, AdamState(lr=1e-4), grads)
+        _apply(net, AdamState(lr=1e-4), flat(grads))
         out2, _ = forward(net, x)
         loss2, _ = bce_loss(out2[:, 0], target)
         assert loss2 < loss
@@ -381,7 +386,7 @@ def test_parameters_are_views_into_one_buffer():
     state = AdamState(lr=0.01)
     ref_states = [AdamState(lr=0.01) for _ in copies]
     for _ in range(3):
-        apply_gradients(net, state, grads)
+        _apply(net, state, flat(grads))
         for c, g, s in zip(copies, [g for pair in grads for g in pair], ref_states):
             adam_step(s, c, g)
     for p, c in zip(net.parameters(), copies):
@@ -389,7 +394,7 @@ def test_parameters_are_views_into_one_buffer():
 
 
 @pytest.mark.parametrize("name", ["weights", "biases"])
-def test_apply_gradients_refuses_rebound_parameters(name):
+def test_apply_refuses_rebound_parameters(name):
     net = small_net(seed=15)
     out, tape = forward(net, np.ones((1, 5)))
     grads, _ = backward(net, tape, np.ones_like(out))
@@ -397,7 +402,7 @@ def test_apply_gradients_refuses_rebound_parameters(name):
     setattr(layer, name, getattr(layer, name).copy())
     before = net.params.copy()
     with pytest.raises(ValueError, match="rebound"):
-        apply_gradients(net, AdamState(lr=0.01), grads)
+        _apply(net, AdamState(lr=0.01), flat(grads))
     assert net.params.tobytes() == before.tobytes()
 
 
@@ -411,6 +416,25 @@ def test_leaky_alpha_outside_unit_interval_rejected(tmp_path, alpha):
     doc["layers"][0]["alpha"] = alpha
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="alpha"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["alpha", "dropout"])
+@pytest.mark.parametrize("value", ["0.2", True, float("nan"), float("-inf")], ids=str)
+def test_checkpoint_numbers_must_be_finite_json_numbers(tmp_path, where, value):
+    # float() read a dropout rate "0.2" as 0.2, and true passed as alpha 1
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=22, dropout={0: 0.2}), path)
+    doc = json.loads(path.read_text())
+    if where == "alpha":
+        doc["layers"][1]["alpha"] = value
+        name = 'layer 1 "alpha"'
+    else:
+        doc["dropout"]["0"] = value
+        name = 'dropout "0"'
+    path.write_text(json.dumps(doc))
+    expected = f"{name} must be a finite number, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match=rf"ckpt\.json: {re.escape(expected)}$"):
         load_checkpoint(path)
 
 

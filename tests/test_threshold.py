@@ -39,6 +39,18 @@ def test_threshold_derivation():
         Threshold(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "multiplier,lam,name",
+    [(float("nan"), 0.5, "multiplier"), (1.0, float("nan"), "lambda_ave"),
+     (-0.0 - 1e-300, 0.5, "multiplier"), (1.0, -0.0, "lambda_ave")],
+)
+def test_threshold_rejects_nan_and_out_of_range(multiplier, lam, name):
+    # `x < 0` and `x <= 0` are both false for NaN
+    with pytest.raises(ValueError, match=name):
+        Threshold(multiplier, lam)
+    assert Threshold(0.0, 5e-324).z == 0.0
+
+
 def test_decide_accepts_equal_matrices():
     h = sample_csi(4, 4, RngStream(0))
     mask = accept_rows(flatten_csi(h[np.newaxis]), flatten_csi(h), Threshold(1e-9, 1.0))
