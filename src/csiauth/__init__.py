@@ -34,7 +34,7 @@ from .datasets import (
     split_train_test,
     write_dataset,
 )
-from .neuralnet import AdamState, DenseLayer, Mlp, adam_step, backward, bce_loss, forward
+from .neuralnet import AdamState, DenseLayer, Mlp, forward
 from .gan import TrainConfig, TrainReport, build_discriminator, build_generator, train_gan
 from .detectors import (
     ConvergenceError,

@@ -82,7 +82,34 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     last = (b + 1e-9 - a) / step  # the last point's index, before flooring
     if not last < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"{text!r} has more than {MAX_GRID_POINTS} points")
-    return tuple(round(a + i * step, 9) for i in range(math.floor(last) + 1))
+    return check_snr_grid(round(a + i * step, 9) for i in range(math.floor(last) + 1))
+
+
+def check_snr_grid(points) -> tuple[float, ...]:
+    """points as a tuple: 1 to MAX_GRID_POINTS finite reals, strictly increasing."""
+    points = tuple(points)
+    if not 1 <= len(points) <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"a grid has 1 to {MAX_GRID_POINTS} points, got {len(points)}")
+    if not all(map(math.isfinite, points)):
+        raise argparse.ArgumentTypeError(f"grid points must be finite, got {points}")
+    for a, b in zip(points, points[1:]):
+        if not a < b:
+            raise argparse.ArgumentTypeError(f"grid points must increase strictly, got {a:g} then {b:g}")
+    return points
+
+
+def parse_seed(text: str) -> int:
+    try:
+        return check_seed(int(text), "the seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def check_seed(seed: int, name: str) -> int:
+    """seed, if it is a u64; else ValueError naming `name`."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def parse_multipliers(text: str) -> tuple[float, ...]:
@@ -96,7 +123,7 @@ def parse_multipliers(text: str) -> tuple[float, ...]:
 
 
 def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed (u64)")
+    parser.add_argument("--seed", type=parse_seed, default=None, help="master RNG seed (u64)")
     parser.add_argument("--out", type=Path, default=None, metavar="DIR",
                         help="output directory (default: $CSIAUTH_OUT or ./runs)")
     parser.add_argument("--config", type=Path, default=None, metavar="JSON",
@@ -180,7 +207,8 @@ def _config_value(key: str, value):
         raise ValueError(f"unknown key {key!r}")
     kind = CONFIG_KEYS[key]
     if kind is int:
-        return number(value, int, f'"{key}"')
+        value = number(value, int, f'"{key}"')
+        return check_seed(value, f'"{key}"') if key == "seed" else value
     if kind in (bool, str):
         if not isinstance(value, kind):
             what = "true or false" if kind is bool else "a string"
@@ -190,9 +218,13 @@ def _config_value(key: str, value):
         if not isinstance(value, dict):
             raise ValueError(f'"{key}" must be a JSON object')
         return kind(**typed_fields(kind, value, f' under "{key}"'))
-    if isinstance(value, str):
-        return kind(value)
-    return tuple(number(v, float, f'"{key}"') for v in value)
+    try:
+        if isinstance(value, str):
+            return kind(value)
+        values = tuple(number(v, float, f'"{key}"') for v in value)
+        return check_snr_grid(values) if kind is parse_snr_grid else values
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f'"{key}": {exc}') from None
 
 
 def _parallel(jobs: int, tasks: list):

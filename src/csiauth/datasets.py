@@ -404,14 +404,18 @@ def _manifest_from_json(text: str) -> DatasetManifest:
 
     n_rx, m_tx = scalar(doc, "n_rx", int), scalar(doc, "m_tx", int)
     h_true = unflatten_csi(np.array(reals("h_true", doc["h_true"])), n_rx, m_tx)
+    snr_grid = reals("snr_grid", doc["snr_grid"])
+    snr_of = {format(snr, "g"): snr for snr in snr_grid}  # the keys the writer writes
     counts = {}
     for snr_key, by_label in doc["counts"].items():
+        if snr_key not in snr_of:
+            raise ValueError(f'"counts" key {snr_key!r} is not format(snr, "g") of a "snr_grid" point')
         for label, count in by_label.items():
-            counts[(float(snr_key), label)] = number(count, int, '"counts"')
+            counts[(snr_of[snr_key], label)] = number(count, int, '"counts"')
     offsets = None
     if "offsets" in doc:
         offsets = [complex(re, im) for re, im in (reals("offsets", p) for p in doc["offsets"])]
     return DatasetManifest(
-        seed=scalar(doc, "seed", int), kind=kind, snr_grid=reals("snr_grid", doc["snr_grid"]),
-        counts=counts, h_true=h_true, offsets=offsets,
+        seed=scalar(doc, "seed", int), kind=kind, snr_grid=snr_grid, counts=counts,
+        h_true=h_true, offsets=offsets,
     )

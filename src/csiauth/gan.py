@@ -218,8 +218,7 @@ def _generator_step(disc, gen, state_g, batch: _Batch):
 
 def scores_batch(d: Mlp, feature_rows: np.ndarray) -> np.ndarray:
     """Discriminator scores for pre-flattened samples, shape (n,)."""
-    out, _ = forward(d, feature_rows, "infer")
-    return out[:, 0]
+    return forward(d, feature_rows)[:, 0]
 
 
 def write_report_csv(report: TrainReport, path) -> None:

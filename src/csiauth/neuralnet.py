@@ -5,6 +5,11 @@ layers with leaky-ReLU / tanh / sigmoid / linear activations, inverted
 dropout, binary cross-entropy, and Adam with bias correction, applied in one
 update over each network's flat parameter buffer. Inputs are (n, dim) rows
 only; a single sample is a (1, dim) row.
+
+`forward` is the inference entry point. Training runs the kernels alone
+(`_tape`, `_forward`, `_backward`, `_bce`, `_adam`, `_apply`), which check
+no shapes: their caller allocates their buffers once and checks shapes
+there, as csiauth.gan does.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .rng import RngStream
 ACTIVATIONS = ("leaky_relu", "tanh", "sigmoid", "linear")
 CHECKPOINT_FORMAT_VERSION = 2
 _CLIP = 1e-7
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass
@@ -49,7 +55,6 @@ class Mlp:
 
     layers: list[DenseLayer]
     dropout: dict[int, float] = field(default_factory=dict)
-    version: int = 0
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,10 +113,8 @@ def dense_layer(
 
 @dataclass
 class Tape:
-    """Activation record of one forward pass, consumed by backward."""
+    """Activation record of one forward pass, consumed by _backward."""
 
-    net_id: int
-    version: int
     inputs: list[np.ndarray]
     pres: list[np.ndarray]
     acts: list[np.ndarray]
@@ -127,7 +130,7 @@ def _tape(net: Mlp, rows: int, masks: dict[int, np.ndarray]) -> Tape:
         pre if layer.activation == "linear" and i not in masks else np.empty_like(pre)
         for i, (layer, pre) in enumerate(zip(net.layers, pres))
     ]
-    return Tape(id(net), net.version, [None] * len(net.layers), pres, acts, masks)
+    return Tape([None] * len(net.layers), pres, acts, masks)
 
 
 def _forward(net: Mlp, x: np.ndarray, tape: Tape) -> np.ndarray:
@@ -137,12 +140,10 @@ def _forward(net: Mlp, x: np.ndarray, tape: Tape) -> np.ndarray:
         tape.inputs[i] = x
         pre = np.matmul(x, layer.weights.T, out=tape.pres[i])
         pre += layer.biases
-        act = _activate(pre, layer, tape.acts[i])
+        x = _activate(pre, layer, tape.acts[i])
         mask = tape.dropout_masks.get(i)
         if mask is not None:
-            act = np.multiply(act, mask, out=tape.acts[i])
-        x = act
-    tape.net_id, tape.version = id(net), net.version
+            x = np.multiply(x, mask, out=tape.acts[i])
     return x
 
 
@@ -154,38 +155,12 @@ def _dropout_mask(u: np.ndarray, rate: float) -> np.ndarray:
     return u
 
 
-def forward(
-    net: Mlp,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    masks: dict[int, np.ndarray] | None = None,
-):
-    """Run the network on (n, in_dim) rows; returns ((n, out_dim) output, tape).
-
-    In train mode, dropout masks are drawn from the Generator `rng` per call,
-    one random((n, out_dim)) per dropout layer in layer order, with inverted
-    1/(1-rate) scaling; infer mode applies no dropout. Pre-sampled `masks`
-    (as recorded on a tape) may be supplied to replay an identical
-    stochastic pass.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """The network's (n, out_dim) output on (n, in_dim) rows, without dropout."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
         raise ValueError(f"input must be (n, {net.layers[0].in_dim}) rows, got shape {x.shape}")
-    if mode == "train" and net.dropout and masks is None and rng is None:
-        raise ValueError("train-mode forward with dropout requires an rng")
-    used: dict[int, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        rate = net.dropout.get(i)
-        if rate and mode == "train":
-            if masks is not None:
-                used[i] = masks[i]
-            else:
-                used[i] = _dropout_mask(rng.random((len(x), layer.out_dim)), rate)
-    tape = _tape(net, len(x), used)
-    return _forward(net, x, tape), tape
+    return _forward(net, x, _tape(net, len(x), {}))
 
 
 class _Backprop:
@@ -211,9 +186,11 @@ class _Backprop:
 
 def _backward(net: Mlp, tape: Tape, g: np.ndarray, work: _Backprop, param_grads: bool,
               input_grad: bool):
-    """backward of a current tape into the buffers of `work`: the parameter
-    gradients into work.grads if param_grads; returns dinput, or None
-    without input_grad."""
+    """Exact reverse-mode gradients of the pass recorded on `tape`, its dropout
+    masks replayed, for the (n, out_dim) upstream gradient g, into the buffers
+    of `work`: the parameter gradients into work.grads if param_grads; returns
+    the input gradient, or None without input_grad, which skips the first
+    layer's input product. The parameters must be those of the pass."""
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         mask = tape.dropout_masks.get(i)
@@ -229,27 +206,6 @@ def _backward(net: Mlp, tape: Tape, g: np.ndarray, work: _Backprop, param_grads:
             return None
         g = np.matmul(g, layer.weights, out=work.dinputs[i])
     return g
-
-
-def backward(
-    net: Mlp, tape: Tape, upstream_grad: np.ndarray, input_grad: bool = True,
-    param_grads: bool = True,
-):
-    """Exact reverse-mode gradients; returns ([(dW, db), ...], dinput).
-
-    Reuses the dropout masks recorded on the tape, so the gradient matches
-    the sampled forward pass exactly. With input_grad=False, dinput is None
-    and the first layer's input product is skipped; with param_grads=False,
-    every (dW, db) is None and only the chain to the input is computed.
-    """
-    if tape.net_id != id(net) or tape.version != net.version:
-        raise ValueError("stale tape: parameters changed since the forward pass")
-    g = np.asarray(upstream_grad, dtype=float)
-    if g.shape != tape.acts[-1].shape:
-        raise ValueError(f"upstream grad shape {g.shape} != output shape {tape.acts[-1].shape}")
-    work = _Backprop(net, len(g), tape.dropout_masks)
-    dinput = _backward(net, tape, g, work, param_grads, input_grad)
-    return (work.grads if param_grads else [None] * len(net.layers)), dinput
 
 
 def _activate(pre: np.ndarray, layer: DenseLayer, out: np.ndarray | None = None) -> np.ndarray:
@@ -306,8 +262,11 @@ def _bce_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bce(p: np.ndarray, t: np.ndarray, scratch) -> tuple[float, np.ndarray]:
-    """bce_loss of checked (n,) arrays, in the buffers of _bce_scratch(n);
-    the gradient returned is one of them."""
+    """Binary cross-entropy with saturation clipping of (n,) predictions p
+    against (n,) targets t, in the buffers of _bce_scratch(n). Returns
+    (mean loss, (n,) gradient of the mean w.r.t. each prediction), the
+    gradient one of those buffers; it is zero where the prediction was
+    clipped, consistent with the clipped loss surface."""
     (clipped, q, u, v, grad), (ok, below) = scratch
     np.maximum(p, _CLIP, out=clipped)
     np.minimum(clipped, 1.0 - _CLIP, out=clipped)
@@ -327,79 +286,41 @@ def _bce(p: np.ndarray, t: np.ndarray, scratch) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def bce_loss(pred, target):
-    """Binary cross-entropy with saturation clipping, over (n,) predictions
-    and (n,) targets.
-
-    Returns (mean loss, (n,) gradient of the mean w.r.t. each prediction).
-    The gradient is zero where the prediction was clipped, consistent with
-    the clipped loss surface.
-    """
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(target, dtype=float)
-    if p.ndim != 1 or t.shape != p.shape:
-        raise ValueError(f"need (n,) predictions and targets of one shape, got {p.shape}, {t.shape}")
-    return _bce(p, t, _bce_scratch(p.size))
-
-
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     # two arrays of the parameters' shape that each update works in
     scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-
 
 def _adam(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
-    """adam_step on checked arrays of one shape."""
+    """One bias-corrected Adam update of the array `params` by `grads`, in place."""
     if state.m is None:
-        state.m = np.zeros_like(params)
-        state.v = np.zeros_like(params)
-    if state.scratch is None or state.scratch.shape[1:] != params.shape:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
         state.scratch = np.empty((2, *params.shape))
     s, r = state.scratch
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    state.m *= b1
-    state.m += np.multiply(1.0 - b1, grads, out=s)
-    state.v *= b2
-    state.v += np.multiply(1.0 - b2, np.square(grads, out=s), out=s)
+    c1 = 1.0 - _BETA1**state.t
+    c2 = 1.0 - _BETA2**state.t
+    state.m *= _BETA1
+    state.m += np.multiply(1.0 - _BETA1, grads, out=s)
+    state.v *= _BETA2
+    state.v += np.multiply(1.0 - _BETA2, np.square(grads, out=s), out=s)
     # lr * (m / c1) / (sqrt(v / c2) + eps)
     np.multiply(state.lr, np.divide(state.m, c1, out=s), out=s)
     np.sqrt(np.divide(state.v, c2, out=r), out=r)
-    r += state.eps
+    r += _EPS
     params -= np.divide(s, r, out=s)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """One bias-corrected Adam update of the array `params`, in place; returns (params, state)."""
-    moments = params.shape if state.m is None else state.m.shape
-    if not params.shape == np.shape(grads) == moments:
-        raise ValueError(
-            f"shapes differ: parameters {params.shape}, gradients {np.shape(grads)}, "
-            f"Adam state {moments}"
-        )
-    _adam(state, params, np.asarray(grads))
-    return params, state
-
-
 def _apply(net: Mlp, state: AdamState, flat: np.ndarray) -> None:
-    """One Adam update of net.params by the gradient `flat`; invalidates tapes."""
+    """One Adam update of net.params by the gradient `flat`."""
     if any(p.base is not net.params for p in net.parameters()):
         raise ValueError("a layer's weights or biases were rebound after the network was built")
     _adam(state, net.params, flat)
-    net.version += 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,5 +370,8 @@ def _mlp_from_doc(doc: dict) -> Mlp:
         layers.append(DenseLayer(w, b, spec["activation"], alpha))
     if not isinstance(doc["dropout"], dict):
         raise ValueError("dropout must be a JSON object")
-    dropout = {int(i): number(r, float, f'dropout "{i}"') for i, r in doc["dropout"].items()}
+    index = {str(i): i for i in range(len(layers))}  # the keys save_checkpoint writes
+    if bad := [key for key in doc["dropout"] if key not in index]:
+        raise ValueError(f"dropout key {bad[0]!r} is not a layer index 0 to {len(layers) - 1}")
+    dropout = {index[i]: number(r, float, f'dropout "{i}"') for i, r in doc["dropout"].items()}
     return Mlp(layers, dropout)

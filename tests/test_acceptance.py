@@ -30,7 +30,16 @@ from csiauth.datasets import (
     split_train_test,
 )
 from csiauth.gan import TrainConfig, build_discriminator, build_generator, scores_batch, train_gan
-from csiauth.neuralnet import backward, bce_loss, forward
+from csiauth.neuralnet import (
+    _Backprop,
+    _backward,
+    _bce,
+    _bce_scratch,
+    _dropout_mask,
+    _forward,
+    _tape,
+    forward,
+)
 from csiauth.rng import RngStream
 from csiauth.threshold import Threshold, false_accept_rate_sim
 
@@ -217,34 +226,30 @@ def _leaky_margin(net, tape):
 
 
 def _fd_check(net, loss_fn, in_dim, coords_per_layer, gen, h=1e-5):
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between backprop and central finite differences,
+    both through the kernels that GAN training runs.
 
     Inputs are resampled until every leaky-ReLU pre-activation clears the
     kink by a margin (finite differences are invalid across the kink).
-    Dropout masks from the recorded tape are replayed for every evaluation.
+    Dropout masks, drawn per dropout layer in layer order, are replayed for
+    every evaluation.
     """
     while True:
         x = gen.standard_normal((1, in_dim))
-        if net.dropout:
-            out, tape = forward(net, x, "train", gen)
-        else:
-            out, tape = forward(net, x)
+        masks = {i: _dropout_mask(gen.random((1, net.layers[i].out_dim)), rate)
+                 for i, rate in sorted(net.dropout.items()) if rate}
+        tape = _tape(net, 1, masks)
+        out = _forward(net, x, tape)
         if _leaky_margin(net, tape) > 1e-3:
             break
-    masks = tape.dropout_masks if net.dropout else None
 
     def full_loss():
-        if masks:
-            o, _ = forward(net, x, "train", masks=masks)
-        else:
-            o, _ = forward(net, x)
-        return loss_fn(o)[0]
+        return loss_fn(_forward(net, x, _tape(net, 1, masks)))[0]
 
     _, upstream = loss_fn(out)
-    grads, _ = backward(net, tape, upstream)
-    flat = []
-    for dw, db in grads:
-        flat += [dw, db]
+    work = _Backprop(net, 1, masks)
+    _backward(net, tape, upstream, work, param_grads=True, input_grad=True)
+    flat = [g for pair in work.grads for g in pair]
     worst = 0.0
     for pi, p in enumerate(net.parameters()):
         idxs = gen.choice(p.size, size=min(coords_per_layer, p.size), replace=False)
@@ -273,7 +278,7 @@ def test_criterion_03_gradient_correctness():
             target = float(draw % 4 < 2)
 
             def loss_fn(o, t=np.array([target])):
-                loss, dpred = bce_loss(o[:, 0], t)
+                loss, dpred = _bce(o[:, 0], t, _bce_scratch(1))
                 return loss, dpred.reshape(-1, 1)
 
             worst = max(worst, _fd_check(net, loss_fn, 32, coords_per_layer=6, gen=gen))
@@ -299,7 +304,7 @@ def test_criterion_04_architecture_fidelity():
         and g.layers[0].in_dim == 5
     )
     x = RngStream(3).generator().standard_normal((256, 32)) * 3.0
-    out, _ = forward(d, x)
+    out = forward(d, x)
     ok = ok and bool(np.all((out > 0.0) & (out < 1.0)))
     report(4, "architecture fidelity",
            ok, f"D={d.param_count()} params, G={g.param_count()} params, latent={g.layers[0].in_dim}")

@@ -192,10 +192,10 @@ def test_unknown_top_level_config_key_errors(tmp_path, capsys):
     [
         ({"analytic_trials": "abc"}, '"analytic_trials" must be an integer, got "abc"'),
         ({"seed": None}, '"seed" must be an integer, got null'),
-        ({"snr_grid": "nope"}, "expected a:b:step, got 'nope'"),
+        ({"snr_grid": "nope"}, '"snr_grid": expected a:b:step, got \'nope\''),
         ({"gan": [2]}, '"gan" must be a JSON object'),
         ({"pooled": "no"}, '"pooled" must be true or false, got \'no\''),
-        ({"z_mult": "1,x"}, "expected a comma list of reals, got '1,x'"),
+        ({"z_mult": "1,x"}, '"z_mult": expected a comma list of reals, got \'1,x\''),
     ],
     ids=["trials", "seed", "grid", "gan", "pooled", "z_mult"],
 )
@@ -295,6 +295,54 @@ def test_config_number_lists_take_finite_numbers(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == (
         f'error: {path}: "{key}" must be a finite number, got {json.dumps(value)}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "grid,expected",
+    [
+        ([4, 0, 4], "grid points must increase strictly, got 4 then 0"),
+        ([], "a grid has 1 to 1000 points, got 0"),
+        ([0, 0], "grid points must increase strictly, got 0 then 0"),
+        (list(range(1001)), "a grid has 1 to 1000 points, got 1001"),
+    ],
+    ids=["unordered", "empty", "repeated", "1001-points"],
+)
+def test_config_snr_grid_list_is_checked_as_a_grid(tmp_path, capsys, grid, expected):
+    # a list skipped every check parse_snr_grid makes: [4, 0, 4] stopped gen
+    # with "uneven legitimate counts across SNRs", [] with a failed unpacking
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"snr_grid": grid}))
+    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f'error: {path}: "snr_grid": {expected}\n'
+    assert not (tmp_path / "run").exists()
+
+
+def test_snr_grid_text_goes_through_the_grid_check():
+    # step is far below the 1e-9 the points are rounded to, so they repeat
+    with pytest.raises(argparse.ArgumentTypeError, match="increase strictly, got 0 then 0"):
+        parse_snr_grid("0:1e-10:1e-11")
+    assert cli.check_snr_grid([0, 2.5, 1000]) == (0.0, 2.5, 1000.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_is_an_error_naming_its_source(tmp_path, capsys, seed):
+    # numpy stopped both with "expected non-negative integer", naming neither
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gen", "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert f"argument --seed: the seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": seed}))
+    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f'error: {path}: "seed" must be in [0, 2**64), got {seed}\n'
+    assert not (tmp_path / "run").exists()
+
+
+def test_seed_range_ends_are_accepted(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 2**64 - 1}))
+    assert resolve_config(build_parser().parse_args(["gen", "--config", str(path)])).seed == 2**64 - 1
+    assert resolve_config(build_parser().parse_args(["gen", "--seed", "0"])).seed == 0
 
 
 def test_config_sections_are_typed_objects(tmp_path):

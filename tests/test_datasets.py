@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -288,6 +289,31 @@ def test_manifest_numbers_must_be_json_numbers_of_their_kind(tmp_path, key, valu
     what = "an integer" if key in MANIFEST_INTEGERS else "a finite number"
     with pytest.raises(DatasetFormatError, match=rf'm\.manifest\.json: "{key}" must be {what}'):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("key", ["3_0", "nan", "30.0", " 30", "3e1", "4"])
+def test_manifest_count_key_must_be_the_written_grid_point(tmp_path, key):
+    # float() read "3_0" as 30 dB and took "nan"
+    small = build_master(RngStream(3), snr_grid=(0.0, 30.0), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    manifest = tmp_path / "m.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["counts"][key] = doc["counts"].pop("30")
+    manifest.write_text(json.dumps(doc))
+    expected = f'"counts" key {key!r} is not format(snr, "g") of a "snr_grid" point'
+    with pytest.raises(DatasetFormatError, match=re.escape(expected)):
+        read_dataset(path)
+
+
+def test_manifest_counts_of_grid_points_beyond_six_digits_round_trip(tmp_path):
+    # a count key is format(snr, "g"), six significant digits, so float() of
+    # it missed such a point and the counts disagreed with the rows
+    small = build_master(RngStream(3), snr_grid=(1.2345678, 2.0), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    assert "1.23457" in json.loads((tmp_path / "m.manifest.json").read_text())["counts"]
+    assert read_dataset(path).manifest.counts == small.manifest.counts
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

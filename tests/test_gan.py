@@ -7,6 +7,7 @@ from oracles import reference_train_gan
 from csiauth.channel import flatten_csi, sample_csi
 from csiauth.evaluate import gan_decider
 from csiauth.gan import (
+    CSI_FEATURES,
     TrainConfig,
     _Batch,
     _discriminator_step,
@@ -17,7 +18,17 @@ from csiauth.gan import (
     train_gan,
     write_report_csv,
 )
-from csiauth.neuralnet import AdamState, forward
+from csiauth.neuralnet import (
+    AdamState,
+    _Backprop,
+    _backward,
+    _bce,
+    _bce_scratch,
+    _dropout_mask,
+    _forward,
+    _tape,
+    forward,
+)
 from csiauth.rng import RngStream
 
 
@@ -48,7 +59,7 @@ def test_discriminator_architecture():
     assert all(l.alpha == 0.3 for l in d.layers[:2])
     assert d.dropout == {0: 0.2, 1: 0.2}
     x = RngStream(2).generator().standard_normal((64, 32)) * 10
-    out, _ = forward(d, x)
+    out = forward(d, x)
     assert np.all((out > 0) & (out < 1))
 
 
@@ -59,7 +70,7 @@ def test_generator_architecture():
     assert [l.out_dim for l in g.layers] == [16, 32, 64, 32]
     assert [l.activation for l in g.layers] == ["leaky_relu", "leaky_relu", "tanh", "linear"]
     z = RngStream(4).generator().standard_normal((1, 5))
-    out, _ = forward(g, z)
+    out = forward(g, z)
     csi = (out[0, 0::2] + 1j * out[0, 1::2]).reshape(4, 4)
     assert csi.shape == (4, 4)
 
@@ -73,7 +84,7 @@ def test_untrained_discriminator_near_chance():
         d = build_discriminator(RngStream(5, seed))
         g = build_generator(RngStream(6, seed))
         z = RngStream(8, seed).generator().standard_normal((300, 5))
-        fake, _ = forward(g, z)
+        fake = forward(g, z)
         s_real = scores_batch(d, real)
         s_fake = scores_batch(d, fake)
         assert np.all(np.abs(np.concatenate([s_real, s_fake]) - 0.5) < 0.35)
@@ -218,3 +229,34 @@ def test_report_csv_format(tmp_path):
     assert lines[0] == "epoch,d_loss,g_loss,acc_real,acc_fake"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
+
+
+def test_discriminator_input_gradient_matches_finite_differences():
+    # The generator step's gradient reaches the generator only through this
+    # input gradient, taken through the discriminator's replayed dropout.
+    d = build_discriminator(RngStream(30))
+    gen = RngStream(31).generator()
+    b, h = 4, 1e-5
+    masks = {i: _dropout_mask(gen.random((b, d.layers[i].out_dim)), rate)
+             for i, rate in sorted(d.dropout.items())}
+    while True:  # finite differences are invalid across a leaky-ReLU kink
+        x = gen.standard_normal((b, CSI_FEATURES))
+        tape = _tape(d, b, masks)
+        pred = _forward(d, x, tape)
+        if min(np.abs(pre).min() for pre in tape.pres[:2]) > 1e-3:
+            break
+    targets = np.ones(b)  # the generator's objective
+
+    def loss(rows):
+        return _bce(_forward(d, rows, _tape(d, b, masks))[:, 0], targets, _bce_scratch(b))[0]
+
+    _, dpred = _bce(pred[:, 0], targets, _bce_scratch(b))
+    dx = _backward(d, tape, dpred.reshape(-1, 1), _Backprop(d, b, masks),
+                   param_grads=False, input_grad=True)
+    fd = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd[idx] = (loss(up) - loss(down)) / (2 * h)
+    np.testing.assert_allclose(dx, fd, rtol=1e-6, atol=1e-10)

@@ -18,16 +18,21 @@ from csiauth.neuralnet import (
     AdamState,
     DenseLayer,
     Mlp,
-    adam_step,
-    backward,
-    bce_loss,
     dense_layer,
     forward,
     load_checkpoint,
     _activate,
+    _adam,
     _apply,
+    _Backprop,
     _backprop_activation,
+    _backward,
+    _bce,
+    _bce_scratch,
+    _dropout_mask,
+    _forward,
     _sigmoid,
+    _tape,
     save_checkpoint,
 )
 from csiauth.rng import RngStream
@@ -46,9 +51,27 @@ def small_net(seed=0, dims=(5, 3, 1), acts=("leaky_relu", "sigmoid"), dropout=No
     return Mlp(layers, dropout or {})
 
 
-def flat(grads):
-    """The (dW, db) pairs of backward as one gradient in net.params order."""
-    return np.concatenate([g.ravel() for pair in grads for g in pair])
+def train_forward(net, x, masks=None):
+    """_forward into a fresh tape that applies `masks`; returns (output, tape)."""
+    tape = _tape(net, len(x), masks or {})
+    return _forward(net, x, tape), tape
+
+
+def masks_for(net, rows, gen):
+    """Dropout masks of `rows` rows for each dropout layer, drawn in layer order."""
+    return {i: _dropout_mask(gen.random((rows, net.layers[i].out_dim)), rate)
+            for i, rate in sorted(net.dropout.items()) if rate}
+
+
+def grads_of(net, tape, upstream, input_grad=True):
+    """_backward into fresh buffers; returns (work, dinput): work.grads holds
+    the (dW, db) pairs, work.flat the whole gradient in net.params order."""
+    work = _Backprop(net, len(upstream), tape.dropout_masks)
+    return work, _backward(net, tape, upstream, work, param_grads=True, input_grad=input_grad)
+
+
+def bce(pred, target):
+    return _bce(pred, target, _bce_scratch(pred.size))
 
 
 def fd_param_grads(loss_fn, params, coords, h=1e-5):
@@ -70,23 +93,22 @@ def test_forward_zero_weights_sigmoid_is_half():
     for layer in net.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    out, _ = forward(net, np.ones((1, 5)))
+    out = forward(net, np.ones((1, 5)))
     assert out[0, 0] == pytest.approx(0.5)
 
 
 def test_leaky_relu_negative_slope():
     layer = DenseLayer(np.array([[1.0]]), np.zeros(1), "leaky_relu", alpha=0.3)
     net = Mlp([layer])
-    out, _ = forward(net, np.array([[-1.0]]))
+    out = forward(net, np.array([[-1.0]]))
     assert out[0, 0] == pytest.approx(-0.3)
 
 
 def test_dropout_rate_zero_is_noop():
     net = small_net(dropout={0: 0.0})
     x = RngStream(1).generator().standard_normal((1, 5))
-    train_out, _ = forward(net, x, "train", RngStream(2).generator())
-    infer_out, _ = forward(net, x, "infer")
-    np.testing.assert_allclose(train_out, infer_out)
+    mask = _dropout_mask(RngStream(2).generator().random((1, 3)), 0.0)
+    np.testing.assert_array_equal(train_forward(net, x, {0: mask})[0], forward(net, x))
 
 
 def test_forward_rejects_bad_input():
@@ -95,30 +117,21 @@ def test_forward_rejects_bad_input():
         forward(net, np.ones((1, 4)))
     with pytest.raises(ValueError, match=r"\(n, 5\) rows, got shape \(5,\)"):
         forward(net, np.ones(5))  # a single sample is a (1, 5) row
-    with pytest.raises(ValueError):
-        forward(net, np.ones((1, 5)), mode="banana")
 
 
 def test_infer_mode_is_deterministic_without_rng():
     net = small_net(dropout={0: 0.5})
     x = np.ones((1, 5))
-    a, _ = forward(net, x, "infer")
-    b, _ = forward(net, x, "infer")
+    a = forward(net, x)
+    b = forward(net, x)
     np.testing.assert_array_equal(a, b)
-
-
-def test_train_mode_dropout_requires_rng():
-    net = small_net(dropout={0: 0.5})
-    with pytest.raises(ValueError):
-        forward(net, np.ones((1, 5)), "train")
 
 
 def test_dropout_inverted_scaling_preserves_mean():
     net = small_net(seed=3, dims=(4, 50, 1), acts=("linear", "linear"), dropout={0: 0.2})
-    x = np.ones((1, 4))
-    base = forward(net, x, "infer")[0][0, 0]
-    gen = RngStream(4).generator()
-    outs = [forward(net, x, "train", gen)[0][0, 0] for _ in range(3000)]
+    base = forward(net, np.ones((1, 4)))[0, 0]
+    x = np.ones((3000, 4))
+    outs, _ = train_forward(net, x, masks_for(net, len(x), RngStream(4).generator()))
     assert np.mean(outs) == pytest.approx(base, abs=0.05 * max(abs(base), 1.0))
 
 
@@ -129,28 +142,24 @@ def test_backward_matches_finite_differences():
     target = np.ones(1)
 
     def loss_fn():
-        out, _ = forward(net, x)
-        return bce_loss(out[:, 0], target)[0]
+        return bce(forward(net, x)[:, 0], target)[0]
 
-    out, tape = forward(net, x)
-    loss, dpred = bce_loss(out[:, 0], target)
-    grads, _ = backward(net, tape, dpred.reshape(-1, 1))
+    out, tape = train_forward(net, x)
+    loss, dpred = bce(out[:, 0], target)
+    work, _ = grads_of(net, tape, dpred.reshape(-1, 1))
     params = net.parameters()
-    flat_grads = []
-    for dw, db in grads:
-        flat_grads += [dw, db]
     coords = [(pi, idx) for pi in range(len(params)) for idx in range(params[pi].size)]
     fd = fd_param_grads(loss_fn, params, coords)
-    an = np.concatenate([g.reshape(-1) for g in flat_grads])
+    an = work.flat
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
     assert np.max(np.abs(fd - an) / denom) <= 1e-4
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     net = small_net(seed=7)
-    out, tape = forward(net, np.ones((1, 5)))
-    grads, dx = backward(net, tape, np.zeros_like(out))
-    assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+    out, tape = train_forward(net, np.ones((1, 5)))
+    work, dx = grads_of(net, tape, np.zeros_like(out))
+    assert np.all(work.flat == 0)
     assert np.all(dx == 0)
 
 
@@ -159,10 +168,10 @@ def test_backward_linear_layer_closed_form():
     net = Mlp([layer])
     x = np.array([[1.0, -2.0, 3.0]])
     up = np.array([[0.5, -1.5]])
-    _, tape = forward(net, x)
-    grads, dx = backward(net, tape, up)
-    np.testing.assert_allclose(grads[0][0], np.outer(up, x))
-    np.testing.assert_allclose(grads[0][1], up[0])
+    _, tape = train_forward(net, x)
+    work, dx = grads_of(net, tape, up)
+    np.testing.assert_allclose(work.grads[0][0], np.outer(up, x))
+    np.testing.assert_allclose(work.grads[0][1], up[0])
     np.testing.assert_allclose(dx, up @ layer.weights)
 
 
@@ -170,50 +179,32 @@ def test_backward_without_input_grad_keeps_parameter_grads():
     net = small_net(seed=9, dims=(5, 4, 3, 1), acts=("leaky_relu", "leaky_relu", "sigmoid"),
                     dropout={1: 0.2})
     xs = RngStream(10).generator().standard_normal((6, 5))
-    out, tape = forward(net, xs, "train", RngStream(11).generator())
+    out, tape = train_forward(net, xs, masks_for(net, 6, RngStream(11).generator()))
     up = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
-    grads, dx = backward(net, tape, up)
-    grads_only, none = backward(net, tape, up, input_grad=False)
+    work, dx = grads_of(net, tape, up)
+    work_only, none = grads_of(net, tape, up, input_grad=False)
     assert dx.shape == xs.shape and none is None
-    for (dw, db), (dw_only, db_only) in zip(grads, grads_only):
-        assert dw.tobytes() == dw_only.tobytes() and db.tobytes() == db_only.tobytes()
+    assert work.flat.tobytes() == work_only.flat.tobytes()
 
 
 def test_backward_batch_matches_mean_of_singles():
     net = small_net(seed=9)
     gen = RngStream(10).generator()
     xs = gen.standard_normal((4, 5))
-    out, tape = forward(net, xs)
-    loss, dpred = bce_loss(out[:, 0], np.ones(4))
-    grads_batch, _ = backward(net, tape, dpred.reshape(-1, 1))
-    acc = None
+    out, tape = train_forward(net, xs)
+    loss, dpred = bce(out[:, 0], np.ones(4))
+    batch, _ = grads_of(net, tape, dpred.reshape(-1, 1))
+    acc = np.zeros(net.param_count())
     for i in range(4):
-        o, t = forward(net, xs[i : i + 1])
-        _, dp = bce_loss(o[:, 0], np.ones(1))
-        g, _ = backward(net, t, dp.reshape(-1, 1))
-        flat = [np.concatenate([dw.reshape(-1), db]) for dw, db in g]
-        acc = flat if acc is None else [a + b for a, b in zip(acc, flat)]
-    for (dw, db), mean_single in zip(grads_batch, acc):
-        got = np.concatenate([dw.reshape(-1), db])
-        np.testing.assert_allclose(got, mean_single / 4, atol=1e-12)
-
-
-def test_stale_tape_rejected():
-    net = small_net(seed=11)
-    out, tape = forward(net, np.ones((1, 5)))
-    grads, _ = backward(net, tape, np.ones_like(out))
-    _apply(net, AdamState(lr=0.01), flat(grads))
-    with pytest.raises(ValueError):
-        backward(net, tape, np.ones_like(out))
-    other = small_net(seed=11)
-    _, tape2 = forward(other, np.ones((1, 5)))
-    with pytest.raises(ValueError):
-        backward(net, tape2, np.ones_like(out))
+        o, t = train_forward(net, xs[i : i + 1])
+        _, dp = bce(o[:, 0], np.ones(1))
+        acc += grads_of(net, t, dp.reshape(-1, 1))[0].flat
+    np.testing.assert_allclose(batch.flat, acc / 4, atol=1e-12)
 
 
 def bce1(pred, target):
-    """bce_loss of one prediction, as a (1,) row; returns (loss, scalar gradient)."""
-    loss, grad = bce_loss(np.array([pred]), np.array([target]))
+    """_bce of one prediction, as a (1,) row; returns (loss, scalar gradient)."""
+    loss, grad = bce(np.array([pred]), np.array([target]))
     return loss, grad[0]
 
 
@@ -239,47 +230,23 @@ def test_bce_clipping_absorbs_saturation():
     assert np.isfinite(loss) and grad == 0.0
 
 
-@pytest.mark.parametrize(
-    "pred,target",
-    [
-        (np.array(0.5), np.array(1.0)),  # 0-d prediction
-        (np.full(3, 0.5), np.array(1.0)),  # 0-d target
-        (np.full(3, 0.5), np.ones(1)),  # target shorter than the predictions
-        (np.full((3, 1), 0.5), np.ones((3, 1))),  # a column, not (n,)
-    ],
-    ids=["0d-pred", "0d-target", "short-target", "column"],
-)
-def test_bce_rejects_anything_but_matching_rows(pred, target):
-    with pytest.raises(ValueError, match=r"\(n,\) predictions and targets of one shape"):
-        bce_loss(pred, target)
-
-
 def test_adam_zero_gradient_keeps_params():
     p = np.array([1.0, 2.0])
-    adam_step(AdamState(lr=0.1), p, np.zeros(2))
+    _adam(AdamState(lr=0.1), p, np.zeros(2))
     np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
 def test_adam_first_step_magnitude_is_lr():
     # bias-corrected ratio is 1 on the first step for any constant gradient
     p = np.array([1.0])
-    adam_step(AdamState(lr=0.01), p, np.array([123.456]))
+    _adam(AdamState(lr=0.01), p, np.array([123.456]))
     assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
 
 def test_adam_zero_lr_keeps_params():
     p = np.array([3.0])
-    adam_step(AdamState(lr=0.0), p, np.array([5.0]))
+    _adam(AdamState(lr=0.0), p, np.array([5.0]))
     assert p[0] == 3.0
-
-
-def test_adam_shape_mismatch():
-    with pytest.raises(ValueError):
-        adam_step(AdamState(lr=0.1), np.zeros(2), np.zeros(3))
-    state = AdamState(lr=0.1)
-    adam_step(state, np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        adam_step(state, np.zeros(3), np.zeros(3))  # moments sized for 2 parameters
 
 
 @given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=4))
@@ -301,12 +268,11 @@ def test_single_step_decreases_loss():
         gen = RngStream(200 + trial).generator()
         x = gen.standard_normal((1, 5))
         target = np.array([float(gen.integers(0, 2))])
-        out, tape = forward(net, x)
-        loss, dpred = bce_loss(out[:, 0], target)
-        grads, _ = backward(net, tape, dpred.reshape(-1, 1))
-        _apply(net, AdamState(lr=1e-4), flat(grads))
-        out2, _ = forward(net, x)
-        loss2, _ = bce_loss(out2[:, 0], target)
+        out, tape = train_forward(net, x)
+        loss, dpred = bce(out[:, 0], target)
+        work, _ = grads_of(net, tape, dpred.reshape(-1, 1), input_grad=False)
+        _apply(net, AdamState(lr=1e-4), work.flat)
+        loss2, _ = bce(forward(net, x)[:, 0], target)
         assert loss2 < loss
 
 
@@ -325,7 +291,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.dropout == net.dropout
     assert back.params.tobytes() == net.params.tobytes()
     x = np.linspace(-1, 1, 5).reshape(1, 5)
-    np.testing.assert_array_equal(forward(net, x)[0], forward(back, x)[0])
+    np.testing.assert_array_equal(forward(net, x), forward(back, x))
     again = tmp_path / "again.json"
     save_checkpoint(back, again)
     assert again.read_bytes() == path.read_bytes()
@@ -381,14 +347,14 @@ def test_parameters_are_views_into_one_buffer():
     assert np.concatenate([p.ravel() for p in params]).tobytes() == net.params.tobytes()
     # one Adam update over the buffer is per-array Adam, bit for bit
     copies = [p.copy() for p in params]
-    out, tape = forward(net, RngStream(14).generator().standard_normal((6, 5)))
-    grads, _ = backward(net, tape, np.ones_like(out))
+    out, tape = train_forward(net, RngStream(14).generator().standard_normal((6, 5)))
+    work, _ = grads_of(net, tape, np.ones_like(out))
     state = AdamState(lr=0.01)
     ref_states = [AdamState(lr=0.01) for _ in copies]
     for _ in range(3):
-        _apply(net, state, flat(grads))
-        for c, g, s in zip(copies, [g for pair in grads for g in pair], ref_states):
-            adam_step(s, c, g)
+        _apply(net, state, work.flat)
+        for c, g, s in zip(copies, [g for pair in work.grads for g in pair], ref_states):
+            _adam(s, c, g)
     for p, c in zip(net.parameters(), copies):
         assert p.tobytes() == c.tobytes()
 
@@ -396,13 +362,13 @@ def test_parameters_are_views_into_one_buffer():
 @pytest.mark.parametrize("name", ["weights", "biases"])
 def test_apply_refuses_rebound_parameters(name):
     net = small_net(seed=15)
-    out, tape = forward(net, np.ones((1, 5)))
-    grads, _ = backward(net, tape, np.ones_like(out))
+    out, tape = train_forward(net, np.ones((1, 5)))
+    work, _ = grads_of(net, tape, np.ones_like(out))
     layer = net.layers[1]
     setattr(layer, name, getattr(layer, name).copy())
     before = net.params.copy()
     with pytest.raises(ValueError, match="rebound"):
-        _apply(net, AdamState(lr=0.01), flat(grads))
+        _apply(net, AdamState(lr=0.01), work.flat)
     assert net.params.tobytes() == before.tobytes()
 
 
@@ -434,6 +400,20 @@ def test_checkpoint_numbers_must_be_finite_json_numbers(tmp_path, where, value):
         name = 'dropout "0"'
     path.write_text(json.dumps(doc))
     expected = f"{name} must be a finite number, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match=rf"ckpt\.json: {re.escape(expected)}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", [" +1 ", "01", "1.0", "+1", "3", "x"])
+def test_checkpoint_dropout_key_must_be_a_layer_index(tmp_path, key):
+    # int() read " +1 " and "01" as layer 1
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_net(seed=23, dims=(5, 4, 3, 1), acts=("tanh", "tanh", "sigmoid"),
+                              dropout={1: 0.2}), path)
+    doc = json.loads(path.read_text())
+    doc["dropout"] = {key: 0.2}
+    path.write_text(json.dumps(doc))
+    expected = f"dropout key {key!r} is not a layer index 0 to 2"
     with pytest.raises(ValueError, match=rf"ckpt\.json: {re.escape(expected)}$"):
         load_checkpoint(path)
 
