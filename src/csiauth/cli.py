@@ -86,7 +86,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
 
 
 def check_snr_grid(points) -> tuple[float, ...]:
-    """points as a tuple: 1 to MAX_GRID_POINTS finite reals, strictly increasing."""
+    """points as a tuple: 1 to MAX_GRID_POINTS finite reals, strictly increasing,
+    each with its own tag (the SNR's name in manifests and model files)."""
     points = tuple(points)
     if not 1 <= len(points) <= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"a grid has 1 to {MAX_GRID_POINTS} points, got {len(points)}")
@@ -95,6 +96,12 @@ def check_snr_grid(points) -> tuple[float, ...]:
     for a, b in zip(points, points[1:]):
         if not a < b:
             raise argparse.ArgumentTypeError(f"grid points must increase strictly, got {a:g} then {b:g}")
+        # tags round to six significant digits, so equal tags are neighbours
+        if _snr_tag(a) == _snr_tag(b):
+            raise argparse.ArgumentTypeError(
+                f"grid points {a!r} and {b!r} share the tag {_snr_tag(a)!r};"
+                " points must differ in their first six significant digits"
+            )
     return points
 
 

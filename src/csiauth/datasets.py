@@ -40,7 +40,7 @@ MASTER_SAMPLES_PER_SNR = 1000
 TRAIN_FRACTION = 0.7
 N_ATTACKERS = 5
 SAMPLES_PER_ATTACKER = 80
-_WRITE_BLOCK = 256  # CSV lines joined per write
+_WRITE_BLOCK = 128  # CSV lines formatted and joined per write
 # One character wider than the longest label, so that a longer cell is cut to
 # an invalid label and can never be cut to a valid one.
 _LABEL_DTYPE = f"U{len(ILLEGITIMATE) + 1}"
@@ -230,6 +230,10 @@ def _stack(manifest: DatasetManifest, parts: list[tuple]) -> Dataset:
 def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
 
+    Each feature cell is the text of format(v, ".17g"), made by
+    `_feature_text`. A non-finite feature raises ValueError naming the file
+    and the row, and nothing is written.
+
     `memo` maps the raw bytes of a feature row to the row's text. Calls that
     share one dict format a legitimate row they have in common once; keying
     on bytes keeps rows apart that compare equal but print differently (0.0,
@@ -240,32 +244,175 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     path = Path(path)
     mf = dataset.manifest
     memo = {} if memo is None else memo
-    header = _csv_header(*mf.h_true.shape)
-    # "%.17g" renders a double exactly as format(v, ".17g") does.
-    features = ",".join(["%.17g"] * (len(header) - 3)) + "\n"
     x = np.ascontiguousarray(dataset.x, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has a non-finite feature; not written")
+    snr = np.ascontiguousarray(dataset.snr, dtype=float)
+    labels = {}  # the label cells of each (SNR, label, source) triple
     row_bytes = np.dtype((np.void, x.itemsize * x.shape[1]))
     with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
+        # Each line's label cells start with the newline that ends the line
+        # before, so that the rows' text needs no newline of its own.
+        fh.write(",".join(_csv_header(*mf.h_true.shape)))
         # A block of lines at a time, so that the file's text is never held
         # whole; a line is joined from its label cells and the row's text.
         for start in range(0, len(x), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            rows = x[block]
+            keys = x[block].view(row_bytes).ravel().tolist()
+            texts = list(map(memo.get, keys))
+            legit = dataset.legit[block].tolist()
+            missing = [i for i, text in enumerate(texts) if text is None]
+            if missing:
+                for i, text in zip(missing, _feature_text(x[block][missing])):
+                    texts[i] = text
+                    if legit[i]:
+                        memo[keys[i]] = text
             lines = []
-            for i, (snr, legit, source, key) in enumerate(zip(
-                dataset.snr[block].tolist(), dataset.legit[block].tolist(),
-                dataset.source[block].tolist(), rows.view(row_bytes).ravel().tolist(),
-            )):
-                text = memo.get(key)
-                if text is None:
-                    text = features % tuple(rows[i].tolist())
-                    if legit:
-                        memo[key] = text
-                label = LEGITIMATE if legit else ILLEGITIMATE
-                lines += (f"{format(snr, '.17g')},{label},{source},", text)
+            # an SNR is told apart by its bits, so that -0.0 keeps its sign
+            for value, bits, is_legit, source, text in zip(
+                snr[block].tolist(), snr[block].view(np.uint64).tolist(), legit,
+                dataset.source[block].tolist(), texts,
+            ):
+                key = (bits, is_legit, source)
+                if key not in labels:
+                    kind = LEGITIMATE if is_legit else ILLEGITIMATE
+                    labels[key] = f"\n{format(value, '.17g')},{kind},{source},"
+                lines += (labels[key], text)
             fh.write("".join(lines))
+        fh.write("\n")
     _manifest_path(path).write_text(_manifest_to_json(mf))
+
+
+# ---------------------------------------------------------------------------
+# Feature text
+#
+# format(v, ".17g") for many doubles at once, byte for byte. For
+# 1e-5 <= |v| < 1e15 the decimal exponent k = floor(log10|v|) and the 17
+# significant digits D = round-half-even(|v| * 10**(16 - k)) are exact: k
+# comes from comparing |v| with the powers of ten themselves, 10**0..10**22
+# are doubles, and Dekker's error-free product gives |v| * 10**(16 - k) as
+# hi + lo without rounding. The digits are laid out by
+# the rules of "g": fixed notation for -4 <= k < 17, d.ddd...e-05 below,
+# trailing zeros dropped, and the point if no digit follows it. Every other
+# value (zero, -0.0, subnormals, |v| < 1e-5 or |v| >= 1e15) is formatted by
+# Python.
+
+_FAST_MIN, _FAST_MAX = 1e-5, 1e15
+# The least double at or above 10**k, for k = -5..15: 10**0..10**15 are
+# doubles, and each of 1e-5..1e-1 rounds up. So a double a lies in
+# [10**k, 10**(k + 1)) exactly when _DECADES[k + 5] <= a < _DECADES[k + 6].
+_DECADES = np.array([float(f"1e{k}") for k in range(-5, 16)])
+_POW10 = np.array([float(10**e) for e in range(23)])
+# Four ASCII digits per uint32, "0000" to "9999".
+_DIGITS4 = np.array([f"{i:04d}".encode() for i in range(10_000)]).view(np.uint32)
+# The widest text of any double, "-2.2250738585072014e-308", and a
+# separator; the kernel's widest is "-0.00012345678901234567".
+_CELL = 25
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a split into halves of 26 bits each, a = hi + lo exactly."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _feature_text(x: np.ndarray) -> list[str]:
+    """The text of each row of x: format(v, ".17g") of each value, joined by
+    commas.
+
+    Each value is laid out in a cell of _CELL bytes, whose unused bytes are
+    NUL and are dropped at the end.
+    """
+    n_cols = x.shape[1]
+    v = x.ravel()
+    a = np.abs(v)
+    in_range = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    fast = np.flatnonzero(in_range)
+    k = _exponent(a[fast])
+    # One stable sort groups the values by exponent, so that each group is
+    # laid out by slices.
+    order = np.argsort(k, kind="stable")
+    fast, k = fast[order], k[order]
+    cell = np.dtype((np.void, _CELL))
+    cells = np.zeros((v.size, _CELL), np.uint8)
+    cells.view(cell)[fast] = _layout(k, _digits(a[fast], k), v[fast] < 0).view(cell)
+    for i in np.flatnonzero(~in_range).tolist():
+        slow = format(v[i], ".17g").encode()
+        cells[i, : len(slow)] = list(slow)
+    cells[:, -1] = ord(",")
+    cells[n_cols - 1 :: n_cols, -1] = ord("\n")
+    cells = cells.ravel()
+    return cells[cells != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _exponent(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)) exactly, for a in [_FAST_MIN, _FAST_MAX)."""
+    return np.searchsorted(_DECADES, a, side="right") - 6
+
+
+def _digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The 17 significant digits of each a, whose exponent is k, rounded half
+    to even: 20 ASCII bytes per value, the first three "000"."""
+    e = 16 - k
+    hi = a * _POW10[e]
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _POW10_HI[e], _POW10_LO[e]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo  # hi + lo == a * 10**e
+    # hi + lo lies in [1e16, 1e17), so hi is an even integer, and rounding lo
+    # alone rounds the sum half to even. The sum cannot round up to 1e17: no
+    # double in range lies within a relative 5e-18 below a power of ten.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    words = np.empty((len(d), 5), np.uint32)
+    for j, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        group = d // scale
+        words[:, j] = _DIGITS4[group]
+        d -= group * scale
+    words[:, 4] = _DIGITS4[d]
+    return words.view(np.uint8)
+
+
+def _layout(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The "g" text of values sorted by exponent k, from their 17 digits
+    (columns 3..19 of `digits`), in _CELL bytes each with NUL padding."""
+    text = np.zeros((len(k), _CELL), np.uint8)
+    text[:, 0] = np.where(negative, ord("-"), 0)
+    d = digits[:, 3:]
+    exponents, starts = np.unique(k, return_index=True)
+    for e, lo, hi in zip(exponents.tolist(), starts.tolist(), [*starts[1:].tolist(), len(k)]):
+        t, g = text[lo:hi], d[lo:hi]
+        if e >= 0:  # ddd.ddd
+            t[:, 1 : e + 2] = g[:, : e + 1]
+            t[:, e + 2] = ord(".")
+            t[:, e + 3 : 19] = g[:, e + 1 :]
+        elif e >= -4:  # 0.000ddd
+            t[:, 1:3] = list(b"0.")
+            t[:, 3 : 2 - e] = ord("0")
+            t[:, 2 - e : 19 - e] = g
+        else:  # d.ddde-05
+            t[:, 1] = g[:, 0]
+            t[:, 2] = ord(".")
+            t[:, 3:19] = g[:, 1:]
+            t[:, 19:23] = list(b"e-05")
+    # Drop trailing zeros of the digits, and then the point if no digit
+    # follows it. Only a value whose last digit is 0 has any.
+    zeros = np.flatnonzero(d[:, -1] == ord("0"))
+    if zeros.size:
+        e = k[zeros]
+        small = (e < 0) & (e >= -4)  # 0.000ddd: every digit follows the point
+        whole = np.maximum(e, 0)  # else digits 0..whole precede the point
+        last = 16 - np.argmax(d[zeros, ::-1] != ord("0"), axis=1)  # last nonzero digit
+        kept = np.maximum(last, whole)
+        end = np.where(small, kept - e + 3, kept + 2 + (kept > whole))
+        stop = np.where(small, _CELL, 19)  # "e-05" starts at column 19
+        columns = np.arange(_CELL)
+        drop = (columns >= end[:, None]) & (columns < stop[:, None])
+        text[zeros] = np.where(drop, 0, text[zeros])
+    return text
 
 
 def read_dataset(path) -> Dataset:

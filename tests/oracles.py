@@ -459,6 +459,26 @@ def read_dataset_by_lines(path, n_cells):
     return x, np.array(snr, dtype=float), np.array(legit, dtype=bool), np.array(source, dtype=str)
 
 
+def write_dataset_by_rows(path, dataset):
+    """The per-row writer of a dataset CSV (no manifest): the label cells
+    and `"%.17g" % tuple(row)` per line, so every number is CPython's
+    correctly rounded 17-digit dtoa, as format(v, ".17g") gives it."""
+    from csiauth.datasets import ILLEGITIMATE, LEGITIMATE
+
+    n_rx, m_tx = dataset.manifest.h_true.shape
+    header = ["snr_db", "label", "source_id"]
+    header += [f"{part}_{n}_{m}" for n in range(n_rx) for m in range(m_tx) for part in ("re", "im")]
+    features = ",".join(["%.17g"] * (len(header) - 3)) + "\n"
+    lines = [",".join(header) + "\n"]
+    for snr, legit, source, row in zip(
+        dataset.snr.tolist(), dataset.legit.tolist(), dataset.source.tolist(), dataset.x.tolist()
+    ):
+        label = LEGITIMATE if legit else ILLEGITIMATE
+        lines.append(f"{format(snr, '.17g')},{label},{source}," + features % tuple(row))
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def _whole_sq_dists(a, b):
     d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)

@@ -317,6 +317,30 @@ def test_config_snr_grid_list_is_checked_as_a_grid(tmp_path, capsys, grid, expec
     assert not (tmp_path / "run").exists()
 
 
+SHARED_TAG = ("grid points 1.0 and 1.000001 share the tag '1';"
+              " points must differ in their first six significant digits")
+
+
+def test_snr_grid_flag_rejects_points_that_share_a_tag(tmp_path, capsys):
+    # the four points were one "1" key of the manifest counts, and `train`
+    # then stopped with "sample counts disagree with manifest", naming no file
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--snr-grid", "1:1.000003:0.000001", "--out", tmp_path / "run")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument --snr-grid: {SHARED_TAG}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_snr_grid_rejects_points_that_share_a_tag(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"snr_grid": [0, 1, 1.000001, 2]}))
+    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f'error: {path}: "snr_grid": {SHARED_TAG}\n'
+    assert not (tmp_path / "run").exists()
+    # points apart in the sixth significant digit keep their own tags
+    assert cli.check_snr_grid([1, 1.00001]) == (1.0, 1.00001)
+
+
 def test_snr_grid_text_goes_through_the_grid_check():
     # step is far below the 1e-9 the points are rounded to, so they repeat
     with pytest.raises(argparse.ArgumentTypeError, match="increase strictly, got 0 then 0"):

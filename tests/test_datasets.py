@@ -1,12 +1,14 @@
 import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import read_dataset_by_lines
+from oracles import read_dataset_by_lines, write_dataset_by_rows
 from scipy import stats
 
 from csiauth.channel import NoiseModel, flatten_csi
@@ -22,6 +24,8 @@ from csiauth.datasets import (
     read_dataset,
     split_train_test,
     write_dataset,
+    _DECADES,
+    _feature_text,
 )
 from csiauth.rng import RngStream
 
@@ -444,3 +448,83 @@ def test_read_dataset_edge_shapes_and_long_ids(tmp_path, n):
     for column in ("x", "snr", "legit", "source"):
         np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
     assert all(len(s) == 40 for s in back.source)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_write_dataset_rejects_non_finite_feature_and_writes_nothing(tmp_path, bad):
+    # such a value was written as a "nan" or "inf" cell, which read_dataset rejects
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=5)
+    small.x[3, 7] = bad
+    small.x[4, 0] = bad
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 3 has a non-finite feature")):
+        write_dataset(path, small)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-7, 18)])
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]).tolist()
+
+
+# Ties: an odd m / 2**(17 - k) in [10**k, 10**(k + 1)) has 18 significant
+# digits, the last a 5, so rounding it to 17 digits is a tie.
+TIES = st.integers(-5, 14).flatmap(
+    lambda k: st.integers(
+        math.ceil(Fraction(10) ** k * 2 ** (17 - k)),
+        math.ceil(Fraction(10) ** (k + 1) * 2 ** (17 - k)) - 1,
+    ).map(lambda m, k=k: (m | 1) / 2 ** (17 - k))
+)
+FEATURE_VALUES = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.sampled_from([1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1), 1e15,
+                     np.nextafter(1e15, 0), np.nextafter(1e15, np.inf)]),
+    st.sampled_from(_powers_of_ten_and_neighbours()),
+    st.integers(-(10**7), 10**7).map(lambda k: k / 2),
+    st.integers(-(10**7), 10**7).map(lambda k: k / 1000),
+    st.integers(-1074, 1023).map(lambda e: 2.0**e),
+    TIES,
+    st.floats(1e-5, 1e15),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_write_dataset_bytes_equal_per_row_oracle(data, n):
+    signs = st.sampled_from([1.0, -1.0])
+    x = np.array(
+        data.draw(st.lists(st.tuples(FEATURE_VALUES, signs).map(lambda vs: vs[0] * vs[1]),
+                           min_size=32 * n, max_size=32 * n)),
+        dtype=float,
+    ).reshape(n, 32)
+    snr = np.array(data.draw(st.lists(st.sampled_from([-4.0, -0.0, 0.0, 2.5, 30.0]),
+                                      min_size=n, max_size=n)))
+    legit = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    source = np.array(data.draw(st.lists(st.sampled_from(["legit", "imp1", "nef5"]),
+                                         min_size=n, max_size=n)), dtype=str)
+    ds = _columns_dataset(x, snr, legit, source)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_dataset(got, ds)
+        write_dataset_by_rows(want, ds)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_feature_text_equals_format_in_every_decade():
+    gen = RngStream(19).generator()
+    x = gen.standard_normal(100_000) * 10.0 ** gen.integers(-7, 18, 100_000)
+    x[::7] = np.round(x[::7], 3)  # values with trailing zeros
+    rows = x.reshape(-1, 32)
+    want = [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+    assert _feature_text(rows) == want
+
+
+def test_feature_text_bounds_hold_exactly():
+    # _DECADES[k + 5] is the least double at or above 10**k
+    for k, bound in zip(range(-5, 16), _DECADES.tolist()):
+        assert Fraction(bound) >= Fraction(10) ** k > Fraction(np.nextafter(bound, 0))
+    # and the greatest double below a power of ten stays below it at 17 digits
+    for k in range(-4, 16):
+        below = np.nextafter(_DECADES[k + 5], 0)
+        assert 1 - Fraction(below) / Fraction(10) ** k > Fraction(5, 10**18)
