@@ -9,7 +9,6 @@ detectors, with per-SNR accuracy reporting.
 from .rng import RngStream
 from .channel import (
     NoiseModel,
-    estimate_csi,
     flatten_csi,
     sample_csi,
     unflatten_csi,
@@ -45,6 +44,6 @@ from .detectors import (
     lof_fit,
     ocsvm_fit,
 )
-from .evaluate import AccuracyCurve, ConfusionMatrix, accuracy_curve, emit_report, evaluate
+from .evaluate import AccuracyCurve, Authenticator, ConfusionMatrix, authenticator, emit_report, evaluate
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Complex CSI generation, receiver measurement noise, and CSI estimation.
+"""Complex CSI generation and receiver measurement noise.
 
 A CSI matrix is an (n_rx, m_tx) complex128 ndarray. Each element is a
 circularly symmetric complex Gaussian channel gain: real and imaginary
@@ -50,19 +50,6 @@ def measurement_batch(
     shape = (count,) + h.shape
     e = scale * (g.standard_normal(shape) + 1j * g.standard_normal(shape))
     return h[np.newaxis] + e
-
-
-def estimate_csi(samples: list[np.ndarray]) -> np.ndarray:
-    """Element-wise mean of repeated measurements (noise variance shrinks as 1/s)."""
-    if len(samples) == 0:
-        raise ValueError("cannot estimate CSI from an empty sample list")
-    first = _as_csi(samples[0])
-    for s in samples[1:]:
-        if np.shape(s) != first.shape:
-            raise ValueError(
-                f"shape mismatch: expected {first.shape}, got {np.shape(s)}"
-            )
-    return np.mean(np.stack([np.asarray(s, dtype=np.complex128) for s in samples]), axis=0)
 
 
 def flatten_csi(h: np.ndarray) -> np.ndarray:

@@ -19,18 +19,16 @@ from pathlib import Path
 
 from . import analytic, datasets, detectors, gan, neuralnet
 from .channel import NoiseModel
+from .datasets import MAX_GRID_POINTS, check_snr_grid, snr_tag
 from .packed import number, typed_fields
 from .evaluate import (
-    accuracy_curve,
+    authenticator,
     curves_from_confusions,
     emit_report,
-    gan_decider,
-    iforest_decider,
+    evaluate,
+    hypothesis_authenticator,
     load_confusions,
-    lof_decider,
-    ocsvm_decider,
     spearman_vs_snr,
-    threshold_decider,
 )
 from .rng import RngStream
 from .threshold import Threshold
@@ -40,7 +38,6 @@ DEFAULT_OUT = "runs"
 DEFAULT_Z_MULTIPLIERS = (1.0, 3.0, 5.0, 6.0)
 ANALYTIC_CONFIGS = ((1, 1), (2, 2), (4, 4), (8, 8))
 ANALYTIC_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-MAX_GRID_POINTS = 1000
 
 
 @dataclass
@@ -82,27 +79,10 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     last = (b + 1e-9 - a) / step  # the last point's index, before flooring
     if not last < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"{text!r} has more than {MAX_GRID_POINTS} points")
-    return check_snr_grid(round(a + i * step, 9) for i in range(math.floor(last) + 1))
-
-
-def check_snr_grid(points) -> tuple[float, ...]:
-    """points as a tuple: 1 to MAX_GRID_POINTS finite reals, strictly increasing,
-    each with its own tag (the SNR's name in manifests and model files)."""
-    points = tuple(points)
-    if not 1 <= len(points) <= MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(f"a grid has 1 to {MAX_GRID_POINTS} points, got {len(points)}")
-    if not all(map(math.isfinite, points)):
-        raise argparse.ArgumentTypeError(f"grid points must be finite, got {points}")
-    for a, b in zip(points, points[1:]):
-        if not a < b:
-            raise argparse.ArgumentTypeError(f"grid points must increase strictly, got {a:g} then {b:g}")
-        # tags round to six significant digits, so equal tags are neighbours
-        if _snr_tag(a) == _snr_tag(b):
-            raise argparse.ArgumentTypeError(
-                f"grid points {a!r} and {b!r} share the tag {_snr_tag(a)!r};"
-                " points must differ in their first six significant digits"
-            )
-    return points
+    try:
+        return check_snr_grid(round(a + i * step, 9) for i in range(math.floor(last) + 1))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_seed(text: str) -> int:
@@ -225,12 +205,13 @@ def _config_value(key: str, value):
         if not isinstance(value, dict):
             raise ValueError(f'"{key}" must be a JSON object')
         return kind(**typed_fields(kind, value, f' under "{key}"'))
+    if not isinstance(value, str):
+        value = tuple(number(v, float, f'"{key}"') for v in value)
     try:
         if isinstance(value, str):
             return kind(value)
-        values = tuple(number(v, float, f'"{key}"') for v in value)
-        return check_snr_grid(values) if kind is parse_snr_grid else values
-    except argparse.ArgumentTypeError as exc:
+        return check_snr_grid(value) if kind is parse_snr_grid else value
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f'"{key}": {exc}') from None
 
 
@@ -241,10 +222,6 @@ def _parallel(jobs: int, tasks: list):
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(t) for t in tasks]
         return [f.result() for f in futures]
-
-
-def _snr_tag(snr: float) -> str:
-    return format(snr, "g")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +271,7 @@ def cmd_train(cfg: RunConfig) -> int:
         else:
             rows = train_ds.x[train_ds.snr == snr]
             stream = rng.substream("gan-train", snr)
-            name = f"gan_snr{_snr_tag(snr)}"
+            name = f"gan_snr{snr_tag(snr)}"
         disc, report = gan.train_gan(rows, cfg.gan_config, stream)
         return name, disc, report
 
@@ -331,7 +308,7 @@ def cmd_fit_detector(cfg: RunConfig, algo: str) -> int:
     else:
         models = _parallel(cfg.jobs, [lambda x=x: job(x) for x in slices])
     for snr, model in zip(grid, models):
-        path = cfg.model_dir / f"{algo}_snr{_snr_tag(snr)}.json"
+        path = cfg.model_dir / f"{algo}_snr{snr_tag(snr)}.json"
         detectors.save_model(model, path)
         print(f"wrote {path}")
     return 0
@@ -348,51 +325,39 @@ def cmd_eval(cfg: RunConfig) -> int:
     for name in ("test_accidental", "test_nefarious"):
         path = _require(cfg.data_dir / f"{name}.csv", "csiauth gen")
         test_sets[name.removeprefix("test_")] = datasets.read_dataset(path)
+    grid = test_sets["accidental"].manifest.snr_grid
+    if test_sets["nefarious"].manifest.snr_grid != grid:
+        raise ValueError("test_accidental and test_nefarious have different SNR grids")
 
-    grid = next(iter(test_sets.values())).manifest.snr_grid
-    deciders_by_method: dict[str, dict[float, object]] = {}
+    def per_snr(name, load, hint):
+        paths = {snr: cfg.model_dir / f"{name}_snr{snr_tag(snr)}.json" for snr in grid}
+        return {snr: authenticator(load(_require(path, hint))) for snr, path in paths.items()}
 
+    # method -> {SNR: Authenticator}
     if cfg.pooled:
         ckpt = _require(cfg.model_dir / "gan_pooled.json", "csiauth train --pooled")
-        disc = neuralnet.load_checkpoint(ckpt)
-        deciders_by_method["gan"] = {snr: gan_decider(disc) for snr in grid}
+        table = {"gan": dict.fromkeys(grid, authenticator(neuralnet.load_checkpoint(ckpt)))}
     else:
-        gan_deciders = {}
-        for snr in grid:
-            ckpt = _require(cfg.model_dir / f"gan_snr{_snr_tag(snr)}.json", "csiauth train")
-            gan_deciders[snr] = gan_decider(neuralnet.load_checkpoint(ckpt))
-        deciders_by_method["gan"] = gan_deciders
-
-    adapters = {"lof": lof_decider, "iforest": iforest_decider, "ocsvm": ocsvm_decider}
-    for algo, adapt in adapters.items():
-        per_snr = {}
-        for snr in grid:
-            path = _require(
-                cfg.model_dir / f"{algo}_snr{_snr_tag(snr)}.json",
-                f"csiauth fit-detector --algo {algo}",
-            )
-            per_snr[snr] = adapt(detectors.load_model(path))
-        deciders_by_method[algo] = per_snr
-
-    h_true = next(iter(test_sets.values())).manifest.h_true
+        table = {"gan": per_snr("gan", neuralnet.load_checkpoint, "csiauth train")}
+    for algo in ("lof", "iforest", "ocsvm"):
+        table[algo] = per_snr(algo, detectors.load_model, f"csiauth fit-detector --algo {algo}")
+    h_true = test_sets["accidental"].manifest.h_true
     for mult in cfg.z_multipliers:
-        method = f"hypothesis-z{format(mult, 'g')}"
-        deciders_by_method[method] = {
-            snr: threshold_decider(h_true, Threshold.from_sigma2(mult, NoiseModel(snr).sigma2))
+        table[f"hypothesis-z{format(mult, 'g')}"] = {
+            snr: hypothesis_authenticator(h_true, Threshold.from_sigma2(mult, NoiseModel(snr).sigma2))
             for snr in grid
         }
 
     for ds_name, ds in test_sets.items():
-        curves, matrices = [], []
-        for method in sorted(deciders_by_method):
-            curve, cms = accuracy_curve(deciders_by_method[method], ds, method)
-            curves.append(curve)
-            matrices.extend(cms)
+        matrices = [evaluate(table[method][snr], ds, snr, method)
+                    for method in sorted(table) for snr in grid]
+        for curve in curves_from_confusions(matrices):
             rho = spearman_vs_snr(curve)
             if rho < 0.8:
-                print(f"note: {method} on {ds_name}: accuracy-vs-SNR rank correlation {rho:.2f} < 0.8")
+                print(f"note: {curve.method} on {ds_name}: "
+                      f"accuracy-vs-SNR rank correlation {rho:.2f} < 0.8")
         out = cfg.report_dir / ds_name
-        written = emit_report(curves, matrices, out)
+        written = emit_report(matrices, out)
         print(f"wrote {len(written)} report files under {out}")
     return 0
 
@@ -418,8 +383,7 @@ def cmd_report(cfg: RunConfig) -> int:
         matrices = load_confusions(ds_dir)
         if not matrices:
             continue
-        curves = curves_from_confusions(matrices)
-        emit_report(curves, matrices, ds_dir)
+        emit_report(matrices, ds_dir)
         regenerated += 1
         print(f"regenerated reports under {ds_dir}")
     if not regenerated:

@@ -13,6 +13,7 @@ is validated once, when a file is read.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -36,6 +37,7 @@ KIND_NEFARIOUS = "test_nefarious"
 _KINDS = (KIND_MASTER, KIND_TRAIN, KIND_TEST, KIND_ACCIDENTAL, KIND_NEFARIOUS)
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
+MAX_GRID_POINTS = 1000
 MASTER_SAMPLES_PER_SNR = 1000
 TRAIN_FRACTION = 0.7
 N_ATTACKERS = 5
@@ -92,6 +94,31 @@ class NefariousOffsets:
             raise ValueError("offsets must be distinct")
         if any(o == 0 for o in self.offsets):
             raise ValueError("zero offset would duplicate the legitimate cloud")
+
+
+def snr_tag(snr: float) -> str:
+    """The SNR's name in manifests, model files and reports."""
+    return format(snr, "g")
+
+
+def check_snr_grid(points) -> tuple[float, ...]:
+    """points as a tuple: 1 to MAX_GRID_POINTS finite reals, strictly increasing,
+    each with its own tag; else ValueError."""
+    points = tuple(points)
+    if not 1 <= len(points) <= MAX_GRID_POINTS:
+        raise ValueError(f"a grid has 1 to {MAX_GRID_POINTS} points, got {len(points)}")
+    if not all(map(math.isfinite, points)):
+        raise ValueError(f"grid points must be finite, got {points}")
+    for a, b in zip(points, points[1:]):
+        if not a < b:
+            raise ValueError(f"grid points must increase strictly, got {a:g} then {b:g}")
+        # tags round to six significant digits, so equal tags are neighbours
+        if snr_tag(a) == snr_tag(b):
+            raise ValueError(
+                f"grid points {a!r} and {b!r} share the tag {snr_tag(a)!r};"
+                " points must differ in their first six significant digits"
+            )
+    return points
 
 
 def default_nefarious_offsets() -> NefariousOffsets:
@@ -244,6 +271,10 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     path = Path(path)
     mf = dataset.manifest
     memo = {} if memo is None else memo
+    try:
+        manifest = _manifest_to_json(mf)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; not written") from None
     x = np.ascontiguousarray(dataset.x, dtype=float)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
@@ -281,7 +312,7 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
                 lines += (labels[key], text)
             fh.write("".join(lines))
         fh.write("\n")
-    _manifest_path(path).write_text(_manifest_to_json(mf))
+    _manifest_path(path).write_text(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +500,7 @@ def read_dataset(path) -> Dataset:
         manifest, x, np.ascontiguousarray(rec["snr"]), legit,
         np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
-    verify_counts(ds)
+    verify_counts(ds, path)
     return ds
 
 
@@ -492,14 +523,15 @@ def _first_bad_line(path, body, n_cells, parse) -> DatasetFormatError | None:
     return None
 
 
-def verify_counts(dataset: Dataset) -> None:
-    """Raise DatasetFormatError unless sample tallies match the manifest exactly."""
+def verify_counts(dataset: Dataset, path) -> None:
+    """Raise DatasetFormatError naming `path` unless sample tallies match the
+    manifest exactly."""
     labels = np.where(dataset.legit, LEGITIMATE, ILLEGITIMATE).tolist()
     actual = dict(Counter(zip(dataset.snr.tolist(), labels)))
     if actual != dataset.manifest.counts:
         missing = set(dataset.manifest.counts) ^ set(actual)
         raise DatasetFormatError(
-            f"sample counts disagree with manifest (differing keys: {sorted(missing) or 'values'})"
+            f"{path}: sample counts disagree with manifest (differing keys: {sorted(missing) or 'values'})"
         )
 
 
@@ -518,6 +550,7 @@ def _manifest_path(path: Path) -> Path:
 def _manifest_to_json(mf: DatasetManifest) -> str:
     if mf.kind not in _KINDS:
         raise ValueError(f"unknown dataset kind {mf.kind!r}")
+    check_snr_grid(mf.snr_grid)
     n_rx, m_tx = mf.h_true.shape
     doc = {
         "seed": mf.seed,
@@ -526,7 +559,7 @@ def _manifest_to_json(mf: DatasetManifest) -> str:
         "m_tx": m_tx,
         "snr_grid": mf.snr_grid,
         "counts": {
-            format(snr, "g"): {
+            snr_tag(snr): {
                 label: mf.counts[(snr, label)]
                 for label in (LEGITIMATE, ILLEGITIMATE)
                 if (snr, label) in mf.counts
@@ -551,8 +584,8 @@ def _manifest_from_json(text: str) -> DatasetManifest:
 
     n_rx, m_tx = scalar(doc, "n_rx", int), scalar(doc, "m_tx", int)
     h_true = unflatten_csi(np.array(reals("h_true", doc["h_true"])), n_rx, m_tx)
-    snr_grid = reals("snr_grid", doc["snr_grid"])
-    snr_of = {format(snr, "g"): snr for snr in snr_grid}  # the keys the writer writes
+    snr_grid = list(check_snr_grid(reals("snr_grid", doc["snr_grid"])))
+    snr_of = {snr_tag(snr): snr for snr in snr_grid}  # the keys the writer writes
     counts = {}
     for snr_key, by_label in doc["counts"].items():
         if snr_key not in snr_of:

@@ -1,10 +1,9 @@
 """Confusion matrices and accuracy-vs-SNR curves over the test datasets.
 
-Every authenticator is adapted to one contract: a callable taking feature
-rows (n, 2 * n_rx * m_tx), as stored in `Dataset.x`, and returning the
-(n,) boolean accept mask, which for the hypothesis test is
-`threshold.accept_rows` itself. Rows of the confusion matrix are ground
-truth (Real = legitimate), columns are the prediction.
+Every authenticator is an `Authenticator`: a score of each feature row, as
+stored in `Dataset.x`, higher meaning more legitimate, and a cut. Only
+`evaluate` compares them: a row is accepted iff its score >= cut. Rows of the
+confusion matrix are ground truth (Real = legitimate), columns the prediction.
 """
 
 from __future__ import annotations
@@ -12,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .channel import flatten_csi
-from .datasets import Dataset
+from .datasets import Dataset, snr_tag
 from .detectors import (
     IForestModel,
     LofModel,
@@ -30,9 +30,7 @@ from .detectors import (
 from .gan import scores_batch
 from .neuralnet import Mlp
 from .packed import read_document, scalar
-from .threshold import Threshold, accept_rows
-
-DecisionFn = Callable[[np.ndarray], np.ndarray]
+from .threshold import Threshold, max_sq_distance
 
 
 @dataclass(frozen=True)
@@ -56,41 +54,39 @@ class AccuracyCurve:
     points: list[tuple[float, float]]  # (snr_db, accuracy)
 
 
-# ---------------------------------------------------------------------------
-# Decision adapters: each maps feature rows (n, d) to the (n,) accept mask.
+@dataclass(frozen=True)
+class Authenticator:
+    """score maps feature rows (n, d) to (n,) scores; accept iff score >= cut."""
 
-def threshold_decider(h_ref: np.ndarray, thr: Threshold) -> DecisionFn:
+    score: Callable[[np.ndarray], np.ndarray]
+    cut: float
+
+
+def authenticator(model: Mlp | LofModel | IForestModel | OcsvmModel, tau: float = 0.5) -> Authenticator:
+    """The GAN discriminator's D(x) cut at tau, OC-SVM's decision value cut at
+    0, or LOF's or iForest's negated outlier score cut at -threshold."""
+    if isinstance(model, Mlp):
+        return Authenticator(lambda rows: scores_batch(model, rows), tau)
+    if isinstance(model, OcsvmModel):
+        return Authenticator(lambda rows: ocsvm_decision_values(model, rows), 0.0)
+    outlier_scores = lof_scores if isinstance(model, LofModel) else iforest_scores
+    return Authenticator(lambda rows: -outlier_scores(model, rows), -model.threshold)
+
+
+def hypothesis_authenticator(h_ref: np.ndarray, thr: Threshold) -> Authenticator:
+    """The per-element distance test against h_ref: -max squared distance, cut -z**2."""
     ref = flatten_csi(h_ref)
-    return lambda rows: accept_rows(rows, ref, thr)
+    return Authenticator(lambda rows: -max_sq_distance(rows, ref), -thr.z**2)
 
 
-def gan_decider(d: Mlp, tau: float = 0.5) -> DecisionFn:
-    return lambda rows: scores_batch(d, rows) >= tau
-
-
-def lof_decider(model: LofModel) -> DecisionFn:
-    return lambda rows: lof_scores(model, rows) <= model.threshold
-
-
-def iforest_decider(model: IForestModel) -> DecisionFn:
-    return lambda rows: iforest_scores(model, rows) <= model.threshold
-
-
-def ocsvm_decider(model: OcsvmModel) -> DecisionFn:
-    return lambda rows: ocsvm_decision_values(model, rows) >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-def evaluate(decider: DecisionFn, dataset: Dataset, snr_db: float, method: str = "") -> ConfusionMatrix:
+def evaluate(auth: Authenticator, dataset: Dataset, snr_db: float, method: str = "") -> ConfusionMatrix:
     at_snr = dataset.snr == snr_db
     if not at_snr.any():
         raise ValueError(f"dataset has no samples at SNR {snr_db} dB")
     legit = dataset.legit[at_snr]
-    accepts = np.asarray(decider(dataset.x[at_snr]), dtype=bool)
+    accepts = np.asarray(auth.score(dataset.x[at_snr])) >= auth.cut
     if accepts.shape != legit.shape:
-        raise ValueError(f"decider returned shape {accepts.shape}, expected {legit.shape}")
+        raise ValueError(f"score returned shape {accepts.shape}, expected {legit.shape}")
     return ConfusionMatrix(
         method=method, snr_db=snr_db,
         real_real=int(np.sum(accepts & legit)),
@@ -100,26 +96,15 @@ def evaluate(decider: DecisionFn, dataset: Dataset, snr_db: float, method: str =
     )
 
 
-def accuracy_curve(
-    deciders: dict[float, DecisionFn], dataset: Dataset, method: str = ""
-) -> tuple[AccuracyCurve, list[ConfusionMatrix]]:
-    """One evaluation per SNR in the dataset grid; requires a decider for each."""
-    grid = dataset.manifest.snr_grid
-    missing = [snr for snr in grid if snr not in deciders]
-    if missing:
-        raise ValueError(f"no decider fitted for SNR levels {missing}")
-    matrices = [evaluate(deciders[snr], dataset, snr, method) for snr in grid]
-    curve = AccuracyCurve(method=method, points=[(m.snr_db, m.accuracy) for m in matrices])
-    return curve, matrices
-
-
 # ---------------------------------------------------------------------------
 # Report emission
 
-def emit_report(curves: list[AccuracyCurve], matrices: list[ConfusionMatrix], out_dir) -> list[Path]:
-    """Write accuracy.csv, per-(method, SNR) confusion JSON, and accuracy.svg."""
-    if not curves or not matrices:
+def emit_report(matrices: list[ConfusionMatrix], out_dir) -> list[Path]:
+    """Write accuracy.csv, per-(method, SNR) confusion JSON, and accuracy.svg;
+    the curves are those of curves_from_confusions(matrices)."""
+    if not matrices:
         raise ValueError("nothing to report")
+    curves = curves_from_confusions(matrices)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -128,13 +113,13 @@ def emit_report(curves: list[AccuracyCurve], matrices: list[ConfusionMatrix], ou
     with acc_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "snr_db", "accuracy"])
-        for curve in sorted(curves, key=lambda c: c.method):
+        for curve in curves:
             for snr, acc in curve.points:
-                writer.writerow([curve.method, format(snr, "g"), format(acc, ".17g")])
+                writer.writerow([curve.method, snr_tag(snr), format(acc, ".17g")])
     written.append(acc_path)
 
     for m in sorted(matrices, key=lambda m: (m.method, m.snr_db)):
-        path = out / f"confusion_{m.method}_{format(m.snr_db, 'g')}.json"
+        path = out / f"confusion_{m.method}_{snr_tag(m.snr_db)}.json"
         doc = {**asdict(m), "accuracy": m.accuracy}
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         written.append(path)
@@ -153,10 +138,14 @@ def load_confusions(report_dir) -> list[ConfusionMatrix]:
 
 
 def _confusion(doc: dict) -> ConfusionMatrix:
-    counts = ("real_real", "real_fake", "fake_real", "fake_fake")
-    return ConfusionMatrix(
-        doc["method"], scalar(doc, "snr_db", float), *(scalar(doc, key, int) for key in counts)
-    )
+    """The matrix of doc, whose counts must be >= 0 and not all 0, so that
+    its accuracy is a fraction."""
+    method, snr_db = doc["method"], scalar(doc, "snr_db", float)
+    keys = ("real_real", "real_fake", "fake_real", "fake_fake")
+    counts = {key: scalar(doc, key, int) for key in keys}
+    if min(counts.values()) < 0 or not any(counts.values()):
+        raise ValueError(f"counts must be >= 0 and not all 0, got {counts}")
+    return ConfusionMatrix(method, snr_db, **counts)
 
 
 def spearman_vs_snr(curve: AccuracyCurve) -> float:
@@ -189,14 +178,10 @@ def _mid_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def curves_from_confusions(matrices: list[ConfusionMatrix]) -> list[AccuracyCurve]:
-    by_method: dict[str, list[ConfusionMatrix]] = {}
-    for m in matrices:
-        by_method.setdefault(m.method, []).append(m)
-    curves = []
-    for method in sorted(by_method):
-        ms = sorted(by_method[method], key=lambda m: m.snr_db)
-        curves.append(AccuracyCurve(method, [(m.snr_db, m.accuracy) for m in ms]))
-    return curves
+    """One curve per method, in method order, with its points in SNR order."""
+    ordered = sorted(matrices, key=lambda m: (m.method, m.snr_db))
+    return [AccuracyCurve(method, [(m.snr_db, m.accuracy) for m in group])
+            for method, group in groupby(ordered, key=lambda m: m.method)]
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",

@@ -576,3 +576,45 @@ def column_smo_ocsvm_fit(x, nu, gamma, tol, max_iter):
         nu=nu, gamma=gamma, support_vectors=x[sv], alphas=alpha[sv],
         rho=rho, kkt_residual=_kkt_residual(alpha, grad, rho, cap),
     )
+
+
+# The accept masks of the per-model decision adapters that csiauth.evaluate
+# had before every authenticator became a score and a cut. Each compares in
+# its own direction; `score >= cut` must give the same bits, NaN rows
+# included.
+
+def threshold_accepts(h_ref, thr):
+    """Accept iff every element's squared distance to h_ref's is <= z**2."""
+    from csiauth.channel import flatten_csi
+
+    ref = flatten_csi(h_ref)
+
+    def accepts(rows):
+        delta = rows - ref
+        return np.all(delta[:, 0::2] ** 2 + delta[:, 1::2] ** 2 <= thr.z**2, axis=1)
+
+    return accepts
+
+
+def gan_accepts(d, tau=0.5):
+    from csiauth.gan import scores_batch
+
+    return lambda rows: scores_batch(d, rows) >= tau
+
+
+def lof_accepts(model):
+    from csiauth.detectors import lof_scores
+
+    return lambda rows: lof_scores(model, rows) <= model.threshold
+
+
+def iforest_accepts(model):
+    from csiauth.detectors import iforest_scores
+
+    return lambda rows: iforest_scores(model, rows) <= model.threshold
+
+
+def ocsvm_accepts(model):
+    from csiauth.detectors import ocsvm_decision_values
+
+    return lambda rows: ocsvm_decision_values(model, rows) >= 0.0

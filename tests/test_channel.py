@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from csiauth.channel import (
     NoiseModel,
-    estimate_csi,
     flatten_csi,
     measurement_batch,
     sample_csi,
@@ -75,13 +74,6 @@ def test_measurement_error_unbiased():
     assert np.all(np.abs(errs.mean(axis=0)) <= 0.05)
 
 
-def test_estimate_csi_single_and_cancellation():
-    h = sample_csi(3, 2, RngStream(11))
-    np.testing.assert_array_equal(estimate_csi([h]), h)
-    e = sample_csi(3, 2, RngStream(12))
-    np.testing.assert_allclose(estimate_csi([h + e, h - e]), h, atol=1e-12)
-
-
 def test_estimate_csi_variance_shrinks_as_one_over_s():
     # Monte Carlo check of the 1/s averaging law
     h = sample_csi(2, 2, RngStream(13))
@@ -92,21 +84,6 @@ def test_estimate_csi_variance_shrinks_as_one_over_s():
         means.append(batch.mean(axis=0))
     var_of_mean = np.mean(np.abs(np.stack(means) - h) ** 2)
     assert var_of_mean == pytest.approx(noise.sigma2 / 100, rel=0.25)
-
-
-def test_estimate_csi_errors():
-    with pytest.raises(ValueError):
-        estimate_csi([])
-    with pytest.raises(ValueError):
-        estimate_csi([np.ones((2, 2), complex), np.ones((2, 3), complex)])
-
-
-@given(k=st.integers(min_value=1, max_value=7), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_estimate_repeated_sample_is_identity(k, seed):
-    # identity up to the 1-ulp rounding of summing k equal values
-    x = sample_csi(2, 3, RngStream(seed))
-    np.testing.assert_allclose(estimate_csi([x] * k), x, rtol=1e-15, atol=1e-15)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

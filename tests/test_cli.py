@@ -12,7 +12,7 @@ import pytest
 
 from csiauth import cli
 from csiauth.cli import build_parser, main, parse_snr_grid, resolve_config
-from csiauth.datasets import read_dataset, write_dataset
+from csiauth.datasets import check_snr_grid, read_dataset, write_dataset
 from csiauth.detectors import DetectorConfig
 from csiauth.gan import TrainConfig
 
@@ -338,14 +338,36 @@ def test_config_snr_grid_rejects_points_that_share_a_tag(tmp_path, capsys):
     assert capsys.readouterr().err == f'error: {path}: "snr_grid": {SHARED_TAG}\n'
     assert not (tmp_path / "run").exists()
     # points apart in the sixth significant digit keep their own tags
-    assert cli.check_snr_grid([1, 1.00001]) == (1.0, 1.00001)
+    assert check_snr_grid([1, 1.00001]) == (1.0, 1.00001)
+
+
+@pytest.mark.parametrize(
+    "change,expected",
+    [(lambda grid: grid[::-1], "grid points must increase strictly, got 8 then 4"),
+     (lambda grid: [0.0, *grid], "grid points must increase strictly, got 0 then 0")],
+    ids=["reversed", "repeated"],
+)
+def test_eval_rejects_a_manifest_grid_that_is_not_a_grid(tmp_path, fast_config, capsys, change,
+                                                         expected):
+    # a reversed grid made eval write its reports from 8 dB down to 0, and a
+    # repeated point two "gan,0" rows
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    path = out / "datasets" / "test_accidental.manifest.json"
+    doc = json.loads(path.read_text())
+    doc["snr_grid"] = change(doc["snr_grid"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", fast_config, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: malformed manifest {path}: {expected}\n"
+    assert not (out / "reports").exists()
 
 
 def test_snr_grid_text_goes_through_the_grid_check():
     # step is far below the 1e-9 the points are rounded to, so they repeat
     with pytest.raises(argparse.ArgumentTypeError, match="increase strictly, got 0 then 0"):
         parse_snr_grid("0:1e-10:1e-11")
-    assert cli.check_snr_grid([0, 2.5, 1000]) == (0.0, 2.5, 1000.0)
+    assert check_snr_grid([0, 2.5, 1000]) == (0.0, 2.5, 1000.0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -458,10 +480,17 @@ def test_train_and_eval_pipeline(tmp_path, fast_config, capsys):
         assert len(lines) == 1 + 8 * 3
         assert (out / "reports" / ds / "accuracy.svg").exists()
 
-    # report stage regenerates byte-identical outputs from confusion files
-    before = (out / "reports" / "accidental" / "accuracy.csv").read_bytes()
+    # report regenerates every file eval wrote, byte for byte, from the confusions
+    def report_files():
+        return {p: p.read_bytes() for p in sorted((out / "reports").rglob("*")) if p.is_file()}
+
+    before = report_files()
+    assert len(before) == 2 * (2 + 8 * 3)
+    for path in before:
+        if not path.name.startswith("confusion_"):
+            path.unlink()
     assert run_cli("report", "--config", fast_config, "--out", out) == 0
-    assert (out / "reports" / "accidental" / "accuracy.csv").read_bytes() == before
+    assert report_files() == before
 
 
 @pytest.mark.parametrize("name,key", [("lof_snr0", "payload"), ("gan_snr0", "layers")])

@@ -397,9 +397,10 @@ def _columns_dataset(x, snr, legit, source) -> Dataset:
     for s, is_legit in zip(snr.tolist(), legit.tolist()):
         key = (s, "legitimate" if is_legit else "illegitimate")
         counts[key] = counts.get(key, 0) + 1
+    # a grid has at least one point, also when no row is at it
     manifest = DatasetManifest(
-        seed=1, kind="test_accidental", snr_grid=sorted(set(snr.tolist())), counts=counts,
-        h_true=np.zeros((4, 4), dtype=complex),
+        seed=1, kind="test_accidental", snr_grid=sorted(set(snr.tolist())) or [0.0],
+        counts=counts, h_true=np.zeros((4, 4), dtype=complex),
     )
     return Dataset(manifest, x, snr, legit, source)
 
@@ -460,6 +461,28 @@ def test_write_dataset_rejects_non_finite_feature_and_writes_nothing(tmp_path, b
     with pytest.raises(ValueError, match=re.escape(f"{path}: row 3 has a non-finite feature")):
         write_dataset(path, small)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_dataset_rejects_a_grid_whose_points_share_a_tag_and_writes_nothing(tmp_path):
+    # both points were written under the count key "1", and reading the file
+    # back failed with a count mismatch that named no file
+    small = build_master(RngStream(1), snr_grid=(1.0, 1.000001), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: grid points 1.0 and 1.000001 share")):
+        write_dataset(path, small)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_count_mismatch_names_the_file(tmp_path):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    manifest = tmp_path / "m.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["counts"]["0"]["legitimate"] = 4
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: sample counts disagree")):
+        read_dataset(path)
 
 
 def _powers_of_ten_and_neighbours():

@@ -3,45 +3,42 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from oracles import per_matrix_threshold_test
+from oracles import (
+    gan_accepts,
+    iforest_accepts,
+    lof_accepts,
+    ocsvm_accepts,
+    per_matrix_threshold_test,
+    threshold_accepts,
+)
 
 from csiauth import datasets
 from csiauth.channel import NoiseModel, unflatten_csi
+from csiauth.cli import main
 from csiauth.datasets import build_accidental, build_master, split_train_test
-from csiauth.detectors import (
-    iforest_fit,
-    iforest_scores,
-    lof_fit,
-    lof_scores,
-    ocsvm_decision_values,
-    ocsvm_fit,
-)
+from csiauth.detectors import iforest_fit, lof_fit, ocsvm_fit
 from csiauth.evaluate import (
     AccuracyCurve,
+    Authenticator,
     ConfusionMatrix,
-    accuracy_curve,
+    authenticator,
     curves_from_confusions,
     emit_report,
     evaluate,
-    gan_decider,
-    iforest_decider,
+    hypothesis_authenticator,
     load_confusions,
-    lof_decider,
-    ocsvm_decider,
     render_accuracy_svg,
-    threshold_decider,
 )
-from csiauth.gan import build_discriminator, scores_batch
+from csiauth.gan import build_discriminator
 from csiauth.rng import RngStream
 from csiauth.threshold import Threshold
 
+ALWAYS = Authenticator(lambda rows: np.zeros(len(rows)), 0.0)
+NEVER = Authenticator(lambda rows: np.zeros(len(rows)), 1.0)
 
-def always(rows):
-    return np.ones(len(rows), dtype=bool)
 
-
-def never(rows):
-    return np.zeros(len(rows), dtype=bool)
+def accepts(auth, rows):
+    return auth.score(rows) >= auth.cut
 
 
 @pytest.fixture(scope="module")
@@ -51,22 +48,22 @@ def acc_dataset():
     return build_accidental(test, RngStream(7))
 
 
-def test_perfect_and_trivial_deciders(acc_dataset):
+def test_perfect_and_trivial_authenticators(acc_dataset):
     lookup = {row.tobytes(): legit for row, legit in zip(acc_dataset.x, acc_dataset.legit)}
-    perfect = lambda rows: np.array([lookup[row.tobytes()] for row in rows])
+    perfect = Authenticator(lambda rows: np.array([lookup[row.tobytes()] for row in rows]), 1)
     cm = evaluate(perfect, acc_dataset, 10.0, "perfect")
     assert (cm.real_real, cm.real_fake, cm.fake_real, cm.fake_fake) == (300, 0, 0, 400)
     assert cm.accuracy == 1.0
 
-    cm = evaluate(always, acc_dataset, 10.0, "always")
+    cm = evaluate(ALWAYS, acc_dataset, 10.0, "always")
     assert (cm.real_real, cm.real_fake, cm.fake_real, cm.fake_fake) == (300, 0, 400, 0)
     assert cm.accuracy == pytest.approx(300 / 700)
 
 
 def test_row_sums_match_class_counts(acc_dataset):
     thr = Threshold.from_sigma2(3.0, NoiseModel(10.0).sigma2)
-    decider = threshold_decider(acc_dataset.manifest.h_true, thr)
-    cm = evaluate(decider, acc_dataset, 10.0, "hypothesis-z3")
+    auth = hypothesis_authenticator(acc_dataset.manifest.h_true, thr)
+    cm = evaluate(auth, acc_dataset, 10.0, "hypothesis-z3")
     assert cm.real_real + cm.real_fake == 300
     assert cm.fake_real + cm.fake_fake == 400
 
@@ -81,7 +78,7 @@ def test_batch_path_matches_scalar_path(acc_dataset):
             per_matrix_threshold_test(unflatten_csi(row, *h_ref.shape), h_ref, thr.z)
             for row in rows
         ]
-        batch = threshold_decider(h_ref, thr)(rows)
+        batch = accepts(hypothesis_authenticator(h_ref, thr), rows)
         assert batch.dtype == bool
         np.testing.assert_array_equal(batch, scalar)
         assert 0 < batch.sum() < len(rows)
@@ -92,7 +89,8 @@ def _gaussian(n, seed, scale=1.0):
 
 
 @pytest.fixture(scope="module")
-def adapters():
+def authenticators():
+    """Each method's Authenticator and the accept mask of its old adapter."""
     train = _gaussian(120, 40, scale=0.3)
     h_ref = unflatten_csi(train[0], 4, 4)
     thr = Threshold.from_sigma2(3.0, 0.2)
@@ -101,68 +99,70 @@ def adapters():
     svm = ocsvm_fit(train, nu=0.1)
     disc = build_discriminator(RngStream(42))
     return {
-        "threshold": (
-            threshold_decider(h_ref, thr),
-            lambda rows: np.array(
-                [np.abs(unflatten_csi(r, 4, 4) - h_ref).max() <= thr.z for r in rows]
-            ),
-        ),
-        "gan": (gan_decider(disc, 0.5), lambda rows: scores_batch(disc, rows) >= 0.5),
-        "lof": (lof_decider(lof), lambda rows: lof_scores(lof, rows) <= lof.threshold),
-        "iforest": (iforest_decider(ifo), lambda rows: iforest_scores(ifo, rows) <= ifo.threshold),
-        "ocsvm": (ocsvm_decider(svm), lambda rows: ocsvm_decision_values(svm, rows) >= 0.0),
+        "threshold": (hypothesis_authenticator(h_ref, thr), threshold_accepts(h_ref, thr)),
+        "gan": (authenticator(disc), gan_accepts(disc, 0.5)),
+        "lof": (authenticator(lof), lof_accepts(lof)),
+        "iforest": (authenticator(ifo), iforest_accepts(ifo)),
+        "ocsvm": (authenticator(svm), ocsvm_accepts(svm)),
     }
 
 
 @pytest.mark.parametrize("name", ["threshold", "gan", "lof", "iforest", "ocsvm"])
-def test_adapter_returns_score_vs_threshold_mask(adapters, name):
-    accept, rule = adapters[name]
+def test_score_and_cut_accept_what_the_old_adapter_accepted(authenticators, name):
+    auth, old = authenticators[name]
     rows = np.vstack([_gaussian(40, 43, scale=0.3), _gaussian(40, 44, scale=3.0)])
-    mask = accept(rows)
+    # a NaN, +inf or -inf in one element, or in both parts of one element
+    rows[0::8, 5] = np.nan
+    rows[1::8, 6] = np.inf
+    rows[2::8, 7] = -np.inf
+    rows[3::8, 8:10] = [np.inf, -np.inf]
+    rows[4::8, 10:12] = [np.nan, np.inf]
+    mask = accepts(auth, rows)
     assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (80,)
-    np.testing.assert_array_equal(mask, rule(rows))
+    np.testing.assert_array_equal(mask, old(rows))
+    finite = np.isfinite(rows).all(axis=1)
+    assert 0 < mask[finite].sum() < finite.sum()
 
 
-def test_decider_must_return_one_decision_per_row(acc_dataset):
-    with pytest.raises(ValueError):
-        evaluate(lambda rows: True, acc_dataset, 10.0)
+def test_score_must_return_one_score_per_row(acc_dataset):
+    with pytest.raises(ValueError, match="score returned shape"):
+        evaluate(Authenticator(lambda rows: 1.0, 0.0), acc_dataset, 10.0)
 
 
 def test_accuracy_invariant_to_sample_order(acc_dataset):
     thr = Threshold.from_sigma2(3.0, NoiseModel(0.0).sigma2)
-    decider = threshold_decider(acc_dataset.manifest.h_true, thr)
+    auth = hypothesis_authenticator(acc_dataset.manifest.h_true, thr)
     perm = RngStream(5).generator().permutation(len(acc_dataset))
     shuffled = datasets.Dataset(
         acc_dataset.manifest, acc_dataset.x[perm], acc_dataset.snr[perm],
         acc_dataset.legit[perm], acc_dataset.source[perm],
     )
-    assert evaluate(decider, acc_dataset, 0.0).accuracy == evaluate(decider, shuffled, 0.0).accuracy
+    assert evaluate(auth, acc_dataset, 0.0).accuracy == evaluate(auth, shuffled, 0.0).accuracy
 
 
 def test_missing_slice_raises(acc_dataset):
     with pytest.raises(ValueError):
-        evaluate(always, acc_dataset, 99.0)
+        evaluate(ALWAYS, acc_dataset, 99.0)
 
 
-def test_accuracy_curve_requires_all_snrs(acc_dataset):
-    with pytest.raises(ValueError):
-        accuracy_curve({0.0: always}, acc_dataset, "m")
-    deciders = {snr: always for snr in acc_dataset.manifest.snr_grid}
-    curve, cms = accuracy_curve(deciders, acc_dataset, "always")
-    assert len(curve.points) == len(acc_dataset.manifest.snr_grid)
-    assert all(acc == pytest.approx(3 / 7) for _, acc in curve.points)
-    assert len(cms) == len(acc_dataset.manifest.snr_grid)
+def _matrices(dataset, methods):
+    return [evaluate(auth, dataset, snr, method)
+            for method, auth in methods.items() for snr in dataset.manifest.snr_grid]
+
+
+def test_curves_from_confusions_have_one_point_per_snr_in_snr_order(acc_dataset):
+    matrices = _matrices(acc_dataset, {"never": NEVER, "always": ALWAYS})
+    curves = curves_from_confusions(matrices[::-1])
+    assert [c.method for c in curves] == ["always", "never"]
+    for curve, acc in zip(curves, (3 / 7, 4 / 7)):
+        assert [snr for snr, _ in curve.points] == acc_dataset.manifest.snr_grid
+        assert all(a == pytest.approx(acc) for _, a in curve.points)
 
 
 def test_emit_report_files(tmp_path, acc_dataset):
     grid = acc_dataset.manifest.snr_grid
-    curves, matrices = [], []
-    for method in ("always", "never"):
-        fn = always if method == "always" else never
-        curve, cms = accuracy_curve({s: fn for s in grid}, acc_dataset, method)
-        curves.append(curve)
-        matrices.extend(cms)
-    written = emit_report(curves, matrices, tmp_path / "rep")
+    matrices = _matrices(acc_dataset, {"always": ALWAYS, "never": NEVER})
+    written = emit_report(matrices, tmp_path / "rep")
     csv_path = tmp_path / "rep" / "accuracy.csv"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "method,snr_db,accuracy"
@@ -174,9 +174,9 @@ def test_emit_report_files(tmp_path, acc_dataset):
     doc = json.loads((tmp_path / "rep" / "confusion_always_0.json").read_text())
     assert doc["real_real"] == 300 and doc["fake_real"] == 400
 
-    # deterministic re-emission
+    # deterministic re-emission, whatever the order of the matrices
     before = {p.name: p.read_bytes() for p in (tmp_path / "rep").iterdir()}
-    emit_report(curves, matrices, tmp_path / "rep")
+    emit_report(matrices[::-1], tmp_path / "rep")
     after = {p.name: p.read_bytes() for p in (tmp_path / "rep").iterdir()}
     assert before == after
 
@@ -190,15 +190,11 @@ def test_svg_is_well_formed_xml():
 
 
 def test_load_confusions_round_trip(tmp_path, acc_dataset):
-    grid = acc_dataset.manifest.snr_grid
-    curve, cms = accuracy_curve({s: always for s in grid}, acc_dataset, "always")
-    emit_report([curve], cms, tmp_path / "rep")
+    cms = _matrices(acc_dataset, {"always": ALWAYS})
+    emit_report(cms, tmp_path / "rep")
     back = load_confusions(tmp_path / "rep")
-    assert sorted((m.method, m.snr_db) for m in back) == sorted(
-        (m.method, m.snr_db) for m in cms
-    )
-    curves = curves_from_confusions(back)
-    assert curves[0].points == curve.points
+    assert back == cms
+    assert curves_from_confusions(back) == curves_from_confusions(cms)
 
 
 @pytest.mark.parametrize(
@@ -209,8 +205,7 @@ def test_load_confusions_round_trip(tmp_path, acc_dataset):
 )
 def test_load_confusions_takes_only_json_numbers(tmp_path, key, value, what):
     # int() read a count of 3.5 as 3 and "7" as 7; a missing key was a KeyError
-    m = ConfusionMatrix("always", 0.0, 300, 0, 400, 0)
-    emit_report([AccuracyCurve("always", [(0.0, m.accuracy)])], [m], tmp_path)
+    emit_report([ConfusionMatrix("always", 0.0, 300, 0, 400, 0)], tmp_path)
     path = tmp_path / "confusion_always_0.json"
     doc = json.loads(path.read_text())
     doc[key] = value
@@ -225,7 +220,34 @@ def test_load_confusions_takes_only_json_numbers(tmp_path, key, value, what):
 
 def test_emit_report_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        emit_report([], [], tmp_path)
+        emit_report([], tmp_path)
+
+
+BAD_COUNTS = {"negative": {"real_real": -5}, "all-zero": {"real_real": 0, "fake_real": 0}}
+BAD_COUNTS_ERROR = "counts must be >= 0 and not all 0, got "
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_load_confusions_rejects_negative_or_all_zero_counts(tmp_path, case):
+    # a count of -5 was reported as an accuracy, and four zeros divided by zero
+    emit_report([ConfusionMatrix("gan", 0.0, 300, 0, 400, 0)], tmp_path)
+    path = tmp_path / "confusion_gan_0.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **BAD_COUNTS[case]}))
+    with pytest.raises(ValueError, match=rf"gan_0\.json: {BAD_COUNTS_ERROR}"):
+        load_confusions(tmp_path)
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_report_of_bad_counts_is_one_error_line(tmp_path, capsys, case):
+    reports = tmp_path / "reports" / "accidental"
+    emit_report([ConfusionMatrix("gan", 0.0, 300, 0, 400, 0)], reports)
+    path = reports / "confusion_gan_0.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **BAD_COUNTS[case]}))
+    before = (reports / "accuracy.csv").read_bytes()
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {BAD_COUNTS_ERROR}") and err.count("\n") == 1
+    assert (reports / "accuracy.csv").read_bytes() == before
 
 
 def test_spearman_soft_check_helper():

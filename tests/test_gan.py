@@ -5,7 +5,7 @@ import pytest
 from oracles import reference_train_gan
 
 from csiauth.channel import flatten_csi, sample_csi
-from csiauth.evaluate import gan_decider
+from csiauth.evaluate import authenticator
 from csiauth.gan import (
     CSI_FEATURES,
     TrainConfig,
@@ -181,8 +181,9 @@ def test_steps_freeze_the_other_network():
 def test_authenticate_tau_extremes():
     d = build_discriminator(RngStream(18))
     rows = flatten_csi(sample_csi(4, 4, RngStream(19)))[np.newaxis, :]
-    assert gan_decider(d, tau=0.0)(rows).tolist() == [True]
-    assert gan_decider(d, tau=1.0)(rows).tolist() == [False]
+    for tau, accepted in ((0.0, True), (1.0, False)):
+        auth = authenticator(d, tau=tau)
+        assert (auth.score(rows) >= auth.cut).tolist() == [accepted]
     assert 0.0 < scores_batch(d, rows)[0] < 1.0
 
 
@@ -197,13 +198,15 @@ def test_authenticate_matches_batch_scores_and_flatten_order():
     batch = scores_batch(d, rows)
     singles = [scores_batch(d, flatten_csi(csi)[np.newaxis, :])[0] for csi in csis]
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(gan_decider(d)(rows), batch >= 0.5)
+    auth = authenticator(d)
+    assert auth.cut == 0.5
+    np.testing.assert_array_equal(auth.score(rows), batch)
 
 
 def test_authenticate_shape_mismatch():
     d = build_discriminator(RngStream(22))
     with pytest.raises(ValueError):
-        gan_decider(d)(flatten_csi(sample_csi(2, 2, RngStream(23)))[np.newaxis, :])
+        authenticator(d).score(flatten_csi(sample_csi(2, 2, RngStream(23)))[np.newaxis, :])
 
 
 def test_drift_toward_chance_soft_check(capsys):
