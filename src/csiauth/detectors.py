@@ -157,19 +157,19 @@ def _reach_density(d, kdist_rows, kdist, spare, mask, lrd=None):
 # ---------------------------------------------------------------------------
 # Isolation forest
 
-# The node arrays a file stores: (name, packed dtype, padding fill).
-_SAVED_TREE_FIELDS = (
-    ("feature", "<i4", -1), ("split", "<f8", 0.0), ("right", "<i4", -1), ("size", "<i4", 0)
-)
+# The node arrays of a forest, as its file packs them.
+_NODE_FIELDS = {"feature": "<i4", "split": "<f8", "right": "<i4", "size": "<i4"}
 _ROW_BLOCK = 1024  # rows descended together; bounds the (n_trees, rows) working arrays
 
 
 @dataclass
 class IForestModel:
-    """Trees as padded (n_trees, max_nodes) arrays; row t holds tree t in
-    preorder and is valid up to n_nodes[t]. feature -1 marks a leaf, whose
-    left and right are -1. Construction rejects a malformed forest and
-    precomputes the tables the level-wise descent reads."""
+    """Trees as the node arrays a file stores: every tree's nodes in
+    preorder, one tree after another, n_nodes[t] of them for tree t.
+    feature -1 marks a leaf, whose right is -1; an inner node's right child
+    is its index within its tree, and its left child is the node after it.
+    Construction rejects a malformed forest and precomputes the tables the
+    level-wise descent reads."""
 
     n_trees: int
     subsample: int
@@ -178,94 +178,66 @@ class IForestModel:
     n_nodes: np.ndarray
     feature: np.ndarray
     split: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     size: np.ndarray
 
     def __post_init__(self):
-        n_trees, width = self.feature.shape
-        node = np.arange(width)
-        valid = node < self.n_nodes[:, None]
-        inner = valid & (self.feature >= 0)
-        has_children = (self.left != -1) | (self.right != -1)
-        _reject_trees(valid & ~inner & has_children, "a leaf has children")
-        for child in (self.left, self.right):
-            _reject_trees(
-                inner & ~((node < child) & (child < self.n_nodes[:, None])),
-                "a child index is outside the tree or not after its parent",
+        n_nodes = self.n_nodes
+        if len(n_nodes) != self.n_trees or self.n_trees < 1:
+            raise ValueError(
+                f"iforest payload has {len(n_nodes)} trees, n_trees says {self.n_trees}"
             )
+        empty = np.flatnonzero(n_nodes < 1)
+        if empty.size:
+            raise ValueError(f"iforest tree {empty[0]}: n_nodes is {n_nodes[empty[0]]}, must be >= 1")
+        total = int(n_nodes.sum())
+        for key in _NODE_FIELDS:
+            if (a := getattr(self, key)).shape != (total,):
+                raise ValueError(f"iforest {key} holds {len(a)} nodes, n_nodes sums to {total}")
+        # Only now that it matches the node arrays may n_nodes size anything.
+        # Node g of the forest is node g - first[t] of its tree t.
+        first = np.cumsum(n_nodes, dtype=np.intp) - n_nodes
+        tree = np.repeat(np.arange(self.n_trees), n_nodes)
+        node = np.arange(total)
+
+        def reject(bad, what):
+            if bad.any():
+                raise ValueError(f"iforest tree {tree[np.argmax(bad)]}: {what}")
+
+        reject(~np.isfinite(self.split), "a split value is not finite")
+        inner = self.feature >= 0
+        reject(~inner & (self.right != -1), "a leaf has children")
+        # The left child, node + 1, is inside the tree wherever the right one is.
+        right = self.right + first[tree]
+        reject(
+            inner & ((right <= node) | (right >= (first + n_nodes)[tree])),
+            "a child index is outside the tree or not after its parent",
+        )
         # Depth of every reachable node, one level at a time from the roots.
-        depth = np.zeros(self.feature.shape, dtype=np.int64)
-        t, j = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
-        level = 0
-        while True:
-            keep = inner[t, j]
-            t, j = t[keep], j[keep]
-            if t.size == 0:
-                break
+        depth = np.zeros(total, dtype=np.int64)
+        g, level = first, 0
+        while (g := g[inner[g]]).size:
             level += 1
             if level > self.height_limit:
                 raise ValueError(
-                    f"iforest tree {int(t.min())}: a leaf is deeper than "
+                    f"iforest tree {int(tree[g].min())}: a leaf is deeper than "
                     f"height_limit {self.height_limit}"
                 )
-            t, j = np.concatenate([t, t]), np.concatenate([self.left[t, j], self.right[t, j]])
-            depth[t, j] = level
-        # Global node index g = t * width + node. Leaves (and padding) point to
-        # themselves, so extra levels leave a row where it is; _child[2g] is the
-        # right child and _child[2g + 1] the left, indexed by x[f] < split.
-        own = np.arange(n_trees * width).reshape(n_trees, width)
-        base = own[:, :1]
-        child = np.empty((n_trees, width, 2), dtype=np.int64)
-        child[..., 0] = np.where(inner, self.right + base, own)
-        child[..., 1] = np.where(inner, self.left + base, own)
+            g = np.concatenate([g + 1, right[g]])
+            depth[g] = level
+        # Leaves point to themselves, so extra levels leave a row where it
+        # is; _child[2g] is the right child and _child[2g + 1] the left,
+        # indexed by x[f] < split.
+        children = np.where(inner[:, None], np.c_[right, node + 1], node[:, None])
         sizes, which = np.unique(self.size, return_inverse=True)
-        avg = np.array([_avg_path(int(n)) for n in sizes])[which.reshape(self.size.shape)]
-        self._child = child.ravel()
-        self._feature = np.where(inner, self.feature, 0).ravel()
-        self._split = self.split.ravel()
-        self._leaf_path = (depth + avg).ravel()
-        self._roots = base[:, 0]
+        avg = np.array([_avg_path(int(n)) for n in sizes])[which]
+        self._child = children.astype(np.intp).ravel()
+        self._feature = np.where(inner, self.feature, 0).astype(np.intp)
+        self._split = self.split
+        self._leaf_path = depth + avg
+        self._roots = first
         self._levels = level
         self._min_columns = int(self.feature[inner].max(initial=-1)) + 1
-
-
-def _reject_trees(bad: np.ndarray, what: str) -> None:
-    if bad.any():
-        raise ValueError(f"iforest tree {int(np.nonzero(bad.any(axis=1))[0][0])}: {what}")
-
-
-def _forest(payload, n_trees, subsample, threshold, height_limit) -> IForestModel:
-    """Pad the saved node arrays, every tree's nodes in preorder one tree
-    after another, into an IForestModel."""
-    n_nodes = unpack(payload, "n_nodes", "<i4", 1).astype(np.int64)
-    if len(n_nodes) != n_trees or n_trees < 1:
-        raise ValueError(f"iforest payload has {len(n_nodes)} trees, n_trees says {n_trees}")
-    empty = np.flatnonzero(n_nodes < 1)
-    if empty.size:
-        raise ValueError(f"iforest tree {empty[0]}: n_nodes is {n_nodes[empty[0]]}, must be >= 1")
-    total = int(n_nodes.sum())
-    nodes = {key: unpack(payload, key, dtype, 1) for key, dtype, _ in _SAVED_TREE_FIELDS}
-    for key, a in nodes.items():
-        if len(a) != total:
-            raise ValueError(f"iforest {key} holds {len(a)} nodes, n_nodes sums to {total}")
-    # Only now that it matches the stored node count may n_nodes size the padding.
-    valid = np.arange(n_nodes.max()) < n_nodes[:, None]
-    arrays = {}
-    for key, _, fill in _SAVED_TREE_FIELDS:
-        arrays[key] = np.full(valid.shape, fill, dtype=type(fill))
-        arrays[key][valid] = nodes[key]
-    _reject_trees(~np.isfinite(arrays["split"]), "a split value is not finite")
-    return IForestModel(
-        n_trees=n_trees, subsample=subsample, threshold=threshold, height_limit=height_limit,
-        n_nodes=n_nodes, left=_left_children(arrays["feature"]), **arrays,
-    )
-
-
-def _left_children(feature: np.ndarray) -> np.ndarray:
-    """The left child of every inner node, -1 elsewhere: in preorder a left
-    child always follows its parent, so files store only `right`."""
-    return np.where(feature >= 0, np.arange(1, feature.shape[1] + 1), -1)
 
 
 def iforest_fit(
@@ -321,19 +293,18 @@ def iforest_fit_slices(
     return [
         IForestModel(
             n_trees=n_trees, subsample=subsample, threshold=threshold,
-            height_limit=height_limit, n_nodes=n_nodes, **arrays,
+            height_limit=height_limit, **nodes,
         )
-        for (_, _, subsample, height_limit), (n_nodes, arrays) in zip(grown, _grow_together(grown))
+        for (_, _, subsample, height_limit), nodes in zip(grown, _grow_together(grown))
     ]
 
 
-def _grow_together(slices) -> list[tuple[np.ndarray, dict]]:
+def _grow_together(slices) -> list[dict]:
     """Grow one tree per generator of every (x, gens, subsample,
     height_limit) of `slices`, on that slice's finite rows x, as iforest_fit
-    describes. Returns, per slice, its trees' node counts and node arrays by
-    field, copied at the width of its largest tree so that the working
-    buffers, sized for a full tree of the highest limit, are freed on
-    return."""
+    describes. Returns, per slice, IForestModel's n_nodes and node arrays by
+    field, copied out of the working buffers, which are sized for a full
+    tree of the highest limit and freed on return."""
     xs, gen_lists, subsamples, limits = zip(*slices)
     x = xs[0] if len(xs) == 1 else np.concatenate(xs)
     d = x.shape[1]
@@ -421,14 +392,11 @@ def _grow_together(slices) -> list[tuple[np.ndarray, dict]]:
         stack[t, slot] = np.array([start + n_left, end, children, node]).T
         stack[t, slot + 1] = np.array([start, start + n_left, children, np.full(t.size, -1)]).T
         top[t] = slot + 2
+    fields = {"feature": feature, "split": split, "right": right, "size": size}
     out, first_tree = [], np.cumsum([0] + trees)
     for lo, hi in zip(first_tree[:-1], first_tree[1:]):
-        used = int(n_nodes[lo:hi].max())
-        arrays = {key: a[lo:hi, :used].astype(np.int64) for key, a in
-                  (("feature", feature), ("right", right), ("size", size))}
-        out.append((n_nodes[lo:hi].copy(), dict(
-            arrays, split=split[lo:hi, :used].copy(), left=_left_children(arrays["feature"])
-        )))
+        valid = np.arange(width) < n_nodes[lo:hi, None]
+        out.append({"n_nodes": n_nodes[lo:hi], **{k: a[lo:hi][valid] for k, a in fields.items()}})
     return out
 
 
@@ -681,8 +649,8 @@ def ocsvm_decision_values(model: OcsvmModel, points) -> np.ndarray:
 
 def save_model(model, path) -> None:
     """Write a detector as one JSON object. Hyperparameters and scalars are
-    JSON numbers; every array is packed exactly (csiauth.packed). A forest stores each node field as one array, the trees' preorder nodes
-    one tree after another, with n_nodes per tree and no left children."""
+    JSON numbers; every array is packed exactly (csiauth.packed). A forest
+    stores its n_nodes and node arrays as they are."""
     if isinstance(model, LofModel):
         algorithm = "lof"
         hp = {"k": model.k, "threshold": model.threshold}
@@ -690,11 +658,10 @@ def save_model(model, path) -> None:
     elif isinstance(model, IForestModel):
         algorithm = "iforest"
         hp = {"n_trees": model.n_trees, "subsample": model.subsample, "threshold": model.threshold}
-        valid = np.arange(model.feature.shape[1]) < model.n_nodes[:, None]
         payload = {
             "height_limit": model.height_limit,
             "n_nodes": pack(model.n_nodes),
-            **{key: pack(getattr(model, key)[valid]) for key, _, _ in _SAVED_TREE_FIELDS},
+            **{key: pack(getattr(model, key)) for key in _NODE_FIELDS},
         }
     elif isinstance(model, OcsvmModel):
         algorithm = "ocsvm"
@@ -745,10 +712,12 @@ def _model_from_doc(doc):
             )
         return model
     if algo == "iforest":
-        return _forest(
-            payload, n_trees=scalar(hp, "n_trees", int), subsample=scalar(hp, "subsample", int),
+        return IForestModel(
+            n_trees=scalar(hp, "n_trees", int), subsample=scalar(hp, "subsample", int),
             threshold=scalar(hp, "threshold", float),
             height_limit=scalar(payload, "height_limit", int),
+            n_nodes=unpack(payload, "n_nodes", "<i4", 1),
+            **{key: unpack(payload, key, dtype, 1) for key, dtype in _NODE_FIELDS.items()},
         )
     if algo == "ocsvm":
         model = OcsvmModel(

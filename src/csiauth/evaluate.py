@@ -138,9 +138,11 @@ def load_confusions(report_dir) -> list[ConfusionMatrix]:
 
 
 def _confusion(doc: dict) -> ConfusionMatrix:
-    """The matrix of doc, whose counts must be >= 0 and not all 0, so that
-    its accuracy is a fraction."""
+    """The matrix of doc, whose method must be a string and whose counts
+    must be >= 0 and not all 0, so that its accuracy is a fraction."""
     method, snr_db = doc["method"], scalar(doc, "snr_db", float)
+    if not isinstance(method, str):
+        raise ValueError(f'"method" must be a string, got {json.dumps(method)}')
     keys = ("real_real", "real_fake", "fake_real", "fake_fake")
     counts = {key: scalar(doc, key, int) for key in keys}
     if min(counts.values()) < 0 or not any(counts.values()):

@@ -83,6 +83,12 @@ def paper_disk_probability(region, std):
 IFOREST_TREE_FIELDS = ("feature", "split", "left", "right", "size")
 
 
+def implied_left(feature):
+    """The left child of every node of one preorder tree, -1 at a leaf: an
+    inner node's left child is the node after it."""
+    return [j + 1 if f >= 0 else -1 for j, f in enumerate(feature)]
+
+
 def iforest_fit_by_recursion(train, n_trees, subsample, rng, threshold=0.5):
     """An isolation forest grown one tree at a time by recursion, as a
     format-1 model document (per-tree node lists).
@@ -149,6 +155,10 @@ def format1_document(model):
             },
         }
     if isinstance(model, IForestModel):
+        trees = []
+        for end, n in zip(np.cumsum(model.n_nodes), model.n_nodes):
+            tree = {key: getattr(model, key)[end - n:end].tolist() for key in ("feature", "split", "right", "size")}
+            trees.append({**tree, "left": implied_left(tree["feature"])})
         return {
             "algorithm": "iforest",
             "hyperparameters": {
@@ -158,10 +168,7 @@ def format1_document(model):
             },
             "payload": {
                 "height_limit": model.height_limit,
-                "trees": [
-                    {key: getattr(model, key)[t, :n].tolist() for key in IFOREST_TREE_FIELDS}
-                    for t, n in enumerate(model.n_nodes)
-                ],
+                "trees": trees,
             },
         }
     if isinstance(model, OcsvmModel):
@@ -227,20 +234,22 @@ def set_at(index, value):
 
 def forest_from_trees(doc):
     """The IForestModel of a format-1 iForest document: its per-tree node
-    lists padded into arrays, left children as the lists give them."""
+    lists concatenated, one tree after another. Each tree's left children
+    must be the ones its preorder implies."""
     from csiauth.detectors import IForestModel
 
     trees = doc["payload"]["trees"]
-    n_nodes = np.array([len(tree["feature"]) for tree in trees])
-    arrays = {}
-    for key, fill in zip(IFOREST_TREE_FIELDS, (-1, 0.0, -1, -1, 0)):
-        arrays[key] = np.full((len(trees), n_nodes.max()), fill, dtype=type(fill))
-        for row, tree in zip(arrays[key], trees):
-            row[: len(tree[key])] = tree[key]
+    for t, tree in enumerate(trees):
+        assert tree["left"] == implied_left(tree["feature"]), f"tree {t}: left is not implied"
+    arrays = {
+        key: np.array([v for tree in trees for v in tree[key]], dtype=float if key == "split" else int)
+        for key in IFOREST_TREE_FIELDS if key != "left"
+    }
     hp = doc["hyperparameters"]
     return IForestModel(
         n_trees=hp["n_trees"], subsample=hp["subsample"], threshold=hp["threshold"],
-        height_limit=doc["payload"]["height_limit"], n_nodes=n_nodes, **arrays,
+        height_limit=doc["payload"]["height_limit"],
+        n_nodes=np.array([len(tree["feature"]) for tree in trees]), **arrays,
     )
 
 

@@ -18,6 +18,7 @@ from oracles import (
     iforest_scores_by_walk,
     pack_array,
     set_at,
+    unpack_array,
     whole_matrix_lof_fit,
     whole_matrix_lof_scores,
     whole_matrix_lof_train_scores,
@@ -30,7 +31,6 @@ from csiauth.detectors import (
     LOF_K,
     ConvergenceError,
     DetectorConfig,
-    IForestModel,
     LofModel,
     OcsvmModel,
     _SplitDraws,
@@ -245,16 +245,8 @@ def test_iforest_height_limit():
     x = gaussian_points(300, 4, seed=21)
     model = iforest_fit(x, n_trees=20, subsample=64, rng=RngStream(22))
     assert model.height_limit == 6
-    for t in range(model.n_trees):
-        depth = {0: 0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for child in (model.left[t][node], model.right[t][node]):
-                if child >= 0:
-                    depth[child] = depth[node] + 1
-                    stack.append(child)
-        assert max(depth.values()) <= model.height_limit
+    for tree in format1_document(model)["payload"]["trees"]:
+        assert _max_depth(tree) <= model.height_limit
 
 
 def test_iforest_medoid_scores_below_extreme_point():
@@ -382,12 +374,20 @@ def test_iforest_fit_matches_recursive_growth(tmp_path, case):
     rng = RngStream(49)
     fitted = iforest_fit(x, rng=rng, **kwargs)
     grown = forest_from_trees(iforest_fit_by_recursion(x, rng=rng, **kwargs))
-    for key in ("n_nodes", "feature", "left", "right", "size"):
+    for key in ("n_nodes", "feature", "right", "size"):
         np.testing.assert_array_equal(getattr(fitted, key), getattr(grown, key))
     fitted_path, grown_path = tmp_path / "fit.json", tmp_path / "grown.json"
     save_model(fitted, fitted_path)
     save_model(grown, grown_path)
     assert fitted_path.read_bytes() == grown_path.read_bytes()
+    # The model holds its file's arrays, fitted and loaded alike.
+    payload = json.loads(fitted_path.read_text())["payload"]
+    for forest in (fitted, load_model(fitted_path)):
+        for key in ("n_nodes", "feature", "split", "right", "size"):
+            got = getattr(forest, key)
+            length = forest.n_trees if key == "n_nodes" else forest.n_nodes.sum()
+            assert got.shape == (length,), key
+            np.testing.assert_array_equal(got, unpack_array(payload[key]))
 
 
 def test_iforest_fit_slices_matches_per_slice_growth(tmp_path):
@@ -411,7 +411,7 @@ def test_iforest_fit_slices_matches_per_slice_growth(tmp_path):
         alone = forest_from_trees(
             iforest_fit_by_recursion(x, 40, subsample, rng, threshold=0.6)
         )
-        for key in ("n_nodes", "feature", "left", "right", "size"):
+        for key in ("n_nodes", "feature", "right", "size"):
             np.testing.assert_array_equal(getattr(model, key), getattr(alone, key))
         paths = [tmp_path / f"{s}_{name}.json" for name in ("lockstep", "alone", "fit")]
         save_model(model, paths[0])
@@ -509,7 +509,7 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
     # Tree 2's nodes sit at [start, end) of each node array.
     start = int(model.n_nodes[:2].sum())
     end = start + int(model.n_nodes[2])
-    first_leaf = start + int(np.flatnonzero(model.feature[2] == -1)[0])
+    first_leaf = start + int(np.flatnonzero(model.feature[start:end] == -1)[0])
     expected = "tree 2"
     if rule == "list-lengths":
         edit_packed(payload, "split", lambda a: a[:-1])
@@ -518,7 +518,7 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
         edit_packed(payload, "n_nodes", set_at(4, model.n_nodes[4] + 1))
         expected = f"n_nodes sums to {model.n_nodes.sum() + 1}"
     elif rule == "huge-n-nodes":
-        # Rejected before any (n_trees, max n_nodes) array is allocated.
+        # Rejected before any array of n_nodes.sum() entries is allocated.
         edit_packed(payload, "n_nodes", set_at(2, 2**31 - 1))
         expected = f"n_nodes sums to {model.n_nodes.sum() - model.n_nodes[2] + 2**31 - 1}"
     elif rule == "empty-tree":
@@ -885,7 +885,7 @@ def _format1_values(doc):
         values = {
             key: np.array([v for tree in payload["trees"] for v in tree[key]],
                           dtype=float if key == "split" else np.int64)
-            for key in ("feature", "split", "left", "right", "size")
+            for key in ("feature", "split", "right", "size")
         }
         values["n_nodes"] = np.array([len(tree["feature"]) for tree in payload["trees"]])
         values["threshold"] = np.float64(doc["hyperparameters"]["threshold"])
@@ -904,10 +904,7 @@ def test_load_model_matches_format1_text_bit_for_bit(tmp_path, algo):
     loaded = load_model(path)
     reference = json.loads(json.dumps(format1_document(model), sort_keys=True))
     for key, want in _format1_values(reference).items():
-        got = getattr(loaded, key)
-        if isinstance(loaded, IForestModel) and key not in ("n_nodes", "threshold"):
-            got = got[np.arange(got.shape[1]) < loaded.n_nodes[:, None]]
-        got = np.asarray(got, dtype=want.dtype)
+        got = np.asarray(getattr(loaded, key), dtype=want.dtype)
         assert got.shape == want.shape, key
         assert got.tobytes() == want.tobytes(), key
     again = tmp_path / f"{algo}-again.json"

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -247,6 +248,23 @@ def test_report_of_bad_counts_is_one_error_line(tmp_path, capsys, case):
     assert main(["report", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {BAD_COUNTS_ERROR}") and err.count("\n") == 1
+    assert (reports / "accuracy.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("method", [5, None, ["gan"]])
+def test_report_rejects_a_method_that_is_not_a_string(tmp_path, capsys, method):
+    # a "method" of 5 beside "gan" ended report in a TypeError from sorting
+    reports = tmp_path / "reports" / "accidental"
+    emit_report([ConfusionMatrix(m, 0.0, 300, 0, 400, 0) for m in ("gan", "lof")], reports)
+    path = reports / "confusion_lof_0.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "method": method}))
+    expected = f'"method" must be a string, got {json.dumps(method)}'
+    with pytest.raises(ValueError, match=rf"lof_0\.json: {re.escape(expected)}"):
+        load_confusions(reports)
+    before = (reports / "accuracy.csv").read_bytes()
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {expected}\n"
     assert (reports / "accuracy.csv").read_bytes() == before
 
 
