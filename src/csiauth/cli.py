@@ -1,9 +1,10 @@
 """End-to-end orchestration: gen -> train -> fit-detector -> eval -> report.
 
 Stages are composable and individually seeded; every command honors
---seed and reproduces byte-identical outputs. Configuration precedence is
-CLI flags > JSON config file > built-in defaults. The default output
-directory comes from $CSIAUTH_OUT when set.
+--seed and reproduces byte-identical outputs. Every flag follows its
+subcommand, which holds its default; a JSON config file (--config) holds
+only what no flag sets: the GAN and detector settings and the analytic
+trial count. The default output directory comes from $CSIAUTH_OUT when set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytic, datasets, detectors, gan, neuralnet
@@ -33,24 +34,21 @@ from .evaluate import (
 from .rng import RngStream
 from .threshold import Threshold
 
-DEFAULT_SEED = 7
-DEFAULT_OUT = "runs"
-DEFAULT_Z_MULTIPLIERS = (1.0, 3.0, 5.0, 6.0)
 ANALYTIC_CONFIGS = ((1, 1), (2, 2), (4, 4), (8, 8))
 ANALYTIC_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 @dataclass
 class RunConfig:
-    seed: int = DEFAULT_SEED
-    out_dir: Path = Path(DEFAULT_OUT)
-    snr_grid: tuple[float, ...] = datasets.DEFAULT_SNR_GRID
-    z_multipliers: tuple[float, ...] = DEFAULT_Z_MULTIPLIERS
-    jobs: int = 1
-    pooled: bool = False
-    gan_config: gan.TrainConfig = field(default_factory=gan.TrainConfig)
-    detector_config: detectors.DetectorConfig = field(default_factory=detectors.DetectorConfig)
-    analytic_trials: int = 50
+    seed: int
+    out_dir: Path
+    snr_grid: tuple[float, ...]
+    z_multipliers: tuple[float, ...]
+    jobs: int
+    pooled: bool
+    gan_config: gan.TrainConfig
+    detector_config: detectors.DetectorConfig
+    analytic_trials: int
 
     @property
     def data_dir(self) -> Path:
@@ -87,52 +85,60 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
 
 def parse_seed(text: str) -> int:
     try:
-        return check_seed(int(text), "the seed")
+        seed = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def check_seed(seed: int, name: str) -> int:
-    """seed, if it is a u64; else ValueError naming `name`."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+        raise argparse.ArgumentTypeError(f"the seed must be in [0, 2**64), got {seed}")
     return seed
 
 
+def _z_tag(mult: float) -> str:
+    """The multiplier's name in the hypothesis-test baseline hypothesis-z<tag>."""
+    return format(mult, "g")
+
+
 def parse_multipliers(text: str) -> tuple[float, ...]:
+    """Parse a comma list of finite reals >= 0, no two of which share a tag."""
     try:
         mults = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma list of reals, got {text!r}") from exc
     if not all(map(math.isfinite, mults)):
         raise argparse.ArgumentTypeError(f"multipliers must be finite, got {text!r}")
+    if min(mults) < 0:
+        raise argparse.ArgumentTypeError(f"multipliers must be >= 0, got {text!r}")
+    first = {}
+    for mult in mults:
+        if (tag := _z_tag(mult)) in first:
+            raise argparse.ArgumentTypeError(
+                f"multipliers {first[tag]!r} and {mult!r} share the tag {tag!r};"
+                " multipliers must differ in their first six significant digits"
+            )
+        first[tag] = mult
     return mults
-
-
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=parse_seed, default=None, help="master RNG seed (u64)")
-    parser.add_argument("--out", type=Path, default=None, metavar="DIR",
-                        help="output directory (default: $CSIAUTH_OUT or ./runs)")
-    parser.add_argument("--config", type=Path, default=None, metavar="JSON",
-                        help="JSON config file; CLI flags override it")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker cap for per-SNR stages")
-    parser.add_argument("--pooled", action="store_true", default=None,
-                        help="train/evaluate one pooled GAN instead of one per SNR")
-    parser.add_argument("--snr-grid", type=parse_snr_grid, default=None, metavar="A:B:STEP",
-                        help="SNR grid in dB (default 0:30:2)")
-    parser.add_argument("--z-mult", type=parse_multipliers, default=None, metavar="LIST",
-                        help="threshold multipliers for the hypothesis-test baselines")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    _global_flags(common)
+    common.add_argument("--seed", type=parse_seed, default=7, help="master RNG seed (u64)")
+    common.add_argument("--out", type=Path, default=os.environ.get("CSIAUTH_OUT", "runs"),
+                        metavar="DIR", help="output directory (default: $CSIAUTH_OUT or ./runs)")
+    common.add_argument("--config", type=Path, default=None, metavar="JSON",
+                        help="JSON config file of the gan, detectors and analytic_trials settings")
+    common.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker cap for per-SNR stages")
+    common.add_argument("--pooled", action="store_true",
+                        help="train/evaluate one pooled GAN instead of one per SNR")
+    common.add_argument("--snr-grid", type=parse_snr_grid, default=datasets.DEFAULT_SNR_GRID,
+                        metavar="A:B:STEP", help="SNR grid in dB (default 0:30:2)")
+    common.add_argument("--z-mult", type=parse_multipliers, default=(1.0, 3.0, 5.0, 6.0),
+                        metavar="LIST",
+                        help="threshold multipliers for the hypothesis-test baselines")
     parser = argparse.ArgumentParser(
         prog="csiauth",
         description="CSI-based physical-layer authentication workbench",
     )
-    _global_flags(parser)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gen", parents=[common], help="generate all datasets")
@@ -151,36 +157,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each key of a config file and its kind: an integer, a bool, a string, a parser's
-# string or a list of numbers, or an object of the fields of a dataclass.
-CONFIG_KEYS = {
-    "seed": int, "out": str, "snr_grid": parse_snr_grid, "z_mult": parse_multipliers,
-    "jobs": int, "pooled": bool, "gan": gan.TrainConfig, "detectors": detectors.DetectorConfig,
-    "analytic_trials": int,
-}
+# Each key of a config file, for the settings no flag sets, and the kind of
+# its value: an integer, or an object of the fields of a dataclass.
+CONFIG_KEYS = {"gan": gan.TrainConfig, "detectors": detectors.DetectorConfig, "analytic_trials": int}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """CLI flags over the --config file over the defaults; an error in the
-    file raises ValueError naming it."""
+    """The flags, and the --config file over its settings' defaults; an error
+    in the file raises ValueError naming it."""
     try:
         file_cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
         if not isinstance(file_cfg, dict):
             raise ValueError("expected a JSON object")
         file_cfg = {key: _config_value(key, value) for key, value in file_cfg.items()}
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.config}: {exc}") from exc
-
-    def pick(flag_value, key, fallback):
-        return file_cfg.get(key, fallback) if flag_value is None else flag_value
-
     return RunConfig(
-        seed=pick(args.seed, "seed", DEFAULT_SEED),
-        out_dir=Path(pick(args.out, "out", os.environ.get("CSIAUTH_OUT", DEFAULT_OUT))),
-        snr_grid=pick(args.snr_grid, "snr_grid", datasets.DEFAULT_SNR_GRID),
-        z_multipliers=pick(args.z_mult, "z_mult", DEFAULT_Z_MULTIPLIERS),
-        jobs=max(1, pick(args.jobs, "jobs", 1)),
-        pooled=pick(args.pooled, "pooled", False),
+        seed=args.seed,
+        out_dir=args.out,
+        snr_grid=args.snr_grid,
+        z_multipliers=args.z_mult,
+        jobs=max(1, args.jobs),
+        pooled=args.pooled,
         gan_config=file_cfg.get("gan", gan.TrainConfig()),
         detector_config=file_cfg.get("detectors", detectors.DetectorConfig()),
         analytic_trials=file_cfg.get("analytic_trials", 50),
@@ -194,25 +192,10 @@ def _config_value(key: str, value):
         raise ValueError(f"unknown key {key!r}")
     kind = CONFIG_KEYS[key]
     if kind is int:
-        value = number(value, int, f'"{key}"')
-        return check_seed(value, f'"{key}"') if key == "seed" else value
-    if kind in (bool, str):
-        if not isinstance(value, kind):
-            what = "true or false" if kind is bool else "a string"
-            raise ValueError(f'"{key}" must be {what}, got {value!r}')
-        return value
-    if is_dataclass(kind):
-        if not isinstance(value, dict):
-            raise ValueError(f'"{key}" must be a JSON object')
-        return kind(**typed_fields(kind, value, f' under "{key}"'))
-    if not isinstance(value, str):
-        value = tuple(number(v, float, f'"{key}"') for v in value)
-    try:
-        if isinstance(value, str):
-            return kind(value)
-        return check_snr_grid(value) if kind is parse_snr_grid else value
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f'"{key}": {exc}') from None
+        return number(value, int, f'"{key}"')
+    if not isinstance(value, dict):
+        raise ValueError(f'"{key}" must be a JSON object')
+    return kind(**typed_fields(kind, value, f' under "{key}"'))
 
 
 def _parallel(jobs: int, tasks: list):
@@ -343,7 +326,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         table[algo] = per_snr(algo, detectors.load_model, f"csiauth fit-detector --algo {algo}")
     h_true = test_sets["accidental"].manifest.h_true
     for mult in cfg.z_multipliers:
-        table[f"hypothesis-z{format(mult, 'g')}"] = {
+        table[f"hypothesis-z{_z_tag(mult)}"] = {
             snr: hypothesis_authenticator(h_true, Threshold.from_sigma2(mult, NoiseModel(snr).sigma2))
             for snr in grid
         }

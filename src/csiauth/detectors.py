@@ -213,6 +213,10 @@ class IForestModel:
             inner & ((right <= node) | (right >= (first + n_nodes)[tree])),
             "a child index is outside the tree or not after its parent",
         )
+        # One parent for every node but the roots, so the walk below visits
+        # each node once; shared children would double its frontier per level.
+        parents = np.bincount(np.r_[node[inner] + 1, right[inner]], minlength=total)
+        reject(parents != (node != first[tree]), "a node is not the child of exactly one inner node")
         # Depth of every reachable node, one level at a time from the roots.
         depth = np.zeros(total, dtype=np.int64)
         g, level = first, 0

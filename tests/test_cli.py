@@ -23,9 +23,9 @@ def run_cli(*args):
 
 @pytest.fixture()
 def fast_config(tmp_path):
-    """Small grid and short training so pipeline commands stay quick."""
+    """Short training so pipeline commands stay quick; gen takes the small
+    grid from GRID."""
     cfg = {
-        "snr_grid": "0:8:4",
         "gan": {"max_epochs": 2},
         "detectors": {"iforest_trees": 20, "iforest_subsample": 64},
         "analytic_trials": 3,
@@ -33,6 +33,9 @@ def fast_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+GRID = ("--snr-grid", "0:8:4")
 
 
 def test_parse_snr_grid():
@@ -119,35 +122,99 @@ def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys):
     assert str(blocker) in err
 
 
-def test_help_documents_global_flags(capsys):
+FLAGS = ("--seed", "--out", "--config", "--jobs", "--pooled", "--snr-grid", "--z-mult")
+
+
+def test_top_level_help_lists_the_commands(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--help"])
     text = capsys.readouterr().out
-    for flag in ("--seed", "--out", "--config", "--jobs", "--pooled", "--snr-grid", "--z-mult"):
-        assert flag in text
     for command in ("gen", "train", "fit-detector", "eval", "analytic", "report"):
         assert command in text
+    assert not any(flag in text for flag in FLAGS)
 
 
 def test_subcommand_help_has_global_flags(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["gen", "--help"])
     text = capsys.readouterr().out
-    for flag in ("--seed", "--snr-grid", "--z-mult"):
+    for flag in FLAGS:
         assert flag in text
 
 
+@pytest.mark.parametrize("argv", [["--seed", "3", "gen"], ["--out", "x", "gen"], ["--pooled", "train"]])
+def test_flags_before_the_subcommand_are_a_usage_error(capsys, argv):
+    # they parsed, and the subcommand's defaults overwrote them: `--out x
+    # --seed 3 gen` wrote ./runs with seed 7
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: csiauth [-h] COMMAND ...\n")
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("--seed", "7.9", "invalid literal for int() with base 10: '7.9'"),
+        ("--jobs", "two", "invalid int value: 'two'"),
+        ("--snr-grid", "nope", "expected a:b:step, got 'nope'"),
+        ("--z-mult", "1,x", "expected a comma list of reals, got '1,x'"),
+    ],
+    ids=["seed-text", "seed-fraction", "jobs-text", "snr-grid-text", "z-mult-text"],
+)
+def test_flag_value_error_names_the_flag(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gen", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("-1", "multipliers must be >= 0, got '-1'"),
+        ("3,-0.5", "multipliers must be >= 0, got '3,-0.5'"),
+        ("1,1.0000001,3", "multipliers 1.0 and 1.0000001 share the tag '1'"),
+        ("3,1,3", "multipliers 3.0 and 3.0 share the tag '3'"),
+    ],
+    ids=["negative", "negative-later", "same-tag", "repeated"],
+)
+def test_z_mult_rejects_negative_and_same_named_multipliers(tmp_path, capsys, value, message):
+    # eval names each baseline hypothesis-z<format(m, "g")>: 1 and 1.0000001
+    # gave one z1 report holding the second's result, and -1 stopped eval
+    # after it had loaded every model, naming no flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", f"--z-mult={value}", "--out", tmp_path / "run")
+    assert exc.value.code == 2
+    assert f"argument --z-mult: {message}" in capsys.readouterr().err
+    assert build_parser().parse_args(["eval", "--z-mult", "0,1,1.00001"]).z_mult == (0, 1, 1.00001)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("seed", 3), ("out", "elsewhere"), ("jobs", 1), ("pooled", False), ("snr_grid", "0:0:1"),
+     ("z_mult", "1")],
+)
+def test_removed_config_keys_are_unknown(tmp_path, capsys, monkeypatch, key, value):
+    # each is a flag's setting, and flags alone set them now
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    assert run_cli("gen", "--snr-grid", "0:0:1", "--config", path, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_config_precedence(tmp_path):
+    # the file sets what no flag sets, over its defaults; flags over theirs
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"seed": 11, "jobs": 3, "snr_grid": "0:4:2"}))
+    cfg_path.write_text(json.dumps({"analytic_trials": 3}))
     parser = build_parser()
-    args = parser.parse_args(["gen", "--config", str(cfg_path), "--seed", "99"])
-    rc = resolve_config(args)
-    assert rc.seed == 99  # CLI wins
-    assert rc.jobs == 3  # file wins over default
-    assert rc.snr_grid == (0.0, 2.0, 4.0)
-    args2 = parser.parse_args(["gen"])
-    assert resolve_config(args2).seed == cli.DEFAULT_SEED
+    rc = resolve_config(parser.parse_args(["gen", "--config", str(cfg_path), "--seed", "99"]))
+    assert (rc.seed, rc.analytic_trials) == (99, 3)
+    rc = resolve_config(parser.parse_args(["gen"]))
+    assert (rc.seed, rc.analytic_trials) == (7, 50)
 
 
 def test_missing_config_file_errors(tmp_path, capsys):
@@ -191,13 +258,10 @@ def test_unknown_top_level_config_key_errors(tmp_path, capsys):
     "cfg,expected",
     [
         ({"analytic_trials": "abc"}, '"analytic_trials" must be an integer, got "abc"'),
-        ({"seed": None}, '"seed" must be an integer, got null'),
-        ({"snr_grid": "nope"}, '"snr_grid": expected a:b:step, got \'nope\''),
+        ({"analytic_trials": None}, '"analytic_trials" must be an integer, got null'),
         ({"gan": [2]}, '"gan" must be a JSON object'),
-        ({"pooled": "no"}, '"pooled" must be true or false, got \'no\''),
-        ({"z_mult": "1,x"}, '"z_mult": expected a comma list of reals, got \'1,x\''),
     ],
-    ids=["trials", "seed", "grid", "gan", "pooled", "z_mult"],
+    ids=["trials", "trials-null", "gan"],
 )
 def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
     path = tmp_path / "c.json"
@@ -213,9 +277,6 @@ def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
         ({"gan": {"max_epochs": 2.5}}, '"max_epochs" under "gan"'),
         ({"gan": {"batch": 64.0}}, '"batch" under "gan"'),
         ({"gan": {"latent_dim": True}}, '"latent_dim" under "gan"'),
-        ({"seed": 7.9}, '"seed"'),
-        ({"seed": "7"}, '"seed"'),
-        ({"jobs": True}, '"jobs"'),
         ({"analytic_trials": 1.5}, '"analytic_trials"'),
         ({"detectors": {"lof_k": 20.7}}, '"lof_k" under "detectors"'),
         ({"detectors": {"iforest_trees": "100"}}, '"iforest_trees" under "detectors"'),
@@ -240,12 +301,12 @@ def test_config_integer_key_must_be_a_json_integer(tmp_path, capsys, cfg, key):
 def test_config_integer_keys_accept_json_integers(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
-        "seed": 3, "jobs": 2, "analytic_trials": 4,
+        "analytic_trials": 4,
         "gan": {"max_epochs": 2, "batch": 32, "latent_dim": 5},
         "detectors": {"lof_k": 10, "iforest_trees": 20, "iforest_subsample": 64},
     }))
     rc = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
-    assert (rc.seed, rc.jobs, rc.analytic_trials) == (3, 2, 4)
+    assert rc.analytic_trials == 4
     gc, dc = rc.gan_config, rc.detector_config
     assert (gc.max_epochs, gc.batch, gc.latent_dim) == (2, 32, 5)
     assert (dc.lof_k, dc.iforest_trees, dc.iforest_subsample) == (10, 20, 64)
@@ -254,7 +315,7 @@ def test_config_integer_keys_accept_json_integers(tmp_path):
 # Every number a config file may hold: (section, key, kind), the kind as the
 # annotation text. Each section's keys are the fields of its dataclass.
 CONFIG_NUMBERS = [
-    ("", "seed", "int"), ("", "jobs", "int"), ("", "analytic_trials", "int"),
+    ("", "analytic_trials", "int"),
     *(("gan", f.name, f.type) for f in fields(TrainConfig)),
     *(("detectors", f.name, f.type) for f in fields(DetectorConfig)),
 ]
@@ -286,37 +347,6 @@ def test_config_number_keys_reject_what_is_not_that_number(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["snr_grid", "z_mult"])
-@pytest.mark.parametrize("value", ["3", True, float("nan"), float("inf")], ids=str)
-def test_config_number_lists_take_finite_numbers(tmp_path, capsys, key, value):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({key: [0, value]}))
-    assert run_cli("analytic", "--config", path, "--out", tmp_path / "run") == 1
-    assert capsys.readouterr().err == (
-        f'error: {path}: "{key}" must be a finite number, got {json.dumps(value)}\n'
-    )
-
-
-@pytest.mark.parametrize(
-    "grid,expected",
-    [
-        ([4, 0, 4], "grid points must increase strictly, got 4 then 0"),
-        ([], "a grid has 1 to 1000 points, got 0"),
-        ([0, 0], "grid points must increase strictly, got 0 then 0"),
-        (list(range(1001)), "a grid has 1 to 1000 points, got 1001"),
-    ],
-    ids=["unordered", "empty", "repeated", "1001-points"],
-)
-def test_config_snr_grid_list_is_checked_as_a_grid(tmp_path, capsys, grid, expected):
-    # a list skipped every check parse_snr_grid makes: [4, 0, 4] stopped gen
-    # with "uneven legitimate counts across SNRs", [] with a failed unpacking
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"snr_grid": grid}))
-    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
-    assert capsys.readouterr().err == f'error: {path}: "snr_grid": {expected}\n'
-    assert not (tmp_path / "run").exists()
-
-
 SHARED_TAG = ("grid points 1.0 and 1.000001 share the tag '1';"
               " points must differ in their first six significant digits")
 
@@ -331,16 +361,6 @@ def test_snr_grid_flag_rejects_points_that_share_a_tag(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_config_snr_grid_rejects_points_that_share_a_tag(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"snr_grid": [0, 1, 1.000001, 2]}))
-    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
-    assert capsys.readouterr().err == f'error: {path}: "snr_grid": {SHARED_TAG}\n'
-    assert not (tmp_path / "run").exists()
-    # points apart in the sixth significant digit keep their own tags
-    assert check_snr_grid([1, 1.00001]) == (1.0, 1.00001)
-
-
 @pytest.mark.parametrize(
     "change,expected",
     [(lambda grid: grid[::-1], "grid points must increase strictly, got 8 then 4"),
@@ -352,7 +372,7 @@ def test_eval_rejects_a_manifest_grid_that_is_not_a_grid(tmp_path, fast_config, 
     # a reversed grid made eval write its reports from 8 dB down to 0, and a
     # repeated point two "gan,0" rows
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     path = out / "datasets" / "test_accidental.manifest.json"
     doc = json.loads(path.read_text())
     doc["snr_grid"] = change(doc["snr_grid"])
@@ -368,33 +388,28 @@ def test_snr_grid_text_goes_through_the_grid_check():
     with pytest.raises(argparse.ArgumentTypeError, match="increase strictly, got 0 then 0"):
         parse_snr_grid("0:1e-10:1e-11")
     assert check_snr_grid([0, 2.5, 1000]) == (0.0, 2.5, 1000.0)
+    # points apart in the sixth significant digit keep their own tags
+    assert check_snr_grid([1, 1.00001]) == (1.0, 1.00001)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seed_outside_u64_is_an_error_naming_its_source(tmp_path, capsys, seed):
-    # numpy stopped both with "expected non-negative integer", naming neither
+def test_seed_outside_u64_is_an_error_naming_its_source(capsys, seed):
+    # numpy stopped it with "expected non-negative integer", naming no flag
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["gen", "--seed", str(seed)])
     assert exc.value.code == 2
     assert f"argument --seed: the seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"seed": seed}))
-    assert run_cli("gen", "--config", path, "--out", tmp_path / "run") == 1
-    assert capsys.readouterr().err == f'error: {path}: "seed" must be in [0, 2**64), got {seed}\n'
-    assert not (tmp_path / "run").exists()
 
 
-def test_seed_range_ends_are_accepted(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"seed": 2**64 - 1}))
-    assert resolve_config(build_parser().parse_args(["gen", "--config", str(path)])).seed == 2**64 - 1
-    assert resolve_config(build_parser().parse_args(["gen", "--seed", "0"])).seed == 0
+def test_seed_range_ends_are_accepted():
+    for seed in (0, 2**64 - 1):
+        assert resolve_config(build_parser().parse_args(["gen", "--seed", str(seed)])).seed == seed
 
 
 def test_config_sections_are_typed_objects(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
-        "gan": {"lr_d": 1, "lr_g": 0.002}, "z_mult": [1, 2.5],
+        "gan": {"lr_d": 1, "lr_g": 0.002},
         "detectors": {"lof_threshold": 2, "ocsvm_nu": 0.1, "ocsvm_gamma": None},
     }))
     rc = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
@@ -402,16 +417,8 @@ def test_config_sections_are_typed_objects(tmp_path):
     assert rc.detector_config == DetectorConfig(lof_threshold=2.0, ocsvm_nu=0.1)
     # a JSON integer given for a real key is stored as the float fits and files use
     assert type(rc.gan_config.lr_d) is type(rc.detector_config.lof_threshold) is float
-    assert rc.z_multipliers == (1.0, 2.5)
     defaults = resolve_config(build_parser().parse_args(["train"]))
     assert defaults.gan_config == TrainConfig() and defaults.detector_config == DetectorConfig()
-
-
-def test_config_z_mult_string_is_a_comma_list(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"z_mult": "1,3"}))
-    args = build_parser().parse_args(["analytic", "--config", str(path)])
-    assert resolve_config(args).z_multipliers == (1.0, 3.0)
 
 
 def test_out_dir_from_env(tmp_path, monkeypatch):
@@ -427,7 +434,7 @@ def test_no_command_prints_help(capsys):
 
 def test_gen_writes_and_validates(tmp_path, fast_config):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out, "--seed", "5") == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out, "--seed", "5") == 0
     for name in ("master", "train", "test", "test_accidental", "test_nefarious"):
         assert (out / "datasets" / f"{name}.csv").exists()
         manifest = json.loads((out / "datasets" / f"{name}.manifest.json").read_text())
@@ -440,15 +447,15 @@ def test_gen_writes_and_validates(tmp_path, fast_config):
 
 def test_gen_is_deterministic(tmp_path, fast_config):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("gen", "--config", fast_config, "--out", a, "--seed", "5") == 0
-    assert run_cli("gen", "--config", fast_config, "--out", b, "--seed", "5") == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", a, "--seed", "5") == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", b, "--seed", "5") == 0
     for f in sorted((a / "datasets").iterdir()):
         assert f.read_bytes() == (b / "datasets" / f.name).read_bytes()
 
 
 def test_train_and_eval_pipeline(tmp_path, fast_config, capsys):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
 
     # eval without models fails, naming what to run
     assert run_cli("eval", "--config", fast_config, "--out", out) == 1
@@ -496,7 +503,7 @@ def test_train_and_eval_pipeline(tmp_path, fast_config, capsys):
 @pytest.mark.parametrize("name,key", [("lof_snr0", "payload"), ("gan_snr0", "layers")])
 def test_eval_with_malformed_model_file_errors(tmp_path, fast_config, capsys, name, key):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     assert run_cli("train", "--config", fast_config, "--out", out) == 0
     assert run_cli("fit-detector", "--algo", "lof", "--config", fast_config, "--out", out) == 0
     path = out / "models" / f"{name}.json"
@@ -510,7 +517,7 @@ def test_eval_with_malformed_model_file_errors(tmp_path, fast_config, capsys, na
 
 def test_eval_with_infinite_lof_k_is_one_error_line(tmp_path, fast_config, capsys):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     assert run_cli("train", "--config", fast_config, "--out", out) == 0
     for algo in ("lof", "iforest", "ocsvm"):
         assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 0
@@ -525,7 +532,7 @@ def test_eval_with_infinite_lof_k_is_one_error_line(tmp_path, fast_config, capsy
 
 def test_eval_with_top_level_array_model_file_errors(tmp_path, fast_config, capsys):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     assert run_cli("train", "--config", fast_config, "--out", out) == 0
     for algo in ("lof", "iforest", "ocsvm"):
         assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 0
@@ -541,7 +548,7 @@ def test_eval_with_top_level_array_model_file_errors(tmp_path, fast_config, caps
 
 def test_train_pooled_single_checkpoint(tmp_path, fast_config, capsys):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     assert run_cli("train", "--pooled", "--config", fast_config, "--out", out) == 0
     assert (out / "models" / "gan_pooled.json").exists()
     assert len(list((out / "models").glob("gan_pooled*.json"))) == 1
@@ -565,7 +572,7 @@ def test_train_pooled_single_checkpoint(tmp_path, fast_config, capsys):
 
 def test_train_refuses_to_save_a_diverged_network(tmp_path, fast_config, capsys, monkeypatch):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     train_gan = cli.gan.train_gan
 
     def diverged(rows, tc, stream):
@@ -586,7 +593,7 @@ def test_train_refuses_to_save_a_diverged_network(tmp_path, fast_config, capsys,
 @pytest.mark.parametrize("algo", ["lof", "iforest", "ocsvm"])
 def test_train_file_with_illegitimate_rows_rejected(tmp_path, fast_config, capsys, algo):
     out = tmp_path / "run"
-    assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
     data = out / "datasets"
     write_dataset(data / "train.csv", read_dataset(data / "test_accidental.csv"))
     assert run_cli("fit-detector", "--algo", algo, "--config", fast_config, "--out", out) == 1
@@ -640,7 +647,7 @@ def test_analytic_runs_without_scipy(tmp_path, fast_config):
 def test_jobs_flag_gives_same_results(tmp_path, fast_config):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, jobs in ((a, "1"), (b, "4")):
-        assert run_cli("gen", "--config", fast_config, "--out", out) == 0
+        assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
         assert run_cli("train", "--config", fast_config, "--out", out, "--jobs", jobs) == 0
     for f in sorted((a / "models").glob("*.json")):
         assert f.read_bytes() == (b / "models" / f.name).read_bytes()

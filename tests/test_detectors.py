@@ -547,6 +547,33 @@ def test_load_model_rejects_malformed_iforest(tmp_path, rule):
     _rejects(tmp_path, doc, expected)
 
 
+@pytest.mark.parametrize(
+    "feature,right",
+    [([0, 0, 0, 0, 0, 0, 0, -1], [1, 2, 3, 4, 5, 6, 7, -1]), ([0, -1, -1, -1], [3, -1, -1, -1])],
+    ids=["shared-children", "orphan"],
+)
+def test_load_model_rejects_a_node_without_exactly_one_parent(tmp_path, feature, right):
+    # Tree 1 is either a chain whose every right child is its implied left
+    # child, the next node, or a root whose children skip node 2. Both passed
+    # every other check; the depth walk, which follows both children, doubled
+    # the chain's frontier per level, 2^n indices for n nodes. Keep it short.
+    model = iforest_fit(gaussian_points(50, 3, seed=46), n_trees=2, subsample=16, rng=RngStream(47))
+    doc = _saved_doc(model, tmp_path)
+    payload = doc["payload"]
+    n = len(feature)
+    columns = {
+        "n_nodes": [1, n],
+        "feature": [-1, *feature],
+        "split": np.zeros(n + 1),
+        "right": [-1, *right],
+        "size": np.ones(n + 1),
+    }
+    for key, column in columns.items():
+        edit_packed(payload, key, lambda a, column=column: np.asarray(column, dtype=a.dtype))
+    payload["height_limit"] = n
+    _rejects(tmp_path, doc, "tree 1: a node is not the child of exactly one inner node")
+
+
 def test_iforest_rejects_points_too_narrow_for_model():
     x = gaussian_points(200, 4, seed=44)
     model = iforest_fit(x, n_trees=10, subsample=64, rng=RngStream(45))
