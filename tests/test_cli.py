@@ -125,13 +125,21 @@ def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys):
 FLAGS = ("--seed", "--out", "--config", "--jobs", "--pooled", "--snr-grid", "--z-mult")
 
 
-def test_top_level_help_lists_the_commands(capsys):
+def test_help_documents_global_flags(capsys):
+    # the top level lists the commands; each command documents every flag
+    commands = ("gen", "train", "fit-detector", "eval", "analytic", "report")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--help"])
     text = capsys.readouterr().out
-    for command in ("gen", "train", "fit-detector", "eval", "analytic", "report"):
+    for command in commands:
         assert command in text
     assert not any(flag in text for flag in FLAGS)
+    for command in commands:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = capsys.readouterr().out
+        for flag in FLAGS:
+            assert flag in text, (command, flag)
 
 
 def test_subcommand_help_has_global_flags(capsys):
@@ -157,11 +165,21 @@ def test_flags_before_the_subcommand_are_a_usage_error(capsys, argv):
     [
         ("--seed", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("--seed", "7.9", "invalid literal for int() with base 10: '7.9'"),
+        ("--seed", "true", "invalid literal for int() with base 10: 'true'"),
+        ("--seed", "nan", "invalid literal for int() with base 10: 'nan'"),
+        ("--seed", "inf", "invalid literal for int() with base 10: 'inf'"),
+        ("--seed", "1e3", "invalid literal for int() with base 10: '1e3'"),
         ("--jobs", "two", "invalid int value: 'two'"),
+        ("--jobs", "2.5", "invalid int value: '2.5'"),
+        ("--jobs", "true", "invalid int value: 'true'"),
+        ("--jobs", "nan", "invalid int value: 'nan'"),
+        ("--jobs", "inf", "invalid int value: 'inf'"),
         ("--snr-grid", "nope", "expected a:b:step, got 'nope'"),
         ("--z-mult", "1,x", "expected a comma list of reals, got '1,x'"),
     ],
-    ids=["seed-text", "seed-fraction", "jobs-text", "snr-grid-text", "z-mult-text"],
+    ids=["seed-text", "seed-fraction", "seed-bool", "seed-nan", "seed-inf", "seed-exponent",
+         "jobs-text", "jobs-fraction", "jobs-bool", "jobs-nan", "jobs-inf", "snr-grid-text",
+         "z-mult-text"],
 )
 def test_flag_value_error_names_the_flag(capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:
@@ -277,6 +295,9 @@ def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
         ({"gan": {"max_epochs": 2.5}}, '"max_epochs" under "gan"'),
         ({"gan": {"batch": 64.0}}, '"batch" under "gan"'),
         ({"gan": {"latent_dim": True}}, '"latent_dim" under "gan"'),
+        ({"analytic_trials": 4.0}, '"analytic_trials"'),
+        ({"analytic_trials": "4"}, '"analytic_trials"'),
+        ({"analytic_trials": True}, '"analytic_trials"'),
         ({"analytic_trials": 1.5}, '"analytic_trials"'),
         ({"detectors": {"lof_k": 20.7}}, '"lof_k" under "detectors"'),
         ({"detectors": {"iforest_trees": "100"}}, '"iforest_trees" under "detectors"'),
@@ -284,8 +305,8 @@ def test_config_value_error_names_file(tmp_path, capsys, cfg, expected):
     ],
 )
 def test_config_integer_key_must_be_a_json_integer(tmp_path, capsys, cfg, key):
-    # int() would run seed 7.9 as 7, trials 1.5 as 1 and true as 1, and
-    # range() would crash on a float epoch count
+    # int() would run trials 1.5 as 1, "4" as 4 and true as 1, and range()
+    # would crash on a float epoch count
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     value = next(iter(cfg.values()))
