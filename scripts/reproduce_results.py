@@ -9,8 +9,15 @@ time spent waiting for the machine's other tenants does not count).
 """
 
 import argparse
+import os
 import sys
 import time
+
+# One BLAS thread unless the caller chose otherwise: LOF's distances and
+# OC-SVM's kernel are BLAS products, whose rounding, and so the model
+# files' bytes, depend on the thread count. Set before numpy is imported.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 from csiauth.cli import main as cli_main
 

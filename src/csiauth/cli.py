@@ -26,7 +26,7 @@ from .evaluate import (
     authenticator,
     curves_from_confusions,
     emit_report,
-    evaluate,
+    evaluate_sets,
     hypothesis_authenticator,
     load_confusions,
     spearman_vs_snr,
@@ -99,9 +99,10 @@ def _z_tag(mult: float) -> str:
 
 
 def parse_multipliers(text: str) -> tuple[float, ...]:
-    """Parse a comma list of finite reals >= 0, no two of which share a tag."""
+    """Parse a comma list of finite reals >= 0, no two of which share a tag;
+    -0 reads as 0, as both name the baseline hypothesis-z0."""
     try:
-        mults = tuple(float(v) for v in text.split(","))
+        mults = tuple(float(v) + 0.0 for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma list of reals, got {text!r}") from exc
     if not all(map(math.isfinite, mults)):
@@ -305,9 +306,11 @@ def _require(path: Path, hint: str) -> Path:
 
 def cmd_eval(cfg: RunConfig) -> int:
     test_sets = {}
+    memo = {}  # both sets repeat the test split's lines; each is parsed once
     for name in ("test_accidental", "test_nefarious"):
         path = _require(cfg.data_dir / f"{name}.csv", "csiauth gen")
-        test_sets[name.removeprefix("test_")] = datasets.read_dataset(path)
+        test_sets[name.removeprefix("test_")] = datasets.read_dataset(path, memo)
+    del memo
     grid = test_sets["accidental"].manifest.snr_grid
     if test_sets["nefarious"].manifest.snr_grid != grid:
         raise ValueError("test_accidental and test_nefarious have different SNR grids")
@@ -331,9 +334,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             for snr in grid
         }
 
-    for ds_name, ds in test_sets.items():
-        matrices = [evaluate(table[method][snr], ds, snr, method)
-                    for method in sorted(table) for snr in grid]
+    for ds_name, matrices in evaluate_sets(table, test_sets, grid).items():
         for curve in curves_from_confusions(matrices):
             rho = spearman_vs_snr(curve)
             if rho < 0.8:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -446,11 +447,21 @@ def _layout(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarr
     return text
 
 
-def read_dataset(path) -> Dataset:
+def read_dataset(path, memo: dict | None = None) -> Dataset:
     """Parse and validate a dataset file; every feature must be finite.
 
     The body is parsed by one `np.loadtxt` pass, so a number must follow its
     grammar: Python's `float()` without underscores or non-ASCII digits.
+
+    `memo` maps a body line's text to its parsed record, under the file's
+    cell count. Calls that share one dict parse a legitimate line they have
+    in common once: the attack sets repeat the test split's lines. A line
+    found there skips `np.loadtxt`; every check of the whole file still
+    runs, so the result, or the error naming `path:line`, is that of a read
+    without the memo. Only the legitimate lines of a file that passed every
+    check are added, as each attacker line appears in one file. A record in
+    the memo is a view of the returned dataset's row, which must not change
+    while the memo is in use.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -475,8 +486,9 @@ def read_dataset(path) -> Dataset:
         np.loadtxt, dtype=dtype, delimiter=",", usecols=[0, 1, *range(3, n_cells)],
         comments=None, ndmin=1,
     )
+    known = {} if memo is None else memo.setdefault(n_cells, {})
     try:
-        rec = parse(body) if body else np.empty(0, dtype)
+        rec = _parse_body(body, parse, dtype, known)
     except ValueError as exc:
         raise _first_bad_line(path, body, n_cells, parse) or DatasetFormatError(
             f"{path}: {exc}"
@@ -501,7 +513,31 @@ def read_dataset(path) -> Dataset:
         np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
     verify_counts(ds, path)
+    if memo is not None:
+        for i in np.flatnonzero(legit).tolist():
+            known[body[i]] = (ds.snr[i], LEGITIMATE, x[i])
     return ds
+
+
+def _parse_body(body, parse, dtype, known) -> np.ndarray:
+    """The records of the body's lines, a line in `known` taking its record
+    from there. A parse that skips a line returns fewer records than lines."""
+    found = [known.get(line) for line in body]
+    todo = [i for i, record in enumerate(found) if record is None]
+    if len(todo) == len(body):
+        return parse(body) if body else np.empty(0, dtype)
+    rec = np.empty(len(body), dtype)
+    if todo:
+        with warnings.catch_warnings():
+            # all of them may be lines loadtxt skips, which the caller names
+            warnings.simplefilter("ignore", UserWarning)
+            parsed = parse([body[i] for i in todo])
+        if len(parsed) != len(todo):
+            return parsed
+        rec[todo] = parsed
+    done = [i for i, record in enumerate(found) if record is not None]
+    rec[done] = [found[i] for i in done]
+    return rec
 
 
 def _first_bad_line(path, body, n_cells, parse) -> DatasetFormatError | None:

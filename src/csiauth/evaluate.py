@@ -4,6 +4,8 @@ Every authenticator is an `Authenticator`: a score of each feature row, as
 stored in `Dataset.x`, higher meaning more legitimate, and a cut. Only
 `evaluate` compares them: a row is accepted iff its score >= cut. Rows of the
 confusion matrix are ground truth (Real = legitimate), columns the prediction.
+`evaluate_sets` evaluates test sets that share rows, scoring each shared row
+once.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def hypothesis_authenticator(h_ref: np.ndarray, thr: Threshold) -> Authenticator
 
 
 def evaluate(auth: Authenticator, dataset: Dataset, snr_db: float, method: str = "") -> ConfusionMatrix:
+    """The confusion matrix of auth on the dataset's rows at snr_db, scored
+    as one batch in file order; a row is accepted iff its score >= cut."""
     at_snr = dataset.snr == snr_db
     if not at_snr.any():
         raise ValueError(f"dataset has no samples at SNR {snr_db} dB")
@@ -94,6 +98,66 @@ def evaluate(auth: Authenticator, dataset: Dataset, snr_db: float, method: str =
         fake_real=int(np.sum(accepts & ~legit)),
         fake_fake=int(np.sum(~accepts & ~legit)),
     )
+
+
+def evaluate_sets(
+    table: dict[str, dict[float, Authenticator]], sets: dict[str, Dataset], grid
+) -> dict[str, list[ConfusionMatrix]]:
+    """Each set's matrices evaluate(table[method][snr], ds, snr, method), for
+    method in sorted(table) and snr in grid, in that order.
+
+    The attack sets repeat the same legitimate rows, so a row of a later set
+    that equals a row of the first set at the same SNR takes that row's score
+    rather than being scored again: each authenticator scores the first
+    set's slice whole, as evaluate does, and then only the other rows of each
+    later set's slice, as one batch.
+    """
+    (first_name, first), *later = sets.items()
+    found = {name: {} for name in sets}
+    for snr in grid:
+        base = first.x[first.snr == snr]
+        sources = [(name, ds, _shared_rows(ds.x[ds.snr == snr], base)) for name, ds in later]
+        for method in sorted(table):
+            auth, kept = table[method][snr], []
+            found[first_name][method, snr] = evaluate(_recorded(auth, kept), first, snr, method)
+            for name, ds, source in sources:
+                found[name][method, snr] = evaluate(_reusing(auth, source, kept[0]), ds, snr, method)
+    return {name: [found[name][method, snr] for method in sorted(table) for snr in grid]
+            for name in sets}
+
+
+def _shared_rows(rows: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """For each row of rows, the index of a row of earlier with the same
+    bytes, or -1; comparing bytes keeps 0.0 and -0.0 apart."""
+    def keys(a):
+        a = np.ascontiguousarray(a)
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel().tolist()
+
+    index = {key: i for i, key in enumerate(keys(earlier))}
+    return np.array([index.get(key, -1) for key in keys(rows)], dtype=np.intp)
+
+
+def _recorded(auth: Authenticator, kept: list) -> Authenticator:
+    """auth, appending the scores of each batch it scores to kept."""
+    def score(rows):
+        kept.append(np.asarray(auth.score(rows)))
+        return kept[-1]
+
+    return Authenticator(score, auth.cut)
+
+
+def _reusing(auth: Authenticator, source: np.ndarray, known: np.ndarray) -> Authenticator:
+    """auth over the rows that source maps: row i takes known[source[i]]
+    when source[i] >= 0, and the others are scored as one batch."""
+    def score(rows):
+        fresh = source < 0
+        scores = np.empty(len(rows), known.dtype)
+        scores[~fresh] = known[source[~fresh]]
+        if fresh.any():
+            scores[fresh] = auth.score(rows[fresh])
+        return scores
+
+    return Authenticator(score, auth.cut)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
 import base64
+import importlib
 import math
 from pathlib import Path
 
@@ -627,3 +628,14 @@ def ocsvm_accepts(model):
     from csiauth.detectors import ocsvm_decision_values
 
     return lambda rows: ocsvm_decision_values(model, rows) >= 0.0
+
+
+def evaluate_each_set(table, sets, grid):
+    """`csiauth eval`'s per-set loop before the attack sets shared their
+    scores: every set's slice at every SNR scored whole by `evaluate`, for
+    method in sorted(table) and snr in grid. Returns {set name: matrices}."""
+    # the module, which the package's `evaluate` function shadows
+    ev = importlib.import_module("csiauth.evaluate")
+    return {name: [ev.evaluate(table[method][snr], ds, snr, method)
+                   for method in sorted(table) for snr in grid]
+            for name, ds in sets.items()}

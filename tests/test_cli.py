@@ -195,8 +195,9 @@ def test_flag_value_error_names_the_flag(capsys, flag, value, message):
         ("3,-0.5", "multipliers must be >= 0, got '3,-0.5'"),
         ("1,1.0000001,3", "multipliers 1.0 and 1.0000001 share the tag '1'"),
         ("3,1,3", "multipliers 3.0 and 3.0 share the tag '3'"),
+        ("0,-0", "multipliers 0.0 and 0.0 share the tag '0'"),
     ],
-    ids=["negative", "negative-later", "same-tag", "repeated"],
+    ids=["negative", "negative-later", "same-tag", "repeated", "signed-zero"],
 )
 def test_z_mult_rejects_negative_and_same_named_multipliers(tmp_path, capsys, value, message):
     # eval names each baseline hypothesis-z<format(m, "g")>: 1 and 1.0000001

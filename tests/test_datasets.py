@@ -353,17 +353,13 @@ def test_read_dataset_names_malformed_line(tmp_path, fault):
         read_dataset(path)
 
 
-@pytest.mark.parametrize(
-    "fault",
-    ["blank-line", "extra-cell", "comment-mark", "underscore", "long-label", "nul-label",
-     "label-before-float"],
-)
-def test_read_dataset_names_line_the_bulk_parse_would_misread(tmp_path, fault):
-    # np.loadtxt skips blank lines, ignores surplus cells, strips "#..." by
-    # default, cuts fixed-width strings and drops their trailing NULs; each
-    # must still fail, naming line 4. Python's float() accepted "1_0".
+BULK_FAULTS = ["blank-line", "extra-cell", "comment-mark", "underscore", "long-label",
+               "nul-label", "label-before-float"]
+
+
+def _write_with_fault(path, fault):
+    """A 4-sample master file whose line 4 holds the fault."""
     small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=4)
-    path = tmp_path / "m.csv"
     write_dataset(path, small)
     lines = path.read_text().splitlines()
     cells = lines[3].split(",")
@@ -387,8 +383,31 @@ def test_read_dataset_names_line_the_bulk_parse_would_misread(tmp_path, fault):
     if fault not in ("blank-line", "extra-cell"):
         lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fault", BULK_FAULTS)
+def test_read_dataset_names_line_the_bulk_parse_would_misread(tmp_path, fault):
+    # np.loadtxt skips blank lines, ignores surplus cells, strips "#..." by
+    # default, cuts fixed-width strings and drops their trailing NULs; each
+    # must still fail, naming line 4. Python's float() accepted "1_0".
+    path = tmp_path / "m.csv"
+    _write_with_fault(path, fault)
     with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("fault", BULK_FAULTS)
+def test_read_dataset_with_a_memo_names_the_malformed_line(tmp_path, fault):
+    # The memo holds every other line of the file, so only the faulty line
+    # is parsed; the whole-file checks must still find it.
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=4)
+    write_dataset(tmp_path / "first.csv", small)
+    memo = {}
+    read_dataset(tmp_path / "first.csv", memo)
+    path = tmp_path / "m.csv"
+    _write_with_fault(path, fault)
+    with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
+        read_dataset(path, memo)
 
 
 def _columns_dataset(x, snr, legit, source) -> Dataset:
@@ -435,6 +454,42 @@ def test_read_dataset_matches_per_line_reader(data, n):
         got = getattr(back, column_name)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@given(data=st.data(), n=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_read_dataset_with_a_memo_equals_reading_alone(data, n):
+    # A second file of repeated and new lines, read after the first through
+    # one memo, reads bit for bit as it reads alone; the memo keeps only
+    # legitimate lines.
+    gen = RngStream(data.draw(st.integers(0, 2**32 - 1))).generator()
+
+    def columns(m):
+        x = gen.standard_normal((m, 32))
+        x[gen.random((m, 32)) < 0.1] = 0.0
+        x[gen.random((m, 32)) < 0.1] = -0.0
+        return (x, gen.choice([0.0, -0.0, 12.5], m), gen.random(m) < 0.5,
+                np.array([f"s{i}" for i in gen.integers(0, 3, m)], dtype=str))
+
+    first = columns(n)
+    picks = data.draw(st.lists(st.integers(-1, n - 1), max_size=8))
+    fresh = columns(len(picks))
+    second = [np.array([col[p] if p >= 0 else new[i] for i, p in enumerate(picks)], dtype=col.dtype)
+              .reshape(len(picks), *col.shape[1:]) for col, new in zip(first, fresh)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
+        for path, cols in zip(paths, (first, second)):
+            write_dataset(path, _columns_dataset(*cols))
+        memo = {}
+        shared = [read_dataset(path, memo) for path in paths]
+        alone = [read_dataset(path) for path in paths]
+        legit_lines = {line for path in paths for line in path.read_text().splitlines()[1:]
+                       if line.split(",")[1] == "legitimate"}
+    assert set(memo) <= {35} and set(memo.get(35, {})) == legit_lines
+    for got, want in zip(shared, alone):
+        for column in ("x", "snr", "legit", "source"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1])

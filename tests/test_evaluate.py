@@ -1,10 +1,15 @@
+import importlib
 import json
 import re
 import xml.etree.ElementTree as ET
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    evaluate_each_set,
     gan_accepts,
     iforest_accepts,
     lof_accepts,
@@ -16,7 +21,13 @@ from oracles import (
 from csiauth import datasets
 from csiauth.channel import NoiseModel, unflatten_csi
 from csiauth.cli import main
-from csiauth.datasets import build_accidental, build_master, split_train_test
+from csiauth.datasets import (
+    build_accidental,
+    build_master,
+    build_nefarious,
+    default_nefarious_offsets,
+    split_train_test,
+)
 from csiauth.detectors import iforest_fit, lof_fit, ocsvm_fit
 from csiauth.evaluate import (
     AccuracyCurve,
@@ -26,6 +37,7 @@ from csiauth.evaluate import (
     curves_from_confusions,
     emit_report,
     evaluate,
+    evaluate_sets,
     hypothesis_authenticator,
     load_confusions,
     render_accuracy_svg,
@@ -36,6 +48,8 @@ from csiauth.threshold import Threshold
 
 ALWAYS = Authenticator(lambda rows: np.zeros(len(rows)), 0.0)
 NEVER = Authenticator(lambda rows: np.zeros(len(rows)), 1.0)
+# the module, which the package's `evaluate` function shadows
+evaluate_module = importlib.import_module("csiauth.evaluate")
 
 
 def accepts(auth, rows):
@@ -144,6 +158,96 @@ def test_accuracy_invariant_to_sample_order(acc_dataset):
 def test_missing_slice_raises(acc_dataset):
     with pytest.raises(ValueError):
         evaluate(ALWAYS, acc_dataset, 99.0)
+
+
+# Rows 0 and 1 differ only in the sign of a zero.
+POOL = np.array([[0.0, 1.0, 2.0, 3.0], [-0.0, 1.0, 2.0, 3.0], [0.5, -1.0, 0.25, 8.0],
+                 [1.5, 2.0, -3.0, 0.0], [4.0, 4.0, 4.0, 4.0], [-2.0, 0.125, 7.0, 1.0]])
+POOL_GRID = (0.0, 10.0)
+
+
+def _pool_set(slices) -> datasets.Dataset:
+    """Rows POOL[slices[j]] at POOL_GRID[j]; rows 0 to 2 are legitimate."""
+    idx = np.array([i for part in slices for i in part], dtype=int)
+    snr = np.concatenate([np.full(len(part), g) for g, part in zip(POOL_GRID, slices)])
+    manifest = datasets.DatasetManifest(1, "test_accidental", list(POOL_GRID), {},
+                                        np.zeros((1, 2), dtype=complex))
+    return datasets.Dataset(manifest, POOL[idx], snr, idx < 3, np.full(len(idx), "s"))
+
+
+def _row_hash(offset):
+    """A score of each row's bytes, so that 0.0 and -0.0 score apart, plus
+    an offset that tells the SNRs' authenticators apart."""
+    return lambda rows: np.array([zlib.crc32(row.tobytes()) / 2**32 + offset for row in rows])
+
+
+POOL_TABLE = {
+    "hash": {snr: Authenticator(_row_hash(snr), snr + 0.5) for snr in POOL_GRID},
+    "sum": {snr: Authenticator(lambda rows, snr=snr: rows.sum(axis=1) + snr, snr + 6.0)
+            for snr in POOL_GRID},
+}
+
+
+def _with_scores(run, sets):
+    """run(POOL_TABLE, sets, POOL_GRID), and the bytes of the scores that
+    evaluate compared with the cut, by (set, method, SNR)."""
+    seen = {}
+    names = {id(ds): name for name, ds in sets.items()}
+    original = evaluate_module.evaluate
+
+    def spy(auth, ds, snr, method=""):
+        def score(rows):
+            scores = np.asarray(auth.score(rows))
+            seen[names[id(ds)], method, snr] = scores.tobytes()
+            return scores
+
+        return original(Authenticator(score, auth.cut), ds, snr, method)
+
+    with mock.patch.object(evaluate_module, "evaluate", spy):
+        return run(POOL_TABLE, sets, POOL_GRID), seen
+
+
+SLICES = st.lists(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=6),
+                  min_size=2, max_size=2)
+
+
+@given(first=SLICES, later=SLICES)
+@example(first=[[2], [3]], later=[[4], [5]])  # no row shared
+@example(first=[[0, 1, 2], [3]], later=[[2, 0], [3]])  # every row shared
+@example(first=[[2], [3]], later=[[3], [2]])  # shared only at the other SNR
+@example(first=[[0], [3]], later=[[1], [3]])  # 0.0 against -0.0
+@example(first=[[0, 0, 2], [3, 3]], later=[[2, 2, 4], [3, 5, 5]])  # repeats within a set
+@settings(max_examples=80, deadline=None)
+def test_evaluate_sets_matches_scoring_each_set_whole(first, later):
+    sets = {"first": _pool_set(first), "later": _pool_set(later)}
+    got, got_scores = _with_scores(evaluate_sets, sets)
+    want, want_scores = _with_scores(evaluate_each_set, sets)
+    assert got == want
+    assert got_scores == want_scores
+
+
+def test_later_set_scores_only_its_unshared_rows():
+    # the attack sets share the test split's rows: the nefarious set's
+    # score call gets its attacker rows alone, the accidental set's its
+    # whole slice in file order
+    grid = (0.0, 10.0)
+    _, test = split_train_test(build_master(RngStream(7), snr_grid=grid, samples_per_snr=100))
+    acc = build_accidental(test, RngStream(8))
+    nef = build_nefarious(test, default_nefarious_offsets(), RngStream(8))
+    calls = []
+
+    def score(rows):
+        calls.append(rows.copy())
+        return rows[:, 0]
+
+    table = {"count": dict.fromkeys(grid, Authenticator(score, 0.0))}
+    sets = {"accidental": acc, "nefarious": nef}
+    matrices = evaluate_sets(table, sets, grid)
+    assert [len(rows) for rows in calls] == [430, 400, 430, 400]
+    for snr, whole, unshared in zip(grid, calls[0::2], calls[1::2]):
+        np.testing.assert_array_equal(whole, acc.x[acc.snr == snr])
+        np.testing.assert_array_equal(unshared, nef.x[(nef.snr == snr) & ~nef.legit])
+    assert matrices == evaluate_each_set(table, sets, grid)
 
 
 def _matrices(dataset, methods):
