@@ -24,12 +24,10 @@ from .datasets import MAX_GRID_POINTS, check_snr_grid, snr_tag
 from .packed import number, typed_fields
 from .evaluate import (
     authenticator,
-    curves_from_confusions,
     emit_report,
     evaluate_sets,
     hypothesis_authenticator,
     load_confusions,
-    spearman_vs_snr,
 )
 from .rng import RngStream
 from .threshold import Threshold
@@ -335,11 +333,6 @@ def cmd_eval(cfg: RunConfig) -> int:
         }
 
     for ds_name, matrices in evaluate_sets(table, test_sets, grid).items():
-        for curve in curves_from_confusions(matrices):
-            rho = spearman_vs_snr(curve)
-            if rho < 0.8:
-                print(f"note: {curve.method} on {ds_name}: "
-                      f"accuracy-vs-SNR rank correlation {rho:.2f} < 0.8")
         out = cfg.report_dir / ds_name
         written = emit_report(matrices, out)
         print(f"wrote {len(written)} report files under {out}")

@@ -7,13 +7,18 @@ transmitters whose reference is the enrolled matrix shifted by a complex
 offset. A Dataset stores its samples as row-aligned columns (flattened
 CSI features, SNR, ground truth, transmitter id), so selecting an SNR is a
 boolean mask over `snr`. Files are CSV with a JSON manifest sidecar; input
-is validated once, when a file is read.
+is validated once, when a file is read. A file whose bytes this process
+wrote or read, and whose manifest is unchanged, is not parsed again: its
+columns come from a memo checked against the sha256 of those bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -255,6 +260,27 @@ def _stack(manifest: DatasetManifest, parts: list[tuple]) -> Dataset:
 # ---------------------------------------------------------------------------
 # Persistence
 
+# The dataset memo: resolved CSV path -> (sha256 of the file's bytes, its
+# manifest's text, copies of the x, snr, legit and source columns a read of
+# the two returns), for the files of one directory at a time, one run's
+# datasets. The lock keeps a thread's change out of another's scan.
+_REMEMBERED: dict[Path, tuple[bytes, str, tuple]] = {}
+_REMEMBERED_LOCK = threading.Lock()
+# What ends a cell or a line for read_dataset: the delimiter and every line
+# boundary of str.splitlines. A source id holding one does not read back.
+_CELL_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _remember(path: Path, digest: bytes, manifest: str, columns: tuple) -> None:
+    """Keep copies of `columns` under the resolved `path`; the files of
+    other directories are forgotten."""
+    entry = (digest, manifest, tuple(column.copy() for column in columns))
+    with _REMEMBERED_LOCK:
+        if any(p.parent != path.parent for p in _REMEMBERED):
+            _REMEMBERED.clear()
+        _REMEMBERED[path] = entry
+
+
 def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
 
@@ -268,8 +294,16 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     -0.0). Only legitimate rows are added: the splits and attack sets repeat
     the enrolled rows of the master set, while each attacker row is written
     once, and holding its text would only cost memory.
+
+    The file's bytes are hashed as they are written, and the dataset memo
+    keeps their digest with copies of the columns, so that read_dataset does
+    not parse them again; a dataset whose columns would not read back as
+    written (ragged columns, or a source id that breaks a cell) is not kept.
     """
     path = Path(path)
+    resolved = path.resolve()
+    with _REMEMBERED_LOCK:
+        _REMEMBERED.pop(resolved, None)
     mf = dataset.manifest
     memo = {} if memo is None else memo
     try:
@@ -281,29 +315,38 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     if bad.size:
         raise ValueError(f"{path}: row {bad[0]} has a non-finite feature; not written")
     snr = np.ascontiguousarray(dataset.snr, dtype=float)
+    legit = np.asarray(dataset.legit, dtype=bool)
+    header = _csv_header(*mf.h_true.shape)
     labels = {}  # the label cells of each (SNR, label, source) triple
     row_bytes = np.dtype((np.void, x.itemsize * x.shape[1]))
-    with path.open("w") as fh:
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
         # Each line's label cells start with the newline that ends the line
         # before, so that the rows' text needs no newline of its own.
-        fh.write(",".join(_csv_header(*mf.h_true.shape)))
+        put(",".join(header))
         # A block of lines at a time, so that the file's text is never held
         # whole; a line is joined from its label cells and the row's text.
         for start in range(0, len(x), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
             keys = x[block].view(row_bytes).ravel().tolist()
             texts = list(map(memo.get, keys))
-            legit = dataset.legit[block].tolist()
+            legits = legit[block].tolist()
             missing = [i for i, text in enumerate(texts) if text is None]
             if missing:
                 for i, text in zip(missing, _feature_text(x[block][missing])):
                     texts[i] = text
-                    if legit[i]:
+                    if legits[i]:
                         memo[keys[i]] = text
             lines = []
             # an SNR is told apart by its bits, so that -0.0 keeps its sign
             for value, bits, is_legit, source, text in zip(
-                snr[block].tolist(), snr[block].view(np.uint64).tolist(), legit,
+                snr[block].tolist(), snr[block].view(np.uint64).tolist(), legits,
                 dataset.source[block].tolist(), texts,
             ):
                 key = (bits, is_legit, source)
@@ -311,9 +354,19 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
                     kind = LEGITIMATE if is_legit else ILLEGITIMATE
                     labels[key] = f"\n{format(value, '.17g')},{kind},{source},"
                 lines += (labels[key], text)
-            fh.write("".join(lines))
-        fh.write("\n")
-    _manifest_path(path).write_text(manifest)
+            put("".join(lines))
+        put("\n")
+    _manifest_path(path).write_text(manifest, encoding="utf-8")
+    sources = {source for _, _, source in labels}
+    if (
+        dataset.source.dtype.kind == "U"
+        and x.shape == (len(snr), len(header) - 3) and len(snr) == len(legit) == len(dataset.source)
+        and not any(map(_CELL_BREAKS.search, sources))
+    ):
+        # the source column as a read builds it: as wide as its longest id
+        width = max([1, *map(len, sources)])
+        _remember(resolved, digest.digest(), manifest,
+                  (x, snr, legit, dataset.source.astype(f"U{width}", copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +506,11 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     The body is parsed by one `np.loadtxt` pass, so a number must follow its
     grammar: Python's `float()` without underscores or non-ASCII digits.
 
+    A file whose bytes (by sha256) and manifest text are those this process
+    last wrote or read at the same path is not parsed: its columns are fresh
+    copies from the dataset memo. The manifest is still parsed and the counts
+    still checked, so such a read refuses what a parse would.
+
     `memo` maps a body line's text to its parsed record, under the file's
     cell count. Calls that share one dict parse a legitimate line they have
     in common once: the attack sets repeat the test split's lines. A line
@@ -468,13 +526,48 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     if not mpath.exists():
         raise DatasetFormatError(f"missing manifest sidecar: {mpath}")
     try:
-        manifest = _manifest_from_json(mpath.read_text())
+        manifest_text = mpath.read_bytes().decode()
+        manifest = _manifest_from_json(manifest_text)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
+    n_cells = len(_csv_header(*manifest.h_true.shape))
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).digest()
+    resolved = path.resolve()
+    known_lines = None if memo is None else memo.setdefault(n_cells, {})
+    seen = _REMEMBERED.get(resolved)
+    if seen is not None and seen[:2] == (digest, manifest_text):
+        ds = Dataset(manifest, *(column.copy() for column in seen[2]))
+        verify_counts(ds, path)
+        body = [] if memo is None else data.decode().splitlines()[1:]
+    else:
+        text = _decode(path, data)
+        del data  # the parse holds the file's text; its bytes too would double that
+        ds, body = _parse(path, text, manifest, {} if memo is None else known_lines)
+        _remember(resolved, digest, manifest_text, (ds.x, ds.snr, ds.legit, ds.source))
+    if known_lines is not None:
+        for i in np.flatnonzero(ds.legit).tolist():
+            known_lines[body[i]] = (ds.snr[i], LEGITIMATE, ds.x[i])
+    return ds
+
+
+def _decode(path: Path, data: bytes) -> str:
+    """data as UTF-8 text; else DatasetFormatError naming the line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(
+            f"{path}:{line}: not UTF-8 text ({exc.reason}: byte 0x{data[exc.start]:02x})"
+        ) from None
+
+
+def _parse(path: Path, text: str, manifest: DatasetManifest, known: dict) -> tuple[Dataset, list[str]]:
+    """The checked dataset of a file's text, and its body lines; a line in
+    `known` takes its record from there."""
     n_rx, m_tx = manifest.h_true.shape
     expected_header = _csv_header(n_rx, m_tx)
     n_cells = len(expected_header)
-    text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0].split(",") != expected_header:
         raise DatasetFormatError(
@@ -486,7 +579,6 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
         np.loadtxt, dtype=dtype, delimiter=",", usecols=[0, 1, *range(3, n_cells)],
         comments=None, ndmin=1,
     )
-    known = {} if memo is None else memo.setdefault(n_cells, {})
     try:
         rec = _parse_body(body, parse, dtype, known)
     except ValueError as exc:
@@ -513,10 +605,7 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
         np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
     verify_counts(ds, path)
-    if memo is not None:
-        for i in np.flatnonzero(legit).tolist():
-            known[body[i]] = (ds.snr[i], LEGITIMATE, x[i])
-    return ds
+    return ds, body
 
 
 def _parse_body(body, parse, dtype, known) -> np.ndarray:

@@ -214,35 +214,6 @@ def _confusion(doc: dict) -> ConfusionMatrix:
     return ConfusionMatrix(method, snr_db, **counts)
 
 
-def spearman_vs_snr(curve: AccuracyCurve) -> float:
-    """Rank correlation of accuracy with SNR; a soft monotonicity indicator."""
-    pts = sorted(curve.points)
-    if len(pts) < 2:
-        return 1.0
-    accs = np.array([a for _, a in pts])
-    snr_rank = np.arange(len(pts), dtype=float)
-    acc_rank = _mid_ranks(accs)
-    sx = snr_rank - snr_rank.mean()
-    sy = acc_rank - acc_rank.mean()
-    denom = np.sqrt(np.sum(sx * sx) * np.sum(sy * sy))
-    if denom == 0:
-        return 1.0  # constant curve, e.g. all slices perfect
-    return float(np.sum(sx * sy) / denom)
-
-
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
-
-
 def curves_from_confusions(matrices: list[ConfusionMatrix]) -> list[AccuracyCurve]:
     """One curve per method, in method order, with its points in SNR order."""
     ordered = sorted(matrices, key=lambda m: (m.method, m.snr_db))

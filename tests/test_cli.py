@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csiauth import cli
@@ -664,6 +665,43 @@ def test_analytic_runs_without_scipy(tmp_path, fast_config):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+PIPELINE = (
+    ("gen", *GRID), ("train",), ("fit-detector", "--algo", "lof"),
+    ("fit-detector", "--algo", "iforest"), ("fit-detector", "--algo", "ocsvm"), ("eval",),
+)
+
+
+def test_pipeline_in_one_process_parses_no_dataset(tmp_path, fast_config, monkeypatch):
+    # gen's files are remembered, so train, the fits and eval read them unparsed
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    for stage in PIPELINE:
+        assert run_cli(*stage, "--config", fast_config, "--out", tmp_path / "run") == 0
+    assert calls == []
+
+
+def test_pipeline_writes_the_same_bytes_in_one_process_and_in_one_per_stage(tmp_path, fast_config):
+    # a stage in its own process parses every file it reads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    one, many = tmp_path / "one", tmp_path / "many"
+    for stage in (*PIPELINE, ("report",), ("analytic",)):
+        args = [*stage, "--config", str(fast_config)]
+        assert run_cli(*args, "--out", one) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "csiauth.cli", *args, "--out", str(many)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    files = tree(one)
+    assert len(files) > 50 and files == tree(many)
 
 
 def test_jobs_flag_gives_same_results(tmp_path, fast_config):

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import read_dataset_by_lines, write_dataset_by_rows
 from scipy import stats
 
+from csiauth import datasets
 from csiauth.channel import NoiseModel, flatten_csi
 from csiauth.datasets import (
     Dataset,
@@ -28,6 +33,18 @@ from csiauth.datasets import (
     _feature_text,
 )
 from csiauth.rng import RngStream
+
+
+def read_cold(path, memo=None):
+    """read_dataset with the dataset memo emptied first, so that np.loadtxt
+    parses the file as it would in a fresh process."""
+    datasets._REMEMBERED.clear()
+    return read_dataset(path, memo)
+
+
+def loadtxt_spy():
+    """A patch of np.loadtxt that counts its calls, as `.call_count`."""
+    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +183,7 @@ def test_legit_noise_distribution_ks(master):
 def test_round_trip(tmp_path, accidental):
     path = tmp_path / "acc.csv"
     write_dataset(path, accidental)
-    back = read_dataset(path)
+    back = read_cold(path)
     assert back.manifest.seed == accidental.manifest.seed
     assert back.manifest.kind == accidental.manifest.kind
     assert back.manifest.counts == accidental.manifest.counts
@@ -214,7 +231,7 @@ def test_shared_memo_writes_same_bytes(tmp_path):
         assert (shared / f"{name}.csv").read_bytes() == (alone / f"{name}.csv").read_bytes()
     lines = (shared / "master.csv").read_text().splitlines()
     assert lines[1].split(",")[8] == "0" and lines[2].split(",")[8] == "-0"
-    back = read_dataset(shared / "master.csv")
+    back = read_cold(shared / "master.csv")
     np.testing.assert_array_equal(np.signbit(back.x[:3, 5]), [False, True, True])
 
 
@@ -317,7 +334,7 @@ def test_manifest_counts_of_grid_points_beyond_six_digits_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_dataset(path, small)
     assert "1.23457" in json.loads((tmp_path / "m.manifest.json").read_text())["counts"]
-    assert read_dataset(path).manifest.counts == small.manifest.counts
+    assert read_cold(path).manifest.counts == small.manifest.counts
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -428,9 +445,9 @@ EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797693134
                 -1.7976931348623157e308]
 
 
-@given(data=st.data(), n=st.integers(0, 5))
-@settings(max_examples=60, deadline=None)
-def test_read_dataset_matches_per_line_reader(data, n):
+def _drawn_dataset(data, n, id_size=40) -> Dataset:
+    """n rows of features among them ±0.0, subnormals and the extremes, and
+    ids of up to `id_size` characters."""
     def column(elements):
         return data.draw(st.lists(elements, min_size=n, max_size=n))
 
@@ -444,11 +461,27 @@ def test_read_dataset_matches_per_line_reader(data, n):
     characters = st.characters(
         blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=","
     )
-    source = np.array(column(st.text(characters, max_size=40)), dtype=str)
+    source = np.array(column(st.text(characters, max_size=id_size)), dtype=str)
+    return _columns_dataset(x, snr, legit, source)
+
+
+def assert_same_dataset(got, want):
+    """Bit for bit, dtypes and manifests included."""
+    for column in ("x", "snr", "legit", "source"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for field in ("seed", "kind", "snr_grid", "counts", "offsets"):
+        assert getattr(got.manifest, field) == getattr(want.manifest, field)
+    assert got.manifest.h_true.tobytes() == want.manifest.h_true.tobytes()
+
+
+@given(data=st.data(), n=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_read_dataset_matches_per_line_reader(data, n):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
-        write_dataset(path, _columns_dataset(x, snr, legit, source))
-        back = read_dataset(path)
+        write_dataset(path, _drawn_dataset(data, n))
+        back = read_cold(path)
         want = read_dataset_by_lines(path, 35)
     for column_name, ref in zip(("x", "snr", "legit", "source"), want):
         got = getattr(back, column_name)
@@ -481,8 +514,8 @@ def test_read_dataset_with_a_memo_equals_reading_alone(data, n):
         for path, cols in zip(paths, (first, second)):
             write_dataset(path, _columns_dataset(*cols))
         memo = {}
-        shared = [read_dataset(path, memo) for path in paths]
-        alone = [read_dataset(path) for path in paths]
+        shared = [read_cold(path, memo) for path in paths]
+        alone = [read_cold(path) for path in paths]
         legit_lines = {line for path in paths for line in path.read_text().splitlines()[1:]
                        if line.split(",")[1] == "legitimate"}
     assert set(memo) <= {35} and set(memo.get(35, {})) == legit_lines
@@ -499,11 +532,199 @@ def test_read_dataset_edge_shapes_and_long_ids(tmp_path, n):
     ds = _columns_dataset(gen.standard_normal((n, 32)), np.full(n, 4.0), np.zeros(n, bool), source)
     path = tmp_path / "d.csv"
     write_dataset(path, ds)
-    back = read_dataset(path)
+    back = read_cold(path)
     assert back.x.shape == (n, 32) and back.x.flags.c_contiguous
     for column in ("x", "snr", "legit", "source"):
         np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
     assert all(len(s) == 40 for s in back.source)
+
+
+# The dataset memo: a file this process wrote or read is not parsed again.
+
+@given(data=st.data(), n=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_a_remembered_read_equals_a_parse_bit_for_bit(data, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset(path, _drawn_dataset(data, n, id_size=120))
+        with loadtxt_spy() as spy:
+            written = read_dataset(path)  # remembered by the write
+        assert spy.call_count == 0
+        cold = read_cold(path)
+        with loadtxt_spy() as spy:
+            read = read_dataset(path)  # remembered by the parse
+        assert spy.call_count == 0
+    assert_same_dataset(written, cold)
+    assert_same_dataset(read, cold)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_remembered_read_of_an_edge_shape_equals_a_parse(tmp_path, n):
+    x = np.array([[0.0, -0.0, 5e-324, -5e-324] * 8] * n).reshape(n, 32)
+    source = np.array(["s" * 200] * n, dtype=str)
+    path = tmp_path / "d.csv"
+    write_dataset(path, _columns_dataset(x, np.full(n, -0.0), np.ones(n, bool), source))
+    with loadtxt_spy() as spy:
+        written = read_dataset(path)
+    assert spy.call_count == 0
+    assert_same_dataset(written, read_cold(path))
+
+
+def _remembered_master(path):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    write_dataset(path, small)
+    read_dataset(path)
+    return small
+
+
+def _raised(read, path) -> str:
+    with pytest.raises(DatasetFormatError) as error:
+        read(path)
+    return str(error.value)
+
+
+@pytest.mark.parametrize("edit", ["feature", "label"])
+def test_a_same_size_edit_with_its_mtime_put_back_is_parsed(tmp_path, edit):
+    path = tmp_path / "m.csv"
+    _remembered_master(path)
+    before = path.stat()
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    if edit == "feature":
+        cells[5] = cells[5][:-1] + "x"
+    else:
+        cells[1] = cells[1][:-1] + "X"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert path.stat().st_mtime_ns == before.st_mtime_ns
+    with loadtxt_spy() as spy:
+        error = _raised(read_dataset, path)
+    assert spy.call_count > 0
+    assert error.startswith(f"{path}:3: ")
+    assert error == _raised(read_cold, path)
+
+
+def test_an_edit_of_the_manifest_alone_is_parsed(tmp_path):
+    # a remembered read would return the 32 features of the 4x4 file it wrote
+    path = tmp_path / "m.csv"
+    _remembered_master(path)
+    manifest = tmp_path / "m.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["n_rx"], doc["h_true"] = 2, doc["h_true"][:16]
+    manifest.write_text(json.dumps(doc))
+    error = _raised(read_dataset, path)
+    assert error == f"{path}: header does not match the 2x4 dataset schema"
+    assert error == _raised(read_cold, path)
+
+
+def test_counts_that_disagree_with_the_manifest_are_refused_on_a_remembered_read(tmp_path):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    small.manifest.counts[(0.0, "legitimate")] = 4
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    with loadtxt_spy() as spy:
+        error = _raised(read_dataset, path)
+    assert spy.call_count == 0
+    assert error.startswith(f"{path}: sample counts disagree with manifest")
+    assert error == _raised(read_cold, path)
+
+
+@pytest.mark.parametrize(
+    "char", [",", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_a_source_id_that_breaks_a_cell_is_refused_after_its_write(tmp_path, char):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    small.source = np.array([f"a{char}b"] * len(small))
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    error = _raised(read_dataset, path)
+    assert error == f"{path}:2: expected 35 cells"
+    assert error == _raised(read_cold, path)
+
+
+def test_a_source_id_holding_a_nul_reads_back_after_its_write(tmp_path):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    small.source = np.array(["a\0b"] * len(small))
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    with loadtxt_spy() as spy:
+        written = read_dataset(path)
+    assert spy.call_count == 0
+    assert_same_dataset(written, read_cold(path))
+
+
+def test_changing_a_written_or_returned_dataset_leaves_the_next_read_alone(tmp_path):
+    small = build_master(RngStream(3), snr_grid=(0.0, 2.0), samples_per_snr=3)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    small.x[0, 0] += 1.0
+    small.snr[:] = 2.0
+    small.legit[1] = False
+    small.source[:] = "zz"
+    with loadtxt_spy() as spy:
+        first = read_dataset(path)
+        first.x[:] = 0.0
+        first.snr[:] = 0.0
+        first.legit[:] = False
+        first.source[:] = "zz"
+        second = read_dataset(path)
+    assert spy.call_count == 0
+    assert_same_dataset(second, read_cold(path))
+
+
+def test_remembering_a_file_of_another_directory_forgets_the_rest(tmp_path):
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for path in (a / "m.csv", a / "n.csv", b / "m.csv"):
+        write_dataset(path, small)
+    with loadtxt_spy() as spy:
+        read_dataset(b / "m.csv")
+        assert spy.call_count == 0
+        read_dataset(a / "m.csv")
+        read_dataset(a / "n.csv")
+    assert spy.call_count == 2
+    assert set(datasets._REMEMBERED) == {(a / "m.csv").resolve(), (a / "n.csv").resolve()}
+
+
+def test_threads_writing_and_reading_in_two_directories_read_what_they_wrote(tmp_path):
+    # one-row files, so that most of a thread's time goes to the memo
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=1)
+    paths = [tmp_path / d / f"m{i}.csv" for d in ("a", "b") for i in range(8)]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+    want = small.x.tobytes()
+
+    def work(path):
+        for _ in range(100):
+            write_dataset(path, small)
+            assert read_dataset(path).x.tobytes() == want
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(paths)) as pool:
+            futures = [pool.submit(work, path) for path in paths]
+            done, pending = wait(futures, timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending
+    for future in done:
+        future.result()
+
+
+def test_a_file_that_is_not_utf8_is_a_format_error_naming_its_line(tmp_path):
+    # the UnicodeDecodeError named no file
+    path = tmp_path / "m.csv"
+    _remembered_master(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",legit,", b",leg\xffit,")
+    path.write_bytes(b"\n".join(lines))
+    message = f"{path}:3: not UTF-8 text (invalid start byte: byte 0xff)"
+    assert _raised(read_dataset, path) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -371,15 +371,3 @@ def test_report_rejects_a_method_that_is_not_a_string(tmp_path, capsys, method):
     assert err == f"error: {path}: {expected}\n"
     assert (reports / "accuracy.csv").read_bytes() == before
 
-
-def test_spearman_soft_check_helper():
-    from csiauth.evaluate import spearman_vs_snr
-
-    rising = AccuracyCurve("m", [(s, 0.5 + s / 100) for s in range(0, 31, 2)])
-    assert spearman_vs_snr(rising) == pytest.approx(1.0)
-    falling = AccuracyCurve("m", [(s, 1.0 - s / 100) for s in range(0, 31, 2)])
-    assert spearman_vs_snr(falling) == pytest.approx(-1.0)
-    flat = AccuracyCurve("m", [(s, 1.0) for s in range(0, 31, 2)])
-    assert spearman_vs_snr(flat) == 1.0
-    noisy = AccuracyCurve("m", [(0.0, 0.6), (2.0, 0.8), (4.0, 0.7), (6.0, 0.9)])
-    assert -1.0 <= spearman_vs_snr(noisy) <= 1.0
