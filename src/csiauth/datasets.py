@@ -8,8 +8,8 @@ offset. A Dataset stores its samples as row-aligned columns (flattened
 CSI features, SNR, ground truth, transmitter id), so selecting an SNR is a
 boolean mask over `snr`. Files are CSV with a JSON manifest sidecar; input
 is validated once, when a file is read. A file whose bytes this process
-wrote or read, and whose manifest is unchanged, is not parsed again: its
-columns come from a memo checked against the sha256 of those bytes.
+wrote, and whose manifest is unchanged, is not parsed: its columns come
+from a memo checked against the sha256 of those bytes.
 """
 
 from __future__ import annotations
@@ -271,16 +271,6 @@ _REMEMBERED_LOCK = threading.Lock()
 _CELL_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _remember(path: Path, digest: bytes, manifest: str, columns: tuple) -> None:
-    """Keep copies of `columns` under the resolved `path`; the files of
-    other directories are forgotten."""
-    entry = (digest, manifest, tuple(column.copy() for column in columns))
-    with _REMEMBERED_LOCK:
-        if any(p.parent != path.parent for p in _REMEMBERED):
-            _REMEMBERED.clear()
-        _REMEMBERED[path] = entry
-
-
 def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
 
@@ -363,10 +353,13 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
         and x.shape == (len(snr), len(header) - 3) and len(snr) == len(legit) == len(dataset.source)
         and not any(map(_CELL_BREAKS.search, sources))
     ):
-        # the source column as a read builds it: as wide as its longest id
+        # copies, the source column as a read builds it: as wide as its longest id
         width = max([1, *map(len, sources)])
-        _remember(resolved, digest.digest(), manifest,
-                  (x, snr, legit, dataset.source.astype(f"U{width}", copy=False)))
+        columns = (x.copy(), snr.copy(), legit.copy(), dataset.source.astype(f"U{width}"))
+        with _REMEMBERED_LOCK:
+            if any(p.parent != resolved.parent for p in _REMEMBERED):
+                _REMEMBERED.clear()  # one directory's files at a time
+            _REMEMBERED[resolved] = (digest.digest(), manifest, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +500,10 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     grammar: Python's `float()` without underscores or non-ASCII digits.
 
     A file whose bytes (by sha256) and manifest text are those this process
-    last wrote or read at the same path is not parsed: its columns are fresh
-    copies from the dataset memo. The manifest is still parsed and the counts
-    still checked, so such a read refuses what a parse would.
+    last wrote at the same path is not parsed: its columns are fresh copies
+    from the dataset memo. The manifest is still parsed and the counts still
+    checked, so such a read refuses what a parse would. A file the memo
+    does not hold is parsed without being hashed, and is not remembered.
 
     `memo` maps a body line's text to its parsed record, under the file's
     cell count. Calls that share one dict parse a legitimate line they have
@@ -531,12 +525,11 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
     n_cells = len(_csv_header(*manifest.h_true.shape))
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).digest()
-    resolved = path.resolve()
     known_lines = None if memo is None else memo.setdefault(n_cells, {})
-    seen = _REMEMBERED.get(resolved)
-    if seen is not None and seen[:2] == (digest, manifest_text):
+    # only a file this process wrote is hashed; any other is parsed at once
+    seen = _REMEMBERED.get(path.resolve())
+    data = path.read_bytes()
+    if seen is not None and seen[1] == manifest_text and seen[0] == hashlib.sha256(data).digest():
         ds = Dataset(manifest, *(column.copy() for column in seen[2]))
         verify_counts(ds, path)
         body = [] if memo is None else data.decode().splitlines()[1:]
@@ -544,7 +537,6 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
         text = _decode(path, data)
         del data  # the parse holds the file's text; its bytes too would double that
         ds, body = _parse(path, text, manifest, {} if memo is None else known_lines)
-        _remember(resolved, digest, manifest_text, (ds.x, ds.snr, ds.legit, ds.source))
     if known_lines is not None:
         for i in np.flatnonzero(ds.legit).tolist():
             known_lines[body[i]] = (ds.snr[i], LEGITIMATE, ds.x[i])
