@@ -275,8 +275,9 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
 
     Each feature cell is the text of format(v, ".17g"), made by
-    `_feature_text`. A non-finite feature raises ValueError naming the file
-    and the row, and nothing is written.
+    `_feature_text`. A non-finite feature, or a source id that UTF-8 cannot
+    encode, raises ValueError naming the file and the row, and nothing is
+    written.
 
     `memo` maps the raw bytes of a feature row to the row's text. Calls that
     share one dict format a legitimate row they have in common once; keying
@@ -304,6 +305,12 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0]} has a non-finite feature; not written")
+    ids = np.ascontiguousarray(dataset.source, dtype=str)
+    # each id's code points; UTF-8 cannot encode a lone surrogate, U+D800 to U+DFFF
+    points = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
+    bad = np.flatnonzero(((points >= 0xD800) & (points <= 0xDFFF)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has a source id that UTF-8 cannot encode; not written")
     snr = np.ascontiguousarray(dataset.snr, dtype=float)
     legit = np.asarray(dataset.legit, dtype=bool)
     header = _csv_header(*mf.h_true.shape)
@@ -510,10 +517,11 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     in common once: the attack sets repeat the test split's lines. A line
     found there skips `np.loadtxt`; every check of the whole file still
     runs, so the result, or the error naming `path:line`, is that of a read
-    without the memo. Only the legitimate lines of a file that passed every
-    check are added, as each attacker line appears in one file. A record in
-    the memo is a view of the returned dataset's row, which must not change
-    while the memo is in use.
+    without the memo. Only a parsed read adds lines, and only the legitimate
+    lines of a file that passed every check, as each attacker line appears
+    in one file; a remembered read leaves the memo as it was, so a parse
+    after it parses every line. A record in the memo is a view of the
+    returned dataset's row, which must not change while the memo is in use.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -524,20 +532,19 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
         manifest = _manifest_from_json(manifest_text)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed manifest {mpath}: {exc}") from exc
-    n_cells = len(_csv_header(*manifest.h_true.shape))
-    known_lines = None if memo is None else memo.setdefault(n_cells, {})
     # only a file this process wrote is hashed; any other is parsed at once
     seen = _REMEMBERED.get(path.resolve())
     data = path.read_bytes()
     if seen is not None and seen[1] == manifest_text and seen[0] == hashlib.sha256(data).digest():
         ds = Dataset(manifest, *(column.copy() for column in seen[2]))
         verify_counts(ds, path)
-        body = [] if memo is None else data.decode().splitlines()[1:]
-    else:
-        text = _decode(path, data)
-        del data  # the parse holds the file's text; its bytes too would double that
-        ds, body = _parse(path, text, manifest, {} if memo is None else known_lines)
-    if known_lines is not None:
+        return ds
+    text = _decode(path, data)
+    del data  # the parse holds the file's text; its bytes too would double that
+    n_cells = len(_csv_header(*manifest.h_true.shape))
+    known_lines = {} if memo is None else memo.setdefault(n_cells, {})
+    ds, body = _parse(path, text, manifest, known_lines)
+    if memo is not None:
         for i in np.flatnonzero(ds.legit).tolist():
             known_lines[body[i]] = (ds.snr[i], LEGITIMATE, ds.x[i])
     return ds

@@ -1,11 +1,12 @@
 """Confusion matrices and accuracy-vs-SNR curves over the test datasets.
 
 Every authenticator is an `Authenticator`: a score of each feature row, as
-stored in `Dataset.x`, higher meaning more legitimate, and a cut. Only
-`evaluate` compares them: a row is accepted iff its score >= cut. Rows of the
-confusion matrix are ground truth (Real = legitimate), columns the prediction.
-`evaluate_sets` evaluates test sets that share rows, scoring each shared row
-once.
+stored in `Dataset.x`, higher meaning more legitimate, and a cut. `evaluate`
+and `evaluate_sets` build one score vector per (set, method, SNR), and one
+helper, `_tally`, compares each with its cut: a row is accepted iff its
+score >= cut. Rows of the confusion matrix are ground truth (Real =
+legitimate), columns the prediction. `evaluate_sets` scores each row that
+test sets share once.
 """
 
 from __future__ import annotations
@@ -84,20 +85,8 @@ def hypothesis_authenticator(h_ref: np.ndarray, thr: Threshold) -> Authenticator
 def evaluate(auth: Authenticator, dataset: Dataset, snr_db: float, method: str = "") -> ConfusionMatrix:
     """The confusion matrix of auth on the dataset's rows at snr_db, scored
     as one batch in file order; a row is accepted iff its score >= cut."""
-    at_snr = dataset.snr == snr_db
-    if not at_snr.any():
-        raise ValueError(f"dataset has no samples at SNR {snr_db} dB")
-    legit = dataset.legit[at_snr]
-    accepts = np.asarray(auth.score(dataset.x[at_snr])) >= auth.cut
-    if accepts.shape != legit.shape:
-        raise ValueError(f"score returned shape {accepts.shape}, expected {legit.shape}")
-    return ConfusionMatrix(
-        method=method, snr_db=snr_db,
-        real_real=int(np.sum(accepts & legit)),
-        real_fake=int(np.sum(~accepts & legit)),
-        fake_real=int(np.sum(accepts & ~legit)),
-        fake_fake=int(np.sum(~accepts & ~legit)),
-    )
+    rows, legit = _at_snr(dataset, snr_db)
+    return _tally(method, snr_db, _scores(auth, rows), auth.cut, legit)
 
 
 def evaluate_sets(
@@ -106,24 +95,40 @@ def evaluate_sets(
     """Each set's matrices evaluate(table[method][snr], ds, snr, method), for
     method in sorted(table) and snr in grid, in that order.
 
-    The attack sets repeat the same legitimate rows, so a row of a later set
-    that equals a row of the first set at the same SNR takes that row's score
-    rather than being scored again: each authenticator scores the first
-    set's slice whole, as evaluate does, and then only the other rows of each
-    later set's slice, as one batch.
+    The attack sets repeat the same legitimate rows. Each SNR's rows are
+    sliced once, and each later set's rows are matched by their bytes to
+    the first set's. Then each authenticator scores the first set's slice
+    whole, as evaluate does, and only the unmatched rows of each later
+    set's slice, as one batch; a matched row takes its match's score.
     """
     (first_name, first), *later = sets.items()
     found = {name: {} for name in sets}
     for snr in grid:
-        base = first.x[first.snr == snr]
-        sources = [(name, ds, _shared_rows(ds.x[ds.snr == snr], base)) for name, ds in later]
+        rows, legit = _at_snr(first, snr)
+        slices = []
+        for name, ds in later:
+            later_rows, later_legit = _at_snr(ds, snr)
+            source = _shared_rows(later_rows, rows)
+            slices.append((name, later_legit, source, later_rows[source < 0]))
         for method in sorted(table):
-            auth, kept = table[method][snr], []
-            found[first_name][method, snr] = evaluate(_recorded(auth, kept), first, snr, method)
-            for name, ds, source in sources:
-                found[name][method, snr] = evaluate(_reusing(auth, source, kept[0]), ds, snr, method)
+            auth = table[method][snr]
+            known = _scores(auth, rows)
+            found[first_name][method, snr] = _tally(method, snr, known, auth.cut, legit)
+            for name, later_legit, source, unshared in slices:
+                scores = known[source]
+                if len(unshared):
+                    scores[source < 0] = _scores(auth, unshared)
+                found[name][method, snr] = _tally(method, snr, scores, auth.cut, later_legit)
     return {name: [found[name][method, snr] for method in sorted(table) for snr in grid]
             for name in sets}
+
+
+def _at_snr(dataset: Dataset, snr_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's feature rows and labels at snr_db, in file order."""
+    at_snr = dataset.snr == snr_db
+    if not at_snr.any():
+        raise ValueError(f"dataset has no samples at SNR {snr_db} dB")
+    return dataset.x[at_snr], dataset.legit[at_snr]
 
 
 def _shared_rows(rows: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -137,27 +142,20 @@ def _shared_rows(rows: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return np.array([index.get(key, -1) for key in keys(rows)], dtype=np.intp)
 
 
-def _recorded(auth: Authenticator, kept: list) -> Authenticator:
-    """auth, appending the scores of each batch it scores to kept."""
-    def score(rows):
-        kept.append(np.asarray(auth.score(rows)))
-        return kept[-1]
+def _scores(auth: Authenticator, rows: np.ndarray) -> np.ndarray:
+    """auth's scores of rows, one per row; any other shape raises ValueError."""
+    scores = np.asarray(auth.score(rows))
+    if scores.shape != (len(rows),):
+        raise ValueError(f"score returned shape {scores.shape}, expected {(len(rows),)}")
+    return scores
 
-    return Authenticator(score, auth.cut)
 
-
-def _reusing(auth: Authenticator, source: np.ndarray, known: np.ndarray) -> Authenticator:
-    """auth over the rows that source maps: row i takes known[source[i]]
-    when source[i] >= 0, and the others are scored as one batch."""
-    def score(rows):
-        fresh = source < 0
-        scores = np.empty(len(rows), known.dtype)
-        scores[~fresh] = known[source[~fresh]]
-        if fresh.any():
-            scores[fresh] = auth.score(rows[fresh])
-        return scores
-
-    return Authenticator(score, auth.cut)
+def _tally(method: str, snr_db: float, scores: np.ndarray, cut: float, legit: np.ndarray) -> ConfusionMatrix:
+    """The confusion matrix of one score per row against the rows' labels:
+    a row is accepted iff its score >= cut."""
+    # bin 2 * fake + rejected: real_real, real_fake, fake_real, fake_fake
+    counts = np.bincount(2 * np.logical_not(legit) + np.logical_not(scores >= cut), minlength=4)
+    return ConfusionMatrix(method, snr_db, *map(int, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -674,13 +674,19 @@ PIPELINE = (
 
 
 def test_pipeline_in_one_process_parses_no_dataset(tmp_path, fast_config, monkeypatch):
-    # gen's files are remembered, so train, the fits and eval read them unparsed
-    calls = []
+    # gen's files are remembered, so train, the fits and eval read them
+    # unparsed, and eval's two reads add no line to its line memo
+    calls, memos = [], []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    read = cli.datasets.read_dataset
+    monkeypatch.setattr(cli.datasets, "read_dataset",
+                        lambda path, memo=None: memos.append(memo) or read(path, memo))
     for stage in PIPELINE:
         assert run_cli(*stage, "--config", fast_config, "--out", tmp_path / "run") == 0
     assert calls == []
+    eval_memos = [memo for memo in memos if memo is not None]
+    assert len(eval_memos) == 2 and eval_memos[0] is eval_memos[1] and eval_memos[0] == {}
 
 
 def test_pipeline_writes_the_same_bytes_in_one_process_and_in_one_per_stage(tmp_path, fast_config):

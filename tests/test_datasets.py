@@ -525,6 +525,22 @@ def test_read_dataset_with_a_memo_equals_reading_alone(data, n):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_a_remembered_read_adds_no_line_and_a_parse_after_it_equals_reading_alone(tmp_path):
+    _, test = split_train_test(build_master(RngStream(3), snr_grid=(0.0, 2.0), samples_per_snr=10))
+    paths = [tmp_path / "accidental.csv", tmp_path / "nefarious.csv"]
+    write_dataset(paths[0], build_accidental(test, RngStream(4)))
+    write_dataset(paths[1], build_nefarious(test, default_nefarious_offsets(), RngStream(4)))
+    datasets._REMEMBERED.pop(paths[1].resolve())  # as if another process wrote it
+    memo = {}
+    with loadtxt_spy() as spy:
+        remembered = read_dataset(paths[0], memo)
+        assert spy.call_count == 0 and memo == {}
+        parsed = read_dataset(paths[1], memo)
+    assert spy.call_count == 1 and len(memo[35]) == 2 * 3
+    for got, path in zip((remembered, parsed), paths):
+        assert_same_dataset(got, read_cold(path))
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_read_dataset_edge_shapes_and_long_ids(tmp_path, n):
     gen = RngStream(5).generator()
@@ -747,6 +763,19 @@ def test_write_dataset_rejects_non_finite_feature_and_writes_nothing(tmp_path, b
     small.x[4, 0] = bad
     path = tmp_path / "m.csv"
     with pytest.raises(ValueError, match=re.escape(f"{path}: row 3 has a non-finite feature")):
+        write_dataset(path, small)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_dataset_rejects_a_source_id_utf8_cannot_encode_and_writes_nothing(tmp_path):
+    # the last line's id stopped the write with a bare UnicodeEncodeError,
+    # leaving the lines before it and no manifest
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=300)
+    small.source = small.source.astype(object)
+    small.source[-1] = "\ud800"
+    path = tmp_path / "m.csv"
+    message = f"{path}: row 299 has a source id that UTF-8 cannot encode; not written"
+    with pytest.raises(ValueError, match=re.escape(message)):
         write_dataset(path, small)
     assert list(tmp_path.iterdir()) == []
 

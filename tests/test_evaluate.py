@@ -189,21 +189,16 @@ POOL_TABLE = {
 
 
 def _with_scores(run, sets):
-    """run(POOL_TABLE, sets, POOL_GRID), and the bytes of the scores that
-    evaluate compared with the cut, by (set, method, SNR)."""
+    """run(POOL_TABLE, sets, POOL_GRID), and the bytes of the score vectors
+    compared with the cut, by (method, SNR), one per set in set order."""
     seen = {}
-    names = {id(ds): name for name, ds in sets.items()}
-    original = evaluate_module.evaluate
+    original = evaluate_module._tally
 
-    def spy(auth, ds, snr, method=""):
-        def score(rows):
-            scores = np.asarray(auth.score(rows))
-            seen[names[id(ds)], method, snr] = scores.tobytes()
-            return scores
+    def spy(method, snr, scores, cut, legit):
+        seen.setdefault((method, snr), []).append(scores.tobytes())
+        return original(method, snr, scores, cut, legit)
 
-        return original(Authenticator(score, auth.cut), ds, snr, method)
-
-    with mock.patch.object(evaluate_module, "evaluate", spy):
+    with mock.patch.object(evaluate_module, "_tally", spy):
         return run(POOL_TABLE, sets, POOL_GRID), seen
 
 
@@ -223,7 +218,19 @@ def test_evaluate_sets_matches_scoring_each_set_whole(first, later):
     got, got_scores = _with_scores(evaluate_sets, sets)
     want, want_scores = _with_scores(evaluate_each_set, sets)
     assert got == want
+    assert len(want_scores) == 4 and all(len(vectors) == 2 for vectors in want_scores.values())
     assert got_scores == want_scores
+
+
+@pytest.mark.parametrize("scalar_for", ["first", "later"])
+def test_every_scored_batch_must_return_one_score_per_row(scalar_for):
+    # at 0 dB the first set's slice has 3 rows and the later set's unshared
+    # batch 2; at 10 dB the later set shares its one row
+    sets = {"first": _pool_set([[0, 1, 2], [3]]), "later": _pool_set([[2, 4, 5], [3]])}
+    size = 3 if scalar_for == "first" else 2
+    auth = Authenticator(lambda rows: 1.0 if len(rows) == size else rows.sum(axis=1), 0.0)
+    with pytest.raises(ValueError, match=rf"score returned shape \(\), expected \({size},\)"):
+        evaluate_sets({"m": dict.fromkeys(POOL_GRID, auth)}, sets, POOL_GRID)
 
 
 def test_later_set_scores_only_its_unshared_rows():
