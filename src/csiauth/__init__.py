@@ -13,7 +13,7 @@ from .channel import (
     sample_csi,
     unflatten_csi,
 )
-from .threshold import Threshold, accept_rows, false_accept_rate_sim, lambda_ave
+from .threshold import Threshold, accept_rows, false_accept_rate_sim
 from .analytic import (
     DiskRegion,
     GaussianSpec,

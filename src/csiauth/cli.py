@@ -1,10 +1,12 @@
 """End-to-end orchestration: gen -> train -> fit-detector -> eval -> report.
 
 Stages are composable and individually seeded; every command honors
---seed and reproduces byte-identical outputs. Every flag follows its
-subcommand, which holds its default; a JSON config file (--config) holds
-only what no flag sets: the GAN and detector settings and the analytic
-trial count. The default output directory comes from $CSIAUTH_OUT when set.
+--seed and reproduces byte-identical outputs given one BLAS thread
+(OPENBLAS_NUM_THREADS=1 and the like), as LOF's and OC-SVM's BLAS products
+round by thread count. Every flag follows its subcommand, which holds its
+default; a JSON config file (--config) holds only what no flag sets: the
+GAN and detector settings and the analytic trial count. The default output
+directory comes from $CSIAUTH_OUT when set.
 """
 
 from __future__ import annotations
@@ -304,11 +306,9 @@ def _require(path: Path, hint: str) -> Path:
 
 def cmd_eval(cfg: RunConfig) -> int:
     test_sets = {}
-    memo = {}  # both sets repeat the test split's lines; each is parsed once
     for name in ("test_accidental", "test_nefarious"):
         path = _require(cfg.data_dir / f"{name}.csv", "csiauth gen")
-        test_sets[name.removeprefix("test_")] = datasets.read_dataset(path, memo)
-    del memo
+        test_sets[name.removeprefix("test_")] = datasets.read_dataset(path)
     grid = test_sets["accidental"].manifest.snr_grid
     if test_sets["nefarious"].manifest.snr_grid != grid:
         raise ValueError("test_accidental and test_nefarious have different SNR grids")

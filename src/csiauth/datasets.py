@@ -19,7 +19,6 @@ import json
 import math
 import re
 import threading
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -500,7 +499,7 @@ def _layout(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarr
     return text
 
 
-def read_dataset(path, memo: dict | None = None) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Parse and validate a dataset file; every feature must be finite.
 
     The body is parsed by one `np.loadtxt` pass, so a number must follow its
@@ -511,17 +510,6 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
     from the dataset memo. The manifest is still parsed and the counts still
     checked, so such a read refuses what a parse would. A file the memo
     does not hold is parsed without being hashed, and is not remembered.
-
-    `memo` maps a body line's text to its parsed record, under the file's
-    cell count. Calls that share one dict parse a legitimate line they have
-    in common once: the attack sets repeat the test split's lines. A line
-    found there skips `np.loadtxt`; every check of the whole file still
-    runs, so the result, or the error naming `path:line`, is that of a read
-    without the memo. Only a parsed read adds lines, and only the legitimate
-    lines of a file that passed every check, as each attacker line appears
-    in one file; a remembered read leaves the memo as it was, so a parse
-    after it parses every line. A record in the memo is a view of the
-    returned dataset's row, which must not change while the memo is in use.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -541,13 +529,7 @@ def read_dataset(path, memo: dict | None = None) -> Dataset:
         return ds
     text = _decode(path, data)
     del data  # the parse holds the file's text; its bytes too would double that
-    n_cells = len(_csv_header(*manifest.h_true.shape))
-    known_lines = {} if memo is None else memo.setdefault(n_cells, {})
-    ds, body = _parse(path, text, manifest, known_lines)
-    if memo is not None:
-        for i in np.flatnonzero(ds.legit).tolist():
-            known_lines[body[i]] = (ds.snr[i], LEGITIMATE, ds.x[i])
-    return ds
+    return _parse(path, text, manifest)
 
 
 def _decode(path: Path, data: bytes) -> str:
@@ -561,9 +543,8 @@ def _decode(path: Path, data: bytes) -> str:
         ) from None
 
 
-def _parse(path: Path, text: str, manifest: DatasetManifest, known: dict) -> tuple[Dataset, list[str]]:
-    """The checked dataset of a file's text, and its body lines; a line in
-    `known` takes its record from there."""
+def _parse(path: Path, text: str, manifest: DatasetManifest) -> Dataset:
+    """The checked dataset of a file's text."""
     n_rx, m_tx = manifest.h_true.shape
     expected_header = _csv_header(n_rx, m_tx)
     n_cells = len(expected_header)
@@ -579,7 +560,7 @@ def _parse(path: Path, text: str, manifest: DatasetManifest, known: dict) -> tup
         comments=None, ndmin=1,
     )
     try:
-        rec = _parse_body(body, parse, dtype, known)
+        rec = parse(body) if body else np.empty(0, dtype)
     except ValueError as exc:
         raise _first_bad_line(path, body, n_cells, parse) or DatasetFormatError(
             f"{path}: {exc}"
@@ -604,28 +585,7 @@ def _parse(path: Path, text: str, manifest: DatasetManifest, known: dict) -> tup
         np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
     verify_counts(ds, path)
-    return ds, body
-
-
-def _parse_body(body, parse, dtype, known) -> np.ndarray:
-    """The records of the body's lines, a line in `known` taking its record
-    from there. A parse that skips a line returns fewer records than lines."""
-    found = [known.get(line) for line in body]
-    todo = [i for i, record in enumerate(found) if record is None]
-    if len(todo) == len(body):
-        return parse(body) if body else np.empty(0, dtype)
-    rec = np.empty(len(body), dtype)
-    if todo:
-        with warnings.catch_warnings():
-            # all of them may be lines loadtxt skips, which the caller names
-            warnings.simplefilter("ignore", UserWarning)
-            parsed = parse([body[i] for i in todo])
-        if len(parsed) != len(todo):
-            return parsed
-        rec[todo] = parsed
-    done = [i for i, record in enumerate(found) if record is not None]
-    rec[done] = [found[i] for i in done]
-    return rec
+    return ds
 
 
 def _first_bad_line(path, body, n_cells, parse) -> DatasetFormatError | None:

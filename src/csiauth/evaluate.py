@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 from typing import Callable
@@ -163,7 +164,9 @@ def _tally(method: str, snr_db: float, scores: np.ndarray, cut: float, legit: np
 
 def emit_report(matrices: list[ConfusionMatrix], out_dir) -> list[Path]:
     """Write accuracy.csv, per-(method, SNR) confusion JSON, and accuracy.svg;
-    the curves are those of curves_from_confusions(matrices)."""
+    the curves are those of curves_from_confusions(matrices). A confusion
+    file in out_dir that this call did not write is removed, so the
+    directory holds these matrices' files only."""
     if not matrices:
         raise ValueError("nothing to report")
     curves = curves_from_confusions(matrices)
@@ -181,10 +184,12 @@ def emit_report(matrices: list[ConfusionMatrix], out_dir) -> list[Path]:
     written.append(acc_path)
 
     for m in sorted(matrices, key=lambda m: (m.method, m.snr_db)):
-        path = out / f"confusion_{m.method}_{snr_tag(m.snr_db)}.json"
+        path = out / _file_name(m)
         doc = {**asdict(m), "accuracy": m.accuracy}
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         written.append(path)
+    for path in set(out.glob("confusion_*.json")).difference(written):
+        path.unlink()
 
     svg_path = out / "accuracy.svg"
     svg_path.write_text(render_accuracy_svg(curves))
@@ -194,14 +199,20 @@ def emit_report(matrices: list[ConfusionMatrix], out_dir) -> list[Path]:
 
 def load_confusions(report_dir) -> list[ConfusionMatrix]:
     """Read back the confusion JSON files emitted by emit_report; a malformed
-    one raises ValueError naming it."""
+    one, or one whose method and SNR are not those of its name, raises
+    ValueError naming it."""
     paths = sorted(Path(report_dir).glob("confusion_*.json"))
-    return [read_document(path, _confusion) for path in paths]
+    return [read_document(path, partial(_confusion, name=path.name)) for path in paths]
 
 
-def _confusion(doc: dict) -> ConfusionMatrix:
-    """The matrix of doc, whose method must be a string and whose counts
-    must be >= 0 and not all 0, so that its accuracy is a fraction."""
+def _file_name(m: ConfusionMatrix) -> str:
+    return f"confusion_{m.method}_{snr_tag(m.snr_db)}.json"
+
+
+def _confusion(doc: dict, name: str) -> ConfusionMatrix:
+    """The matrix of doc, read from the file `name`, whose method must be a
+    string and whose counts must be >= 0 and not all 0, so that its accuracy
+    is a fraction."""
     method, snr_db = doc["method"], scalar(doc, "snr_db", float)
     if not isinstance(method, str):
         raise ValueError(f'"method" must be a string, got {json.dumps(method)}')
@@ -209,7 +220,10 @@ def _confusion(doc: dict) -> ConfusionMatrix:
     counts = {key: scalar(doc, key, int) for key in keys}
     if min(counts.values()) < 0 or not any(counts.values()):
         raise ValueError(f"counts must be >= 0 and not all 0, got {counts}")
-    return ConfusionMatrix(method, snr_db, **counts)
+    m = ConfusionMatrix(method, snr_db, **counts)
+    if (own := _file_name(m)) != name:
+        raise ValueError(f"method {method!r} at {snr_tag(snr_db)} dB belongs in {own}")
+    return m
 
 
 def curves_from_confusions(matrices: list[ConfusionMatrix]) -> list[AccuracyCurve]:

@@ -43,19 +43,6 @@ class Threshold:
         return cls(multiplier, sigma2 / 2.0)
 
 
-def lambda_ave(cov: np.ndarray) -> float:
-    """Average eigenvalue of a 2x2 real symmetric PSD matrix: trace/2."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 covariance, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] < -1e-12:
-        raise ValueError(f"covariance must be positive semi-definite, eigenvalues {eigs}")
-    return float(np.trace(cov)) / 2.0
-
-
 def max_sq_distance(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """The test's statistic (n,) of feature rows (n, 2 * n_rx * m_tx): each
     row's largest squared distance of an element to its element of `ref`."""

@@ -674,19 +674,29 @@ PIPELINE = (
 
 
 def test_pipeline_in_one_process_parses_no_dataset(tmp_path, fast_config, monkeypatch):
-    # gen's files are remembered, so train, the fits and eval read them
-    # unparsed, and eval's two reads add no line to its line memo
-    calls, memos = [], []
+    # gen's files are remembered, so train, the fits and eval read them unparsed
+    calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
-    read = cli.datasets.read_dataset
-    monkeypatch.setattr(cli.datasets, "read_dataset",
-                        lambda path, memo=None: memos.append(memo) or read(path, memo))
     for stage in PIPELINE:
         assert run_cli(*stage, "--config", fast_config, "--out", tmp_path / "run") == 0
     assert calls == []
-    eval_memos = [memo for memo in memos if memo is not None]
-    assert len(eval_memos) == 2 and eval_memos[0] is eval_memos[1] and eval_memos[0] == {}
+
+
+def test_eval_replaces_the_confusion_files_of_an_earlier_eval(tmp_path, fast_config):
+    # report read back the z3, z5 and z6 files that only the first eval wrote
+    out = tmp_path / "run"
+    for stage in PIPELINE:
+        assert run_cli(*stage, "--config", fast_config, "--out", out) == 0
+    assert run_cli("eval", "--z-mult", "1", "--config", fast_config, "--out", out) == 0
+    sets = [out / "reports" / ds for ds in ("accidental", "nefarious")]
+    evaluated = [(ds / "accuracy.csv").read_bytes() for ds in sets]
+    assert run_cli("report", "--config", fast_config, "--out", out) == 0
+    assert [(ds / "accuracy.csv").read_bytes() for ds in sets] == evaluated
+    methods = {line.split(",")[0] for line in evaluated[0].decode().splitlines()[1:]}
+    assert methods == {"gan", "lof", "iforest", "ocsvm", "hypothesis-z1"}
+    for ds in sets:
+        assert len(list(ds.glob("confusion_*.json"))) == 5 * 3
 
 
 def test_pipeline_writes_the_same_bytes_in_one_process_and_in_one_per_stage(tmp_path, fast_config):

@@ -35,11 +35,11 @@ from csiauth.datasets import (
 from csiauth.rng import RngStream
 
 
-def read_cold(path, memo=None):
+def read_cold(path):
     """read_dataset with the dataset memo emptied first, so that np.loadtxt
     parses the file as it would in a fresh process."""
     datasets._REMEMBERED.clear()
-    return read_dataset(path, memo)
+    return read_dataset(path)
 
 
 def loadtxt_spy():
@@ -413,20 +413,6 @@ def test_read_dataset_names_line_the_bulk_parse_would_misread(tmp_path, fault):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("fault", BULK_FAULTS)
-def test_read_dataset_with_a_memo_names_the_malformed_line(tmp_path, fault):
-    # The memo holds every other line of the file, so only the faulty line
-    # is parsed; the whole-file checks must still find it.
-    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=4)
-    write_dataset(tmp_path / "first.csv", small)
-    memo = {}
-    read_dataset(tmp_path / "first.csv", memo)
-    path = tmp_path / "m.csv"
-    _write_with_fault(path, fault)
-    with pytest.raises(DatasetFormatError, match=r"m\.csv:4:"):
-        read_dataset(path, memo)
-
-
 def _columns_dataset(x, snr, legit, source) -> Dataset:
     """A test-kind Dataset of the given columns, with a manifest that counts them."""
     counts = {}
@@ -489,56 +475,36 @@ def test_read_dataset_matches_per_line_reader(data, n):
         assert got.tobytes() == ref.tobytes()
 
 
-@given(data=st.data(), n=st.integers(0, 5))
-@settings(max_examples=40, deadline=None)
-def test_read_dataset_with_a_memo_equals_reading_alone(data, n):
-    # A second file of repeated and new lines, read after the first through
-    # one memo, reads bit for bit as it reads alone; the memo keeps only
-    # legitimate lines.
-    gen = RngStream(data.draw(st.integers(0, 2**32 - 1))).generator()
-
-    def columns(m):
-        x = gen.standard_normal((m, 32))
-        x[gen.random((m, 32)) < 0.1] = 0.0
-        x[gen.random((m, 32)) < 0.1] = -0.0
-        return (x, gen.choice([0.0, -0.0, 12.5], m), gen.random(m) < 0.5,
-                np.array([f"s{i}" for i in gen.integers(0, 3, m)], dtype=str))
-
-    first = columns(n)
-    picks = data.draw(st.lists(st.integers(-1, n - 1), max_size=8))
-    fresh = columns(len(picks))
-    second = [np.array([col[p] if p >= 0 else new[i] for i, p in enumerate(picks)], dtype=col.dtype)
-              .reshape(len(picks), *col.shape[1:]) for col, new in zip(first, fresh)]
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
-        for path, cols in zip(paths, (first, second)):
-            write_dataset(path, _columns_dataset(*cols))
-        memo = {}
-        shared = [read_cold(path, memo) for path in paths]
-        alone = [read_cold(path) for path in paths]
-        legit_lines = {line for path in paths for line in path.read_text().splitlines()[1:]
-                       if line.split(",")[1] == "legitimate"}
-    assert set(memo) <= {35} and set(memo.get(35, {})) == legit_lines
-    for got, want in zip(shared, alone):
-        for column in ("x", "snr", "legit", "source"):
-            a, b = getattr(got, column), getattr(want, column)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_a_remembered_read_adds_no_line_and_a_parse_after_it_equals_reading_alone(tmp_path):
+def test_a_remembered_read_skips_loadtxt_and_an_unremembered_one_runs_it_once(tmp_path):
     _, test = split_train_test(build_master(RngStream(3), snr_grid=(0.0, 2.0), samples_per_snr=10))
     paths = [tmp_path / "accidental.csv", tmp_path / "nefarious.csv"]
     write_dataset(paths[0], build_accidental(test, RngStream(4)))
     write_dataset(paths[1], build_nefarious(test, default_nefarious_offsets(), RngStream(4)))
     datasets._REMEMBERED.pop(paths[1].resolve())  # as if another process wrote it
-    memo = {}
     with loadtxt_spy() as spy:
-        remembered = read_dataset(paths[0], memo)
-        assert spy.call_count == 0 and memo == {}
-        parsed = read_dataset(paths[1], memo)
-    assert spy.call_count == 1 and len(memo[35]) == 2 * 3
+        remembered = read_dataset(paths[0])
+        assert spy.call_count == 0
+        parsed = read_dataset(paths[1])
+    assert spy.call_count == 1
     for got, path in zip((remembered, parsed), paths):
         assert_same_dataset(got, read_cold(path))
+
+
+def test_an_unremembered_file_is_parsed_whole_at_every_read(tmp_path):
+    # the attack sets repeat the test split's legitimate lines; no read takes
+    # a line from an earlier one, nor remembers the file it parsed
+    _, test = split_train_test(build_master(RngStream(3), snr_grid=(0.0, 2.0), samples_per_snr=10))
+    paths = [tmp_path / "accidental.csv", tmp_path / "nefarious.csv"]
+    write_dataset(paths[0], build_accidental(test, RngStream(4)))
+    write_dataset(paths[1], build_nefarious(test, default_nefarious_offsets(), RngStream(4)))
+    for path in paths:
+        datasets._REMEMBERED.pop(path.resolve())  # as if another process wrote it
+    with loadtxt_spy() as spy:
+        got = [read_dataset(path) for path in paths + paths]
+    assert [len(call.args[0]) for call in spy.call_args_list] == [len(ds.snr) for ds in got]
+    assert all(path.resolve() not in datasets._REMEMBERED for path in paths)
+    for ds, path in zip(got, paths + paths):
+        assert_same_dataset(ds, read_cold(path))
 
 
 @pytest.mark.parametrize("n", [0, 1])

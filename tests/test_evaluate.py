@@ -362,14 +362,13 @@ def test_report_of_bad_counts_is_one_error_line(tmp_path, capsys, case):
     assert (reports / "accuracy.csv").read_bytes() == before
 
 
-@pytest.mark.parametrize("method", [5, None, ["gan"]])
-def test_report_rejects_a_method_that_is_not_a_string(tmp_path, capsys, method):
-    # a "method" of 5 beside "gan" ended report in a TypeError from sorting
+def _report_rejects_lof_0(tmp_path, capsys, change, expected):
+    """confusion_lof_0.json beside gan's, with `change` made to it, fails
+    load_confusions and report with `expected`, and report writes nothing."""
     reports = tmp_path / "reports" / "accidental"
     emit_report([ConfusionMatrix(m, 0.0, 300, 0, 400, 0) for m in ("gan", "lof")], reports)
     path = reports / "confusion_lof_0.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "method": method}))
-    expected = f'"method" must be a string, got {json.dumps(method)}'
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
     with pytest.raises(ValueError, match=rf"lof_0\.json: {re.escape(expected)}"):
         load_confusions(reports)
     before = (reports / "accuracy.csv").read_bytes()
@@ -377,4 +376,50 @@ def test_report_rejects_a_method_that_is_not_a_string(tmp_path, capsys, method):
     err = capsys.readouterr().err
     assert err == f"error: {path}: {expected}\n"
     assert (reports / "accuracy.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("method", [5, None, ["gan"]])
+def test_report_rejects_a_method_that_is_not_a_string(tmp_path, capsys, method):
+    # a "method" of 5 beside "gan" ended report in a TypeError from sorting
+    expected = f'"method" must be a string, got {json.dumps(method)}'
+    _report_rejects_lof_0(tmp_path, capsys, {"method": method}, expected)
+
+
+@pytest.mark.parametrize("change,expected", [
+    # a copy of lof_30's file over lof_0's was reported as lof at 30 dB twice
+    ({"snr_db": 30.0}, "method 'lof' at 30 dB belongs in confusion_lof_30.json"),
+    ({"method": "gan"}, "method 'gan' at 0 dB belongs in confusion_gan_0.json"),
+    ({"snr_db": -5.0}, "method 'lof' at -5 dB belongs in confusion_lof_-5.json"),
+    ({"snr_db": 0.5}, "method 'lof' at 0.5 dB belongs in confusion_lof_0.5.json"),
+], ids=["copied-snr", "other-method", "negative-snr", "fractional-snr"])
+def test_report_rejects_a_file_whose_method_and_snr_do_not_give_its_name(tmp_path, capsys, change,
+                                                                          expected):
+    _report_rejects_lof_0(tmp_path, capsys, change, expected)
+
+
+def test_load_confusions_reads_back_the_names_of_negative_and_fractional_snrs(tmp_path):
+    # each file's name is its (method, SNR), also where the SNR's tag has a sign or a point
+    cms = [ConfusionMatrix(m, snr, 300, 0, 400, 0)
+           for m in ("gan", "hypothesis-z1.5") for snr in (-5.0, 0.0, 0.5, 12.5, 30.0)]
+    emit_report(cms, tmp_path)
+    assert sorted(load_confusions(tmp_path), key=lambda m: (m.method, m.snr_db)) == cms
+
+
+@pytest.mark.parametrize("kept", [{"methods": ("gan",), "snrs": (0.0, 10.0)},
+                                  {"methods": ("gan", "lof"), "snrs": (10.0,)}],
+                         ids=["fewer-methods", "fewer-snrs"])
+def test_emit_report_removes_the_confusion_files_it_did_not_write(tmp_path, kept):
+    # report read back the files of an earlier eval's methods and SNRs
+    def matrices(methods, snrs):
+        return [ConfusionMatrix(m, snr, 300, 0, 400, 0) for m in methods for snr in snrs]
+
+    emit_report(matrices(("gan", "lof"), (0.0, 10.0)), tmp_path)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    written = emit_report(matrices(kept["methods"], kept["snrs"]), tmp_path)
+    assert set(tmp_path.iterdir()) == set(written) | {tmp_path / "notes.txt"}
+    assert load_confusions(tmp_path) == matrices(kept["methods"], kept["snrs"])
+    # a report of what the directory holds removes nothing
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    emit_report(load_confusions(tmp_path), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csiauth.channel import flatten_csi, sample_csi
+from csiauth.channel import NoiseModel, flatten_csi, measurement_batch, sample_csi
 from csiauth.rng import RngStream
-from csiauth.threshold import Threshold, accept_rows, false_accept_rate_sim, lambda_ave
+from csiauth.threshold import Threshold, accept_rows, false_accept_rate_sim
 
 
 def element_passes(rows, ref, thr):
@@ -13,20 +13,16 @@ def element_passes(rows, ref, thr):
     return np.stack([accept_rows(rows[:, p], ref[p], thr) for p in pairs], axis=1)
 
 
-def test_lambda_ave_basics():
-    assert lambda_ave(np.diag([0.5, 0.5])) == pytest.approx(0.5)
-    assert lambda_ave(np.array([[2.0, 0.0], [0.0, 4.0]])) == pytest.approx(3.0)
-    # isotropic complex noise at 0 dB: each real component has variance 1/2
-    assert lambda_ave(np.diag([1.0 / 2, 1.0 / 2])) == pytest.approx(0.5)
-
-
-def test_lambda_ave_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lambda_ave(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        lambda_ave(np.array([[-1.0, 0.0], [0.0, -2.0]]))
-    with pytest.raises(ValueError):
-        lambda_ave(np.eye(3))
+@pytest.mark.parametrize("snr_db", [0.0, 10.0])
+def test_from_sigma2_lambda_ave_is_the_mean_eigenvalue_of_the_noise_covariance(snr_db):
+    # lambda_ave is the average eigenvalue of an element's (real, imag) noise
+    # covariance; for CN(0, sigma2) noise that is sigma2 / 2
+    noise = NoiseModel(snr_db)
+    h = sample_csi(4, 4, RngStream(1))
+    e = measurement_batch(h, noise, 5000, RngStream(2)) - h
+    cov = np.cov(np.stack([e.real.ravel(), e.imag.ravel()]))
+    lam = Threshold.from_sigma2(5.0, noise.sigma2).lambda_ave
+    assert np.linalg.eigvalsh(cov).mean() == pytest.approx(lam, rel=0.02)
 
 
 def test_threshold_derivation():
