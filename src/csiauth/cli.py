@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +43,6 @@ class RunConfig:
     out_dir: Path
     snr_grid: tuple[float, ...]
     z_multipliers: tuple[float, ...]
-    jobs: int
     pooled: bool
     gan_config: gan.TrainConfig
     detector_config: detectors.DetectorConfig
@@ -127,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="DIR", help="output directory (default: $CSIAUTH_OUT or ./runs)")
     common.add_argument("--config", type=Path, default=None, metavar="JSON",
                         help="JSON config file of the gan, detectors and analytic_trials settings")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker cap for per-SNR stages")
+    common.add_argument("--jobs", type=int, choices=(1,), default=1, metavar="N",
+                        help="each stage runs on one thread; takes only 1")
     common.add_argument("--pooled", action="store_true",
                         help="train/evaluate one pooled GAN instead of one per SNR")
     common.add_argument("--snr-grid", type=parse_snr_grid, default=datasets.DEFAULT_SNR_GRID,
@@ -178,7 +176,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         snr_grid=args.snr_grid,
         z_multipliers=args.z_mult,
-        jobs=max(1, args.jobs),
         pooled=args.pooled,
         gan_config=file_cfg.get("gan", gan.TrainConfig()),
         detector_config=file_cfg.get("detectors", detectors.DetectorConfig()),
@@ -197,15 +194,6 @@ def _config_value(key: str, value):
     if not isinstance(value, dict):
         raise ValueError(f'"{key}" must be a JSON object')
     return kind(**typed_fields(kind, value, f' under "{key}"'))
-
-
-def _parallel(jobs: int, tasks: list):
-    """Run 0-arg callables; results in task order regardless of scheduling."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +234,16 @@ def cmd_train(cfg: RunConfig) -> int:
     train_ds = _load_train(cfg)
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed)
-
-    def job(snr: float | None):
-        if snr is None:
-            rows = train_ds.x
-            stream = rng.substream("gan-train", "pooled")
-            name = "gan_pooled"
-        else:
-            rows = train_ds.x[train_ds.snr == snr]
-            stream = rng.substream("gan-train", snr)
-            name = f"gan_snr{snr_tag(snr)}"
-        disc, report = gan.train_gan(rows, cfg.gan_config, stream)
-        return name, disc, report
-
-    keys = [None] if cfg.pooled else list(train_ds.manifest.snr_grid)
-    results = _parallel(cfg.jobs, [lambda s=s: job(s) for s in keys])
-    for name, disc, report in results:
+    if cfg.pooled:
+        slices = {"gan_pooled": (train_ds.x, rng.substream("gan-train", "pooled"))}
+    else:
+        slices = {
+            f"gan_snr{snr_tag(snr)}": (train_ds.x[train_ds.snr == snr], rng.substream("gan-train", snr))
+            for snr in train_ds.manifest.snr_grid
+        }
+    # every GAN is trained before any file is written, so a failing fit writes none
+    trained = {name: gan.train_gan(x, cfg.gan_config, stream) for name, (x, stream) in slices.items()}
+    for name, (disc, report) in trained.items():
         ckpt = cfg.model_dir / f"{name}.json"
         neuralnet.save_checkpoint(disc, ckpt)
         gan.write_report_csv(report, cfg.model_dir / f"{name}_train_report.csv")
@@ -277,20 +259,18 @@ def cmd_fit_detector(cfg: RunConfig, algo: str) -> int:
     grid = train_ds.manifest.snr_grid
     slices = [train_ds.x[train_ds.snr == snr] for snr in grid]
 
-    def job(x):
-        if algo == "lof":
-            return detectors.lof_fit(x, k=dc.lof_k, threshold=dc.lof_threshold)
-        return detectors.ocsvm_fit(x, nu=dc.ocsvm_nu, gamma=dc.ocsvm_gamma)
-
+    # every model is fitted before any file is written, so a failing fit writes none
     if algo == "iforest":
-        # Every slice's trees grow in one lockstep, so there is nothing to thread.
+        # Every slice's trees grow in one lockstep.
         models = detectors.iforest_fit_slices(
             [(x, min(dc.iforest_subsample, x.shape[0]), rng.substream("iforest", snr))
              for snr, x in zip(grid, slices)],
             n_trees=dc.iforest_trees, threshold=dc.iforest_threshold,
         )
+    elif algo == "lof":
+        models = [detectors.lof_fit(x, k=dc.lof_k, threshold=dc.lof_threshold) for x in slices]
     else:
-        models = _parallel(cfg.jobs, [lambda x=x: job(x) for x in slices])
+        models = [detectors.ocsvm_fit(x, nu=dc.ocsvm_nu, gamma=dc.ocsvm_gamma) for x in slices]
     for snr, model in zip(grid, models):
         path = cfg.model_dir / f"{algo}_snr{snr_tag(snr)}.json"
         detectors.save_model(model, path)
@@ -379,7 +359,9 @@ def main(argv=None) -> int:
         if args.func is cmd_fit_detector:
             return cmd_fit_detector(cfg, args.algo)
         return args.func(cfg)
-    except (OSError, ValueError) as exc:  # FileNotFoundError and DatasetFormatError among them
+    # FileNotFoundError and DatasetFormatError among them; ConvergenceError
+    # when an OC-SVM fit reaches its iteration cap
+    except (OSError, ValueError, detectors.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -265,18 +263,20 @@ def _stack(manifest: DatasetManifest, parts: list[tuple]) -> Dataset:
 # datasets. The lock keeps a thread's change out of another's scan.
 _REMEMBERED: dict[Path, tuple[bytes, str, tuple]] = {}
 _REMEMBERED_LOCK = threading.Lock()
-# What ends a cell or a line for read_dataset: the delimiter and every line
-# boundary of str.splitlines. A source id holding one does not read back.
-_CELL_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The code points that end a cell or a line for read_dataset: the delimiter
+# and every line boundary of str.splitlines.
+_CELL_BREAKS = np.array([ord(c) for c in ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"], np.uint32)
 
 
 def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
     """CSV of samples plus a `<name>.manifest.json` sidecar; lossless round trip.
 
     Each feature cell is the text of format(v, ".17g"), made by
-    `_feature_text`. A non-finite feature, or a source id that UTF-8 cannot
-    encode, raises ValueError naming the file and the row, and nothing is
-    written.
+    `_feature_text`. What read_dataset would refuse raises ValueError naming
+    the file, and nothing is written: columns of unequal length, a feature
+    row that is not 2 * n_rx * m_tx wide, a non-finite feature, a source id
+    that UTF-8 cannot encode or that holds a _CELL_BREAKS character, and
+    counts that disagree with the manifest.
 
     `memo` maps the raw bytes of a feature row to the row's text. Calls that
     share one dict format a legitimate row they have in common once; keying
@@ -287,8 +287,7 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
 
     The file's bytes are hashed as they are written, and the dataset memo
     keeps their digest with copies of the columns, so that read_dataset does
-    not parse them again; a dataset whose columns would not read back as
-    written (ragged columns, or a source id that breaks a cell) is not kept.
+    not parse them again.
     """
     path = Path(path)
     resolved = path.resolve()
@@ -296,23 +295,39 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
         _REMEMBERED.pop(resolved, None)
     mf = dataset.manifest
     memo = {} if memo is None else memo
+
+    def refuse(what):
+        return ValueError(f"{path}: {what}; not written")
+
     try:
         manifest = _manifest_to_json(mf)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}; not written") from None
+        counts = _manifest_from_json(manifest).counts  # the counts a read checks
+    except (TypeError, ValueError) as exc:
+        raise refuse(exc) from None
+    n_rx, m_tx = mf.h_true.shape
+    header = _csv_header(n_rx, m_tx)
     x = np.ascontiguousarray(dataset.x, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: row {bad[0]} has a non-finite feature; not written")
-    ids = np.ascontiguousarray(dataset.source, dtype=str)
-    # each id's code points; UTF-8 cannot encode a lone surrogate, U+D800 to U+DFFF
-    points = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
-    bad = np.flatnonzero(((points >= 0xD800) & (points <= 0xDFFF)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: row {bad[0]} has a source id that UTF-8 cannot encode; not written")
     snr = np.ascontiguousarray(dataset.snr, dtype=float)
     legit = np.asarray(dataset.legit, dtype=bool)
-    header = _csv_header(*mf.h_true.shape)
+    ids = np.ascontiguousarray(dataset.source, dtype=str)
+    if not (x.ndim == 2 and snr.shape == legit.shape == ids.shape == x.shape[:1]):
+        raise refuse(f"columns of shapes {x.shape}, {snr.shape}, {legit.shape} and {ids.shape}"
+                     " are not (n, d), (n,), (n,) and (n,)")
+    if x.shape[1] != 2 * n_rx * m_tx:
+        raise refuse(f"rows of {x.shape[1]} features; {n_rx}x{m_tx} CSI has {2 * n_rx * m_tx}")
+    # each id's code points; UTF-8 cannot encode a lone surrogate, U+D800 to U+DFFF
+    points = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
+    for fault, rows in (
+        ("a non-finite feature", ~np.isfinite(x).all(axis=1)),
+        ("a source id that UTF-8 cannot encode", ((points >= 0xD800) & (points <= 0xDFFF)).any(axis=1)),
+        ("a source id that holds a cell or line break", np.isin(points, _CELL_BREAKS).any(axis=1)),
+    ):
+        if rows.any():
+            raise refuse(f"row {np.argmax(rows)} has {fault}")
+    try:
+        verify_counts(counts, snr, legit, path)
+    except DatasetFormatError as exc:
+        raise ValueError(f"{exc}; not written") from None
     labels = {}  # the label cells of each (SNR, label, source) triple
     row_bytes = np.dtype((np.void, x.itemsize * x.shape[1]))
     digest = hashlib.sha256()
@@ -343,7 +358,7 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
             # an SNR is told apart by its bits, so that -0.0 keeps its sign
             for value, bits, is_legit, source, text in zip(
                 snr[block].tolist(), snr[block].view(np.uint64).tolist(), legits,
-                dataset.source[block].tolist(), texts,
+                ids[block].tolist(), texts,
             ):
                 key = (bits, is_legit, source)
                 if key not in labels:
@@ -353,19 +368,13 @@ def write_dataset(path, dataset: Dataset, memo: dict | None = None) -> None:
             put("".join(lines))
         put("\n")
     _manifest_path(path).write_text(manifest, encoding="utf-8")
-    sources = {source for _, _, source in labels}
-    if (
-        dataset.source.dtype.kind == "U"
-        and x.shape == (len(snr), len(header) - 3) and len(snr) == len(legit) == len(dataset.source)
-        and not any(map(_CELL_BREAKS.search, sources))
-    ):
-        # copies, the source column as a read builds it: as wide as its longest id
-        width = max([1, *map(len, sources)])
-        columns = (x.copy(), snr.copy(), legit.copy(), dataset.source.astype(f"U{width}"))
-        with _REMEMBERED_LOCK:
-            if any(p.parent != resolved.parent for p in _REMEMBERED):
-                _REMEMBERED.clear()  # one directory's files at a time
-            _REMEMBERED[resolved] = (digest.digest(), manifest, columns)
+    # copies, the source column as a read builds it: as wide as its longest id
+    width = max([1, *(len(source) for _, _, source in labels)])
+    columns = (x.copy(), snr.copy(), legit.copy(), ids.astype(f"U{width}"))
+    with _REMEMBERED_LOCK:
+        if any(p.parent != resolved.parent for p in _REMEMBERED):
+            _REMEMBERED.clear()  # one directory's files at a time
+        _REMEMBERED[resolved] = (digest.digest(), manifest, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +516,9 @@ def read_dataset(path) -> Dataset:
 
     A file whose bytes (by sha256) and manifest text are those this process
     last wrote at the same path is not parsed: its columns are fresh copies
-    from the dataset memo. The manifest is still parsed and the counts still
-    checked, so such a read refuses what a parse would. A file the memo
-    does not hold is parsed without being hashed, and is not remembered.
+    from the dataset memo, and its manifest is parsed. write_dataset refused
+    whatever a parse of them would refuse. A file the memo does not hold is
+    parsed without being hashed, and is not remembered.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -524,9 +533,7 @@ def read_dataset(path) -> Dataset:
     seen = _REMEMBERED.get(path.resolve())
     data = path.read_bytes()
     if seen is not None and seen[1] == manifest_text and seen[0] == hashlib.sha256(data).digest():
-        ds = Dataset(manifest, *(column.copy() for column in seen[2]))
-        verify_counts(ds, path)
-        return ds
+        return Dataset(manifest, *(column.copy() for column in seen[2]))
     text = _decode(path, data)
     del data  # the parse holds the file's text; its bytes too would double that
     return _parse(path, text, manifest)
@@ -584,7 +591,7 @@ def _parse(path: Path, text: str, manifest: DatasetManifest) -> Dataset:
         manifest, x, np.ascontiguousarray(rec["snr"]), legit,
         np.array([line.split(",", 3)[2] for line in body], dtype=str),
     )
-    verify_counts(ds, path)
+    verify_counts(manifest.counts, ds.snr, ds.legit, path)
     return ds
 
 
@@ -607,13 +614,15 @@ def _first_bad_line(path, body, n_cells, parse) -> DatasetFormatError | None:
     return None
 
 
-def verify_counts(dataset: Dataset, path) -> None:
-    """Raise DatasetFormatError naming `path` unless sample tallies match the
-    manifest exactly."""
-    labels = np.where(dataset.legit, LEGITIMATE, ILLEGITIMATE).tolist()
-    actual = dict(Counter(zip(dataset.snr.tolist(), labels)))
-    if actual != dataset.manifest.counts:
-        missing = set(dataset.manifest.counts) ^ set(actual)
+def verify_counts(counts: dict, snr: np.ndarray, legit: np.ndarray, path) -> None:
+    """Raise DatasetFormatError naming `path` unless the tallies of the snr
+    and legit columns match a manifest's `counts` exactly."""
+    actual = {}
+    for flag, label in ((True, LEGITIMATE), (False, ILLEGITIMATE)):
+        values, tally = np.unique(snr[legit == flag], return_counts=True)
+        actual.update(zip([(value, label) for value in values.tolist()], tally.tolist()))
+    if actual != counts:
+        missing = set(counts) ^ set(actual)
         raise DatasetFormatError(
             f"{path}: sample counts disagree with manifest (differing keys: {sorted(missing) or 'values'})"
         )

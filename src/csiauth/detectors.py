@@ -654,7 +654,12 @@ def ocsvm_decision_values(model: OcsvmModel, points) -> np.ndarray:
 def save_model(model, path) -> None:
     """Write a detector as one JSON object. Hyperparameters and scalars are
     JSON numbers; every array is packed exactly (csiauth.packed). A forest
-    stores its n_nodes and node arrays as they are."""
+    stores its n_nodes and node arrays as they are. A non-finite value in an
+    array that load_model requires finite raises ValueError, and nothing is
+    written."""
+    for key in ("train_points", "kdist", "lrd", "support_vectors", "alphas"):  # LOF's, OC-SVM's
+        if not np.isfinite(getattr(model, key, 0.0)).all():
+            raise ValueError(f"{path}: {key} holds a non-finite value; not saved")
     if isinstance(model, LofModel):
         algorithm = "lof"
         hp = {"k": model.k, "threshold": model.threshold}

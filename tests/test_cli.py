@@ -175,11 +175,15 @@ def test_flags_before_the_subcommand_are_a_usage_error(capsys, argv):
         ("--jobs", "true", "invalid int value: 'true'"),
         ("--jobs", "nan", "invalid int value: 'nan'"),
         ("--jobs", "inf", "invalid int value: 'inf'"),
+        ("--jobs", "2", "invalid choice: 2 (choose from 1)"),
+        ("--jobs", "0", "invalid choice: 0 (choose from 1)"),
+        ("--jobs", "-1", "invalid choice: -1 (choose from 1)"),
         ("--snr-grid", "nope", "expected a:b:step, got 'nope'"),
         ("--z-mult", "1,x", "expected a comma list of reals, got '1,x'"),
     ],
     ids=["seed-text", "seed-fraction", "seed-bool", "seed-nan", "seed-inf", "seed-exponent",
-         "jobs-text", "jobs-fraction", "jobs-bool", "jobs-nan", "jobs-inf", "snr-grid-text",
+         "jobs-text", "jobs-fraction", "jobs-bool", "jobs-nan", "jobs-inf", "jobs-two",
+         "jobs-zero", "jobs-negative", "snr-grid-text",
          "z-mult-text"],
 )
 def test_flag_value_error_names_the_flag(capsys, flag, value, message):
@@ -613,6 +617,28 @@ def test_train_refuses_to_save_a_diverged_network(tmp_path, fast_config, capsys,
     assert not path.exists()
 
 
+def test_an_ocsvm_fit_that_does_not_converge_is_one_error_line(tmp_path, fast_config, capsys,
+                                                             monkeypatch):
+    # ConvergenceError is a RuntimeError, and ended fit-detector in a traceback
+    out = tmp_path / "run"
+    assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
+    ocsvm_fit, slices = cli.detectors.ocsvm_fit, []
+
+    def capped_at_the_second_slice(x, nu, gamma):
+        slices.append(len(x))
+        if len(slices) == 2:
+            raise cli.detectors.ConvergenceError("one-class SVM did not converge", residual=1.0)
+        return ocsvm_fit(x, nu=nu, gamma=gamma)
+
+    monkeypatch.setattr(cli.detectors, "ocsvm_fit", capped_at_the_second_slice)
+    capsys.readouterr()
+    assert run_cli("fit-detector", "--algo", "ocsvm", "--config", fast_config, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: one-class SVM did not converge\n"
+    assert captured.out == "" and slices == [700, 700]
+    assert not list((out / "models").glob("ocsvm_snr*.json"))
+
+
 @pytest.mark.parametrize("algo", ["lof", "iforest", "ocsvm"])
 def test_train_file_with_illegitimate_rows_rejected(tmp_path, fast_config, capsys, algo):
     out = tmp_path / "run"
@@ -718,12 +744,3 @@ def test_pipeline_writes_the_same_bytes_in_one_process_and_in_one_per_stage(tmp_
 
     files = tree(one)
     assert len(files) > 50 and files == tree(many)
-
-
-def test_jobs_flag_gives_same_results(tmp_path, fast_config):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, jobs in ((a, "1"), (b, "4")):
-        assert run_cli("gen", *GRID, "--config", fast_config, "--out", out) == 0
-        assert run_cli("train", "--config", fast_config, "--out", out, "--jobs", jobs) == 0
-    for f in sorted((a / "models").glob("*.json")):
-        assert f.read_bytes() == (b / "models" / f.name).read_bytes()

@@ -597,29 +597,42 @@ def test_an_edit_of_the_manifest_alone_is_parsed(tmp_path):
     assert error == _raised(read_cold, path)
 
 
-def test_counts_that_disagree_with_the_manifest_are_refused_on_a_remembered_read(tmp_path):
-    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
-    small.manifest.counts[(0.0, "legitimate")] = 4
+@pytest.mark.parametrize("fault", ["unequal-columns", "feature-width", "counts", "manifest"])
+def test_write_dataset_refuses_what_read_dataset_refuses_and_writes_nothing(tmp_path, fault):
+    # each file was written, and only reading it back failed: ten feature
+    # rows with nine SNRs wrote nine lines, 31 features "expected 35 cells"
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=10)
+    if fault == "manifest":
+        small.manifest.h_true[1, 2] = complex(np.nan, 0.0)
+        message = '"h_true" must be a finite number, got NaN'
+    elif fault == "unequal-columns":
+        small.snr = small.snr[:9]
+        message = "columns of shapes (10, 32), (9,), (10,) and (10,) are not (n, d), (n,), (n,) and (n,)"
+    elif fault == "feature-width":
+        small.x = small.x[:, :31]
+        message = "rows of 31 features; 4x4 CSI has 32"
+    else:
+        small.manifest.counts[(0.0, "legitimate")] = 11
+        message = "sample counts disagree with manifest (differing keys: values)"
     path = tmp_path / "m.csv"
-    write_dataset(path, small)
-    with loadtxt_spy() as spy:
-        error = _raised(read_dataset, path)
-    assert spy.call_count == 0
-    assert error.startswith(f"{path}: sample counts disagree with manifest")
-    assert error == _raised(read_cold, path)
+    with pytest.raises(ValueError) as error:
+        write_dataset(path, small)
+    assert str(error.value) == f"{path}: {message}; not written"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
     "char", [",", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
-def test_a_source_id_that_breaks_a_cell_is_refused_after_its_write(tmp_path, char):
+def test_a_source_id_that_breaks_a_cell_is_refused_at_its_write_and_nothing_written(tmp_path, char):
+    # the file was written, and reading it back failed: "expected 35 cells"
     small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
-    small.source = np.array([f"a{char}b"] * len(small))
+    small.source = np.array(["legit", f"a{char}b", "legit"])
     path = tmp_path / "m.csv"
-    write_dataset(path, small)
-    error = _raised(read_dataset, path)
-    assert error == f"{path}:2: expected 35 cells"
-    assert error == _raised(read_cold, path)
+    with pytest.raises(ValueError) as error:
+        write_dataset(path, small)
+    assert str(error.value) == f"{path}: row 1 has a source id that holds a cell or line break; not written"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_source_id_holding_a_nul_reads_back_after_its_write(tmp_path):
@@ -630,6 +643,19 @@ def test_a_source_id_holding_a_nul_reads_back_after_its_write(tmp_path):
     with loadtxt_spy() as spy:
         written = read_dataset(path)
     assert spy.call_count == 0
+    assert_same_dataset(written, read_cold(path))
+
+
+def test_a_source_column_of_objects_is_remembered_as_the_text_it_wrote(tmp_path):
+    # it was written and then parsed at every read
+    small = build_master(RngStream(3), snr_grid=(0.0,), samples_per_snr=3)
+    small.source = np.array([7, "legit", 2.5], dtype=object)
+    path = tmp_path / "m.csv"
+    write_dataset(path, small)
+    with loadtxt_spy() as spy:
+        written = read_dataset(path)
+    assert spy.call_count == 0
+    assert written.source.tolist() == ["7", "legit", "2.5"]
     assert_same_dataset(written, read_cold(path))
 
 

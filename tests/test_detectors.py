@@ -727,6 +727,27 @@ def test_load_model_rejects_unknown(tmp_path):
         save_model(object(), tmp_path / "y.json")
 
 
+@pytest.mark.parametrize("case", ["lof-coincident-rows", "ocsvm-nan-alpha"])
+def test_save_model_refuses_what_load_model_refuses_and_writes_nothing(tmp_path, case):
+    # 21 or more coincident rows at k=20 sum to a reach-distance of 0, so
+    # their lrd is inf: the file was written, and load_model refused it
+    if case == "lof-coincident-rows":
+        x = np.vstack([np.zeros((25, 32)), gaussian_points(100, 32, seed=53)])
+        with np.errstate(divide="ignore"):
+            model = lof_fit(x, k=20)
+        assert np.isinf(model.lrd).sum() == 25
+        key = "lrd"
+    else:
+        model = ocsvm_fit(gaussian_points(60, 4, seed=47), nu=0.2)
+        model = dataclasses.replace(model, alphas=set_at(1, float("nan"))(model.alphas.copy()))
+        key = "alphas"
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as error:
+        save_model(model, path)
+    assert str(error.value) == f"{path}: {key} holds a non-finite value; not saved"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "case",
     ["lof-nan-training-point", "lof-inf-lrd", "lof-short-kdist", "lof-short-lrd",
